@@ -41,6 +41,10 @@ from .ranges import rank_k_analytic, rank_k_numeric, region_distance
 from .svgplot import render_curve
 
 CLI_DEFAULT_TOL = 1e-6  # criterion match tolerance for caption-grade inputs
+MIN_GRID = 8
+#: largest --grid: the eigen solve holds grid * n^2 complex values and the
+#: envelope samples grid * n points, so larger grids only exhaust memory
+MAX_GRID = 65536
 
 #: parameter sets used throughout the verification corpus
 SEED_CORPUS = {
@@ -80,8 +84,8 @@ class RunConfig:
         if self.command in ("classify", "curve", "range"):
             if (self.xi is None) == (self.matrix_path is None):
                 raise InvalidInputError("exactly one of --xi or --matrix is required")
-        if self.grid < 8:
-            raise InvalidInputError("--grid must be at least 8")
+        if not MIN_GRID <= self.grid <= MAX_GRID:
+            raise InvalidInputError(f"--grid must be in {MIN_GRID}..{MAX_GRID}, got {self.grid}")
 
 
 def _load_matrix(cfg: RunConfig):
@@ -278,7 +282,7 @@ def build_parser():
         p.add_argument("--matrix", dest="matrix_path", help="JSON matrix file")
         p.add_argument("--n", type=int, help="expected dimension")
         p.add_argument("--k", type=int, help="rank index")
-        p.add_argument("--grid", type=int, default=2048, help="theta grid size")
+        p.add_argument("--grid", type=int, default=2048, help=f"theta grid size, {MIN_GRID}..{MAX_GRID}")
         p.add_argument("--mode", choices=("float", "exact", "extended"), default="float")
         p.add_argument("--svg", help="write an SVG figure here")
         p.add_argument("--out", help="write JSON output here (default stdout)")

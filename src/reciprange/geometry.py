@@ -1,19 +1,26 @@
-"""Convex regions in the complex plane: half-plane clipping, hulls, Hausdorff.
+"""Convex regions in the complex plane: half-plane intersection, hulls, Hausdorff.
 
 Regions are polygons with complex vertices (counterclockwise), demoted to
-SEGMENT / POINT / EMPTY when the clipped area or width collapses.
+SEGMENT / POINT / EMPTY when the area or width collapses.  Internally a
+half-plane {z : Re(e^{i theta} z) <= bound} is u . z <= bound with the outward
+unit normal u = e^{i phi}, phi = -theta.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 AREA_EPS = 1e-14
 WIDTH_EPS = 1e-8
+ANGLE_EPS = 1e-12  # outward normals closer than this count as equal
+CERT_EPS = 1e-10  # relative violation the emptiness certificate tolerates
+SIDE_EPS = 1e-14  # a corner outside a line by less than this, relative, lies on it
+TWO_PI = 2 * math.pi
+_BOX_PHI = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 
 POLYGON = "POLYGON"
 SEGMENT = "SEGMENT"
@@ -43,98 +50,190 @@ class ConvexRegion:
 
 
 def polygon_area(pts) -> float:
-    n = len(pts)
-    s = 0.0
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        s += a.real * b.imag - b.real * a.imag
-    return s / 2
+    """Signed shoelace area; positive for a counterclockwise loop."""
+    z = np.asarray(pts, dtype=complex).ravel()
+    w = np.roll(z, -1)
+    return float(np.sum(z.real * w.imag - w.real * z.imag)) / 2
 
 
-def _diameter_pair(pts):
-    arr = np.asarray(pts, dtype=complex)
-    d = np.abs(arr[:, None] - arr[None, :])
-    i, j = np.unravel_index(np.argmax(d), d.shape)
-    return float(d[i, j]), arr[i], arr[j]
+def _convex_loop(z):
+    """The vertices at which a nearly convex CCW loop turns strictly left.
+
+    Where several lines of a half-plane intersection meet, the loop repeats a
+    vertex up to rounding, and the short edges between the copies may point
+    anywhere.  One stack pass from the leftmost-lowest vertex, a hull vertex,
+    drops those copies with any collinear or (by rounding) reflex vertex, so
+    every edge left lies on a supporting line.  O(V).
+    """
+    left = np.flatnonzero(z.real == z.real.min())
+    start = int(left[np.argmin(z.imag[left])])
+    hull = []
+    for p in np.roll(z, -start).tolist() + [complex(z[start])]:
+        while len(hull) > 1:
+            turn = (hull[-1] - hull[-2]).conjugate() * (p - hull[-1])
+            # keep a left turn, and the far end of a flat loop (a reversal)
+            if turn.imag > 0 or (turn.imag == 0 and turn.real < 0):
+                break
+            hull.pop()
+        hull.append(p)
+    return np.array(hull[:-1])
 
 
-def polygon_width(pts) -> float:
-    """Minimal extent over directions (rotating-calipers width of the hull)."""
-    arr = np.asarray(pts, dtype=complex)
-    n = len(arr)
-    if n < 3:
-        return 0.0
-    best = math.inf
-    for i in range(n):
-        d = arr[(i + 1) % n] - arr[i]
-        L = abs(d)
-        if L == 0:
-            continue
-        normal = d / L * 1j
-        proj = (arr - arr[i]) * np.conj(normal)
-        best = min(best, float(np.max(proj.real) - np.min(proj.real)))
-    return 0.0 if best is math.inf else best
+def _calipers(z):
+    """Rotating calipers on a strictly convex CCW loop.
+
+    Returns (i, j, width): the farthest vertex pair z[i], z[j] and the least
+    distance between two parallel supporting lines.  The antipodal vertex of
+    each edge only moves forward around the loop, so the scan is O(V).
+    """
+    m = z.size
+    xs, ys = z.real.tolist(), z.imag.tolist()
+    lengths = np.abs(np.roll(z, -1) - z).tolist()
+    anti = [0] * m
+    j = 1 % m
+    for i in range(m):
+        i1 = i + 1 if i + 1 < m else 0
+        ex, ey = xs[i1] - xs[i], ys[i1] - ys[i]
+        for _ in range(m):  # advance while the next vertex lies farther from edge i's line
+            j1 = j + 1 if j + 1 < m else 0
+            turn = ex * (ys[j1] - ys[j]) - ey * (xs[j1] - xs[j])
+            tie = 1e-12 * lengths[i] * lengths[j]
+            if turn < -tie:
+                break
+            # edge j parallel to edge i, within rounding: move on only along a
+            # straight run away from z[i] (never around a flat loop)
+            if turn <= tie and ((xs[j1] - xs[i]) ** 2 + (ys[j1] - ys[i]) ** 2
+                                <= (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2):
+                break
+            j = j1
+        anti[i] = j
+    i0 = np.arange(m)
+    i1 = np.roll(i0, -1)
+    j0 = np.asarray(anti)
+    j1 = (j0 + 1) % m
+    e = z[i1] - z[i0]
+    height = (np.conj(e) * (z[j0] - z[i0])).imag
+    width = float(np.min(height / np.abs(e)))
+    # every antipodal pair has an endpoint of some edge and that edge's antipodal
+    # vertex (or its successor, when the two edges are parallel)
+    a = np.concatenate([i0, i1, i0, i1])
+    b = np.concatenate([j0, j0, j1, j1])
+    best = int(np.argmax(np.abs(z[a] - z[b])))
+    return int(a[best]), int(b[best]), width
 
 
 def region_from_vertices(pts) -> ConvexRegion:
-    """Classify a clipped vertex loop into POLYGON/SEGMENT/POINT/EMPTY.
+    """Classify a convex vertex loop into POLYGON/SEGMENT/POINT/EMPTY.
 
     Demotion: diameter below WIDTH_EPS collapses to POINT; a width below
-    WIDTH_EPS or an area below AREA_EPS collapses to SEGMENT.
+    WIDTH_EPS or an area below AREA_EPS collapses to SEGMENT between the
+    diameter pair.  Area, diameter and width take O(V).
     """
-    pts = [complex(p) for p in pts]
-    if not pts:
+    z = np.asarray(pts, dtype=complex).ravel()
+    if z.size == 0:
         return ConvexRegion.empty()
-    if len(pts) == 1:
-        return ConvexRegion(POINT, (pts[0],))
-    diam, a, b = _diameter_pair(pts)
-    if diam < WIDTH_EPS:
-        c = sum(pts) / len(pts)
-        return ConvexRegion(POINT, (c,))
-    if len(pts) == 2 or abs(polygon_area(pts)) < AREA_EPS or polygon_width(pts) < WIDTH_EPS:
-        return ConvexRegion(SEGMENT, (complex(a), complex(b)))
-    if polygon_area(pts) < 0:
-        pts = pts[::-1]
-    return ConvexRegion(POLYGON, tuple(pts))
+    if z.size == 1:
+        return ConvexRegion(POINT, (complex(z[0]),))
+    area = polygon_area(z)
+    loop = z if area >= 0 else z[::-1]
+    hull = _convex_loop(loop)
+    if hull.size < 2:
+        return ConvexRegion(POINT, (complex(z[0]),))
+    i, j, width = _calipers(hull)
+    # every vertex projects between the diameter pair along its direction, so
+    # the extremes of that projection are the pair again; they stay right on
+    # loops too flat for the calipers' turn tests (collinear runs)
+    along = ((loop - hull[i]) * np.conj(hull[j] - hull[i])).real
+    i, j = sorted((int(np.argmin(along)), int(np.argmax(along))))
+    if abs(loop[j] - loop[i]) < WIDTH_EPS:
+        return ConvexRegion(POINT, (complex(z.mean()),))
+    if z.size == 2 or abs(area) < AREA_EPS or width < WIDTH_EPS:
+        return ConvexRegion(SEGMENT, (complex(loop[i]), complex(loop[j])))
+    return ConvexRegion(POLYGON, tuple(loop.tolist()))
 
 
-def _clip_array(arr: np.ndarray, theta: float, bound: float) -> np.ndarray:
-    """Sutherland-Hodgman step on a complex vertex array."""
-    w = cmath.exp(1j * theta)
-    vals = (w * arr).real - bound
-    keep = vals <= 0
-    if keep.all():
-        return arr
-    if not keep.any():
-        return arr[:0]
-    vn = np.roll(vals, -1)
-    crossing = keep != (vn <= 0)
-    denom = np.where(vals == vn, 1.0, vals - vn)
-    cuts = arr + (vals / denom) * (np.roll(arr, -1) - arr)
-    counts = keep.astype(np.int64) + crossing.astype(np.int64)
-    starts = np.cumsum(counts) - counts
-    out = np.empty(int(counts.sum()), dtype=complex)
-    out[starts[keep]] = arr[keep]
-    out[(starts + keep.astype(np.int64))[crossing]] = cuts[crossing]
-    return out
+def _by_angle(*lists):
+    """Concatenate (phi, c) half-plane lists into one in increasing angle order.
+
+    A theta grid arrives as at most two increasing runs, which the stable
+    (run-detecting) sort merges in linear time; order within equal angles
+    does not matter, as _intersect_sorted keeps only their tightest bound.
+    """
+    phi = np.concatenate([p for p, _ in lists])
+    c = np.concatenate([c for _, c in lists])
+    order = np.argsort(phi, kind="stable")
+    return phi[order], c[order]
 
 
-def clip_by_halfplane(pts, theta, bound):
-    """Sutherland-Hodgman step: keep Re(e^{i theta} z) <= bound."""
-    if len(pts) == 0:
-        return []
-    return list(_clip_array(np.asarray(pts, dtype=complex), theta, bound))
+def _intersect_sorted(phi, c):
+    """Vertices (CCW, complex) of {z : u_j . z <= c_j for all j}, u_j = e^{i phi_j},
+    or None when the intersection is empty.
+
+    phi must be increasing in [0, 2pi] and the intersection bounded.  Sorted-angle
+    deque algorithm (de Berg et al., Computational Geometry, ch. 4), O(T).
+    """
+    # of half-planes with equal normals only the tightest can bound the set
+    first = np.flatnonzero(np.concatenate(([True], np.diff(phi) > ANGLE_EPS)))
+    c = np.minimum.reduceat(c, first)
+    phi = phi[first]
+    if phi.size > 1 and phi[0] + TWO_PI - phi[-1] <= ANGLE_EPS:
+        c[0] = min(c[0], c[-1])
+        phi, c = phi[:-1], c[:-1]
+    ux, uy = np.cos(phi), np.sin(phi)
+    X, Y, C, P = ux.tolist(), uy.tolist(), c.tolist(), phi.tolist()
+
+    def outside(k, i, j):
+        """Is the corner of lines i and j outside half-plane k beyond rounding?
+
+        Sets that touch along an edge or at a point have corners on a line
+        exactly; normals rounded through phi put them off it either way, and
+        a strict test would then drop a line of a set that is not empty."""
+        det = X[i] * Y[j] - X[j] * Y[i]
+        x = (C[i] * Y[j] - C[j] * Y[i]) / det
+        y = (X[i] * C[j] - X[j] * C[i]) / det
+        return X[k] * x + Y[k] * y - C[k] > SIDE_EPS * (abs(x) + abs(y) + abs(C[k]))
+
+    dq = deque()
+    for k in range(len(C)):
+        while len(dq) > 1 and outside(k, dq[-2], dq[-1]):
+            dq.pop()
+        while len(dq) > 1 and outside(k, dq[0], dq[1]):
+            dq.popleft()
+        # a turn of pi or more between neighbouring edges leaves nothing inside
+        if dq and P[k] - P[dq[-1]] >= math.pi:
+            return None
+        dq.append(k)
+    while len(dq) > 2 and outside(dq[0], dq[-2], dq[-1]):
+        dq.pop()
+    while len(dq) > 2 and outside(dq[-1], dq[0], dq[1]):
+        dq.popleft()
+    if len(dq) < 3 or P[dq[0]] + TWO_PI - P[dq[-1]] >= math.pi:
+        return None
+
+    lines = np.fromiter(dq, dtype=np.intp, count=len(dq))
+    lx, ly, lc = ux[lines], uy[lines], c[lines]
+    px, py, pc = np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1)
+    det = px * ly - lx * py
+    vx = (pc * ly - lc * py) / det  # vertex j joins line j-1 and line j
+    vy = (px * lc - lx * pc) / det
+    # emptiness certificate: each half-plane holds at the vertex extreme in its
+    # outward normal, which sits between the edges whose angles bracket it
+    extreme = np.searchsorted(phi[lines], phi) % lines.size
+    violation = ux * vx[extreme] + uy * vy[extreme] - c
+    if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
+        return None
+    return vx + 1j * vy
 
 
 def halfplane_intersection(halfplanes, box_halfwidth) -> ConvexRegion:
-    """Incremental clipping of a centered square by each half-plane."""
-    r = float(box_halfwidth)
-    pts = np.array([complex(-r, -r), complex(r, -r), complex(r, r), complex(-r, r)])
-    for hp in halfplanes:
-        pts = _clip_array(pts, hp.theta, hp.bound)
-        if len(pts) == 0:
-            return ConvexRegion.empty()
-    return region_from_vertices(list(pts))
+    """Intersection of the centered square of half-width box_halfwidth with the
+    half-planes: O(T) past the angle sort, which is linear on a theta grid."""
+    halfplanes = list(halfplanes)
+    phi = np.mod(-np.array([hp.theta for hp in halfplanes], dtype=float), TWO_PI)
+    bound = np.array([hp.bound for hp in halfplanes], dtype=float)
+    box = np.full(4, float(box_halfwidth))
+    verts = _intersect_sorted(*_by_angle((phi, bound), (_BOX_PHI, box)))
+    return ConvexRegion.empty() if verts is None else region_from_vertices(verts)
 
 
 def convex_hull(points):
@@ -163,58 +262,40 @@ def hull_region(points) -> ConvexRegion:
     return region_from_vertices(convex_hull(points))
 
 
-def _halfplane_through(point, outward) -> HalfPlane:
-    """Half-plane with the given boundary point and outward normal direction.
-
-    In the convention {z : Re(e^{i theta} z) <= bound} the outward direction is
-    e^{-i theta}, so theta = -phase(outward).
-    """
-    th = -cmath.phase(outward)
-    return HalfPlane(th, (cmath.exp(1j * th) * point).real)
-
-
-def region_halfplanes(region: ConvexRegion):
-    """A finite half-plane representation of a POLYGON or SEGMENT region."""
-    out = []
+def _edge_halfplanes(region: ConvexRegion):
+    """(phi, c) arrays of a POLYGON's edge half-planes, in the loop's (cyclic
+    angle) order, or of the four half-planes bounding a SEGMENT."""
+    pts = np.asarray(region.points, dtype=complex)
     if region.kind == POLYGON:
-        pts = region.points
-        n = len(pts)
-        for i in range(n):
-            p, q = pts[i], pts[(i + 1) % n]
-            d = q - p
-            if abs(d) == 0:
-                continue
-            out.append(_halfplane_through(p, -1j * d))  # CCW edge: outward = d rotated -90deg
+        d = np.roll(pts, -1) - pts
+        keep = d != 0
+        pts, outward = pts[keep], -1j * d[keep]  # CCW edge: outward = d rotated -90deg
     elif region.kind == SEGMENT:
-        p, q = region.points
+        p, q = pts
         d = q - p
-        out.append(_halfplane_through(p, 1j * d))
-        out.append(_halfplane_through(p, -1j * d))
-        out.append(_halfplane_through(q, d))
-        out.append(_halfplane_through(p, -d))
+        pts = np.array([p, p, q, p])
+        outward = np.array([1j * d, -1j * d, d, -d])
     else:
         raise ValueError(f"no half-plane form for kind {region.kind}")
-    return out
+    u = outward / np.abs(outward)
+    return np.mod(np.angle(u), TWO_PI), (np.conj(u) * pts).real
 
 
-def _clip_segment(p, q, halfplanes):
-    t0, t1 = 0.0, 1.0
+def _clip_segment(p, q, phi, c):
+    """The part of segment [p, q] inside every half-plane u_j . z <= c_j."""
+    u = np.exp(1j * phi)
     d = q - p
-    for hp in halfplanes:
-        w = cmath.exp(1j * hp.theta)
-        vp = (w * p).real - hp.bound
-        vd = (w * d).real
-        if abs(vd) < 1e-300:
-            if vp > 1e-12:
-                return None
-            continue
-        t = -vp / vd
-        if vd > 0:
-            t1 = min(t1, t)
-        else:
-            t0 = max(t0, t)
-        if t0 > t1 + 1e-15:
-            return None
+    vp = (np.conj(u) * p).real - c
+    vd = (np.conj(u) * d).real
+    parallel = np.abs(vd) < 1e-300
+    if np.any(vp[parallel] > 1e-12):
+        return None
+    t = -vp[~parallel] / vd[~parallel]
+    rising = vd[~parallel] > 0
+    t1 = min(1.0, float(np.min(t[rising], initial=math.inf)))
+    t0 = max(0.0, float(np.max(t[~rising], initial=-math.inf)))
+    if t0 > t1 + 1e-15:
+        return None
     return p + t0 * d, p + t1 * d
 
 
@@ -227,16 +308,12 @@ def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     if a.kind == POINT:
         return a if region_contains(b, a.points[0]) else ConvexRegion.empty()
     if a.kind == SEGMENT:
-        res = _clip_segment(a.points[0], a.points[1], region_halfplanes(b))
+        res = _clip_segment(a.points[0], a.points[1], *_edge_halfplanes(b))
         return region_from_vertices(list(res)) if res else ConvexRegion.empty()
     if b.kind == SEGMENT:
         return intersect_regions(b, a)
-    pts = list(a.points)
-    for hp in region_halfplanes(b):
-        pts = clip_by_halfplane(pts, hp.theta, hp.bound)
-        if not pts:
-            return ConvexRegion.empty()
-    return region_from_vertices(pts)
+    verts = _intersect_sorted(*_by_angle(_edge_halfplanes(a), _edge_halfplanes(b)))
+    return ConvexRegion.empty() if verts is None else region_from_vertices(verts)
 
 
 def _point_segment_distance(z, a, b):

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-RECIPROCAL_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class XiParameters:
@@ -30,6 +28,9 @@ class XiParameters:
     xi: tuple
 
     def __post_init__(self):
+        for i, x in enumerate(self.xi):
+            if not math.isfinite(x):
+                raise InvalidInputError(f"xi[{i}] = {x} is not finite")
         if any(x < 0 for x in self.xi):
             bad = min(range(len(self.xi)), key=lambda i: self.xi[i])
             raise InvalidInputError(f"xi[{bad}] = {self.xi[bad]} is negative")
@@ -102,6 +103,8 @@ def build_from_superdiagonal(entries) -> ReciprocalMatrix:
     if len(entries) < 1:
         raise InvalidInputError("need at least one superdiagonal entry")
     for i, e in enumerate(entries):
+        if not cmath.isfinite(e):
+            raise InvalidInputError(f"superdiagonal entry {i} = {e} is not finite")
         if e == 0:
             raise InvalidInputError(f"superdiagonal entry {i} is zero")
     return ReciprocalMatrix(entries)

@@ -32,7 +32,7 @@ BOUND_SLACK = 1e-12
 
 
 def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
-    """Lambda_k by incremental clipping of a bounding box with the supporting
+    """Lambda_k as the intersection of a bounding box with the supporting
     half-planes {Re(e^{i theta} z) <= lambda_k(theta)} over the grid."""
     if not isinstance(matrix, ReciprocalMatrix):
         matrix = matrix_from_xi(as_xi(matrix))
@@ -86,26 +86,20 @@ def rank_k_analytic(report: ClassificationReport, k, boundary_points=1024) -> Co
             return ConvexRegion(POINT, (0j,))
         return ConvexRegion.empty()
 
-    # displaced pair
-    if n in (4, 5):
-        e_plus, e_minus = report.ellipses
-        if k == 1:
-            return _hull_two(e_plus, e_minus, m)
-        if k == 2:
-            return intersect_regions(_disk(e_plus, m), _disk(e_minus, m))
-        return ConvexRegion(POINT, (0j,))  # n = 5, k = 3
-
-    # n = 6 displaced family: slot order depends on the criterion's k-value
-    central = report.central()
-    e_plus, e_minus = report.displaced()
-    hull = _hull_two(e_plus, e_minus, m)
-    lens = intersect_regions(_disk(e_plus, m), _disk(e_minus, m))
-    central_outer = report.k is not None and abs(report.k - 2 * math.cos(math.pi / 7)) < 1e-6
-    if central_outer:
-        order = {1: _disk(central, m), 2: hull, 3: lens}
-    else:
-        order = {1: hull, 2: lens, 3: _disk(central, m)}
-    return order[k]
+    # displaced pair: the hull of E and -E, then their lens.  For n = 6 the
+    # central component comes first or last by the criterion's k-value.
+    e_plus, e_minus = report.displaced() if n == 6 else report.ellipses
+    if n == 6:
+        central_outer = report.k is not None and abs(report.k - 2 * math.cos(math.pi / 7)) < 1e-6
+        if k == (1 if central_outer else 3):
+            return _disk(report.central(), m)
+        if central_outer:
+            k -= 1
+    if k == 1:
+        return _hull_two(e_plus, e_minus, m)
+    if k == 2:
+        return intersect_regions(_disk(e_plus, m), _disk(e_minus, m))
+    return ConvexRegion(POINT, (0j,))  # n = 5, k = 3
 
 
 def region_distance(a: ConvexRegion, b: ConvexRegion) -> float:

@@ -1,0 +1,108 @@
+"""Reference geometry kept as an oracle for ``reciprange.geometry``.
+
+Sutherland-Hodgman clipping of a box (or of a polygon) by one half-plane at
+a time (O(T*V)) and region demotion from the dense V x V diameter matrix and
+the O(V^2) width scan.  Both are slow but independent of the sorted-angle
+deque and the rotating calipers the package uses, so the tests compare the
+two.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+
+from reciprange.geometry import AREA_EPS, POINT, POLYGON, SEGMENT, WIDTH_EPS, ConvexRegion
+
+
+def _clip_array(arr: np.ndarray, theta: float, bound: float) -> np.ndarray:
+    """Sutherland-Hodgman step on a complex vertex array: keep Re(e^{i theta} z) <= bound."""
+    w = cmath.exp(1j * theta)
+    vals = (w * arr).real - bound
+    keep = vals <= 0
+    if keep.all():
+        return arr
+    if not keep.any():
+        return arr[:0]
+    vn = np.roll(vals, -1)
+    crossing = keep != (vn <= 0)
+    denom = np.where(vals == vn, 1.0, vals - vn)
+    cuts = arr + (vals / denom) * (np.roll(arr, -1) - arr)
+    counts = keep.astype(np.int64) + crossing.astype(np.int64)
+    starts = np.cumsum(counts) - counts
+    out = np.empty(int(counts.sum()), dtype=complex)
+    out[starts[keep]] = arr[keep]
+    out[(starts + keep.astype(np.int64))[crossing]] = cuts[crossing]
+    return out
+
+
+def _polygon_area(pts) -> float:
+    n = len(pts)
+    s = 0.0
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        s += a.real * b.imag - b.real * a.imag
+    return s / 2
+
+
+def _polygon_width(arr) -> float:
+    n = len(arr)
+    if n < 3:
+        return 0.0
+    best = math.inf
+    for i in range(n):
+        d = arr[(i + 1) % n] - arr[i]
+        L = abs(d)
+        if L == 0:
+            continue
+        proj = ((arr - arr[i]) * np.conj(d / L * 1j)).real
+        best = min(best, float(np.max(proj) - np.min(proj)))
+    return 0.0 if best is math.inf else best
+
+
+def oracle_region_from_vertices(pts) -> ConvexRegion:
+    """Demotion by brute force: POINT below WIDTH_EPS diameter, SEGMENT below
+    AREA_EPS area or WIDTH_EPS width."""
+    pts = [complex(p) for p in pts]
+    if not pts:
+        return ConvexRegion.empty()
+    if len(pts) == 1:
+        return ConvexRegion(POINT, (pts[0],))
+    arr = np.asarray(pts, dtype=complex)
+    d = np.abs(arr[:, None] - arr[None, :])
+    i, j = np.unravel_index(np.argmax(d), d.shape)
+    if d[i, j] < WIDTH_EPS:
+        return ConvexRegion(POINT, (sum(pts) / len(pts),))
+    area = _polygon_area(pts)
+    if len(pts) == 2 or abs(area) < AREA_EPS or _polygon_width(arr) < WIDTH_EPS:
+        return ConvexRegion(SEGMENT, (pts[i], pts[j]))
+    return ConvexRegion(POLYGON, tuple(pts if area >= 0 else pts[::-1]))
+
+
+def oracle_halfplane_intersection(halfplanes, box_halfwidth) -> ConvexRegion:
+    """Clip the centered square by each half-plane in turn."""
+    r = float(box_halfwidth)
+    pts = np.array([complex(-r, -r), complex(r, -r), complex(r, r), complex(-r, r)])
+    for hp in halfplanes:
+        pts = _clip_array(pts, hp.theta, hp.bound)
+        if len(pts) == 0:
+            return ConvexRegion.empty()
+    return oracle_region_from_vertices(pts)
+
+
+def oracle_intersect_polygons(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
+    """Clip POLYGON a by the half-plane of each edge of POLYGON b in turn."""
+    pts = np.asarray(a.points, dtype=complex)
+    q = np.asarray(b.points, dtype=complex)
+    for p0, p1 in zip(q, np.roll(q, -1)):
+        if p1 == p0:
+            continue
+        # inside a CCW loop lies left of p0 -> p1: Im(conj(p1 - p0) (z - p0)) >= 0,
+        # that is Re(e^{i theta} z) <= bound with e^{i theta} = i conj(p1 - p0) / |p1 - p0|
+        w = 1j * np.conj(p1 - p0) / abs(p1 - p0)
+        pts = _clip_array(pts, cmath.phase(w), (w * p0).real)
+        if len(pts) == 0:
+            return ConvexRegion.empty()
+    return oracle_region_from_vertices(pts)

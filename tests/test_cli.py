@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from reciprange import cli
 from reciprange.cli import main
 
 
@@ -56,6 +57,37 @@ def test_input_errors(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "range", "--xi", "1,0,1", "--k", "2", "--grid", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--xi", "nan,1,1"),
+    ("classify", "--xi", "1,1,inf,1"),
+    ("classify", "--xi", "1,1,inf,1", "--mode", "exact"),
+    ("classify", "--xi", "1,1,inf,1", "--mode", "extended"),
+    ("range", "--xi", "nan,1,1", "--k", "1"),
+    ("curve", "--xi", "nan,1,1"),
+])
+def test_non_finite_xi_rejected(capsys, args):
+    assert main(list(args)) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+def test_non_finite_matrix_file_rejected(capsys, tmp_path):
+    f = tmp_path / "m.json"
+    f.write_text('{"superdiag": [[2, 0], [NaN, 0]]}')
+    assert main(["range", "--matrix", str(f), "--k", "1"]) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
+def test_grid_cap(capsys, monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli, "rank_k_numeric", started)
+    monkeypatch.setattr(cli, "envelope_points", started)
+    assert main(["range", "--xi", "1,0,1", "--k", "1", "--grid", str(10**9)]) == 2
+    assert f"--grid must be in 8..{cli.MAX_GRID}" in capsys.readouterr().err
+    assert main(["curve", "--xi", "1,0,1", "--grid", str(cli.MAX_GRID + 1)]) == 2
 
 
 def test_matrix_file_input(capsys, tmp_path):

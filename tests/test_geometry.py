@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from geometry_oracle import (
+    oracle_halfplane_intersection,
+    oracle_intersect_polygons,
+    oracle_region_from_vertices,
+)
 from reciprange.geometry import (
     EMPTY,
     POINT,
@@ -132,3 +137,238 @@ def test_region_json():
     d = ConvexRegion(SEGMENT, (complex(-1, 0), complex(1, 0)))
     obj = d.to_json_dict()
     assert obj == {"kind": "SEGMENT", "points": [[-1.0, 0.0], [1.0, 0.0]]}
+
+
+# half-plane sets for the oracle comparison: normals on a one-degree lattice
+# turned by a common offset, so distinct angles never nearly coincide; the
+# lists come unsorted and may repeat an angle with different bounds.  Sets
+# that collapse keep a width of 1e-13 or more: a set of exactly zero width is
+# empty or not by the rounding of its bounds (about 1e-16 here)
+_DEG = math.pi / 180
+_offsets = st.floats(0.0, 2 * math.pi, exclude_max=True)
+_lattice = st.lists(st.integers(0, 359), min_size=1, max_size=40)
+_centers = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+
+
+def _hp_through(offset, deg, z0, slack):
+    """Half-plane at normal angle offset + deg degrees whose line is slack beyond z0."""
+    theta = offset + deg * _DEG
+    return HalfPlane(theta, (complex(math.cos(theta), math.sin(theta)) * z0).real + slack)
+
+
+def _assert_matches_oracle(hps, kind=None):
+    got = halfplane_intersection(hps, 10)
+    want = oracle_halfplane_intersection(hps, 10)
+    assert got.kind == want.kind
+    if kind is not None:
+        assert got.kind == kind
+    assert hausdorff_distance(got, want) <= 1e-9
+
+
+# bounds keep clear of 0, where three lines through the origin meet in a point
+# that exists or not by rounding
+_bounds = st.floats(1e-3, 3.0) | st.floats(-1.0, -1e-3)
+
+
+@given(_offsets, _lattice, st.lists(_bounds, min_size=40, max_size=40))
+def test_deque_matches_oracle_random(offset, degs, bounds):
+    pairs = list(zip(degs, bounds))
+    # opposite normals with opposite bounds would make a strip of zero width
+    assume(all(abs(b + b2) > 1e-9 for d, b in pairs for d2, b2 in pairs if (d - d2) % 360 == 180))
+    _assert_matches_oracle([HalfPlane(offset + d * _DEG, b) for d, b in pairs])
+
+
+@given(_offsets, _lattice, _centers, st.sampled_from([1e-13, 1e-12, 1e-10]))
+def test_deque_matches_oracle_point(offset, degs, z0, slack):
+    # normals every 90 degrees bound the set to within sqrt(2) * slack of z0
+    degs = degs + [degs[0] + 90 * q for q in range(1, 4)]
+    _assert_matches_oracle([_hp_through(offset, d, z0, slack) for d in degs], POINT)
+
+
+@given(_offsets, st.integers(0, 179), _lattice, _centers, st.sampled_from([1e-13, 1e-12, 1e-10]))
+def test_deque_matches_oracle_segment(offset, axis, degs, z0, width):
+    # a strip of the given width through z0, cut by half-planes 0.1 or more beyond z0
+    hps = [_hp_through(offset, axis, z0, width), _hp_through(offset, axis + 180, z0, 0.0)]
+    hps += [_hp_through(offset, d, z0, 0.1 + 0.01 * j) for j, d in enumerate(degs)]
+    _assert_matches_oracle(hps, SEGMENT)
+
+
+@given(_offsets, st.integers(0, 179), _lattice, _centers, st.floats(1e-6, 1.0))
+def test_deque_matches_oracle_empty(offset, axis, degs, z0, gap):
+    hps = [_hp_through(offset, axis, z0, -gap), _hp_through(offset, axis + 180, z0, 0.0)]
+    hps += [_hp_through(offset, d, z0, 0.5) for d in degs]
+    _assert_matches_oracle(hps, EMPTY)
+
+
+@given(st.lists(_centers, min_size=3, max_size=40),
+       st.complex_numbers(min_magnitude=0.5, max_magnitude=3, allow_nan=False, allow_infinity=False),
+       st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_region_from_vertices_matches_oracle(pts, axis, spread):
+    # hulls of clouds squeezed towards a line through 0 along axis
+    unit = axis / abs(axis)
+    pts = [unit * complex(p.real, spread * p.imag) for p in pts]
+    hull = convex_hull(pts)
+    got = region_from_vertices(hull)
+    want = oracle_region_from_vertices(hull)
+    assert got.kind == want.kind
+    assert hausdorff_distance(got, want) <= 1e-9
+
+
+def test_region_from_vertices_large_circle():
+    # a dense V x V distance matrix would take 6.4 GB here
+    z = np.exp(2j * math.pi * np.arange(20000) / 20000)
+    r = region_from_vertices(z)
+    assert r.kind == POLYGON and len(r.points) == 20000
+    assert abs(polygon_area(r.points) - math.pi) < 1e-6
+
+
+# convex polygons for the polygon-polygon comparison: vertices on an ellipse
+# at distinct whole degrees, so every vertex is a strict corner.  Pairs that
+# touch overlap by 1e-13 or more where they are compared with the oracle, for
+# the reason given above the half-plane sets
+def _ellipse_polygon(center, radius, aspect, tilt, degs):
+    turn = complex(math.cos(tilt), math.sin(tilt))
+    return ConvexRegion(POLYGON, tuple(
+        center + radius * turn * complex(math.cos(d * _DEG), aspect * math.sin(d * _DEG))
+        for d in sorted(degs)))
+
+
+_polygons = st.builds(_ellipse_polygon, _centers, st.floats(0.2, 2.0), st.floats(0.05, 1.0),
+                      _offsets, st.sets(st.integers(0, 359), min_size=3, max_size=40))
+_overlaps = st.sampled_from([1e-13, 1e-12, 1e-10])
+
+
+def _assert_intersection_matches_oracle(a, b, kind=None):
+    for p, q in ((a, b), (b, a)):
+        got = intersect_regions(p, q)
+        want = oracle_intersect_polygons(p, q)
+        assert got.kind == want.kind
+        if kind is not None:
+            assert got.kind == kind
+        assert hausdorff_distance(got, want) <= 1e-9
+    return got
+
+
+def _centroid(region):
+    return sum(region.points) / len(region.points)
+
+
+@given(_polygons, _polygons)
+def test_intersect_polygons_matches_oracle(a, b):
+    # b turned and moved by a fixed odd amount, so that the two whole-degree
+    # lattices never meet exactly (see the exact-touching tests below)
+    turn = complex(math.cos(0.3861), math.sin(0.3861))
+    b = ConvexRegion(POLYGON, tuple(turn * p + complex(0.0713, 0.0519) for p in b.points))
+    _assert_intersection_matches_oracle(a, b)
+
+
+@given(st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 3.0),
+       st.sampled_from([64, 512, 1024]))
+def test_intersect_ellipse_polygons_matches_oracle(center, half_focal, minor, shift, m):
+    # a lens of two ellipse polygons sampled at the same parameters: the edge
+    # normals of the moved copy equal the first's up to rounding
+    a = ellipse_region(center, half_focal, minor, m)
+    for other in (center + shift, center + shift * 1j):
+        b = ConvexRegion(POLYGON, tuple(p - center + other for p in a.points))
+        reach = 2 * (minor if other.imag else math.hypot(minor, half_focal))
+        assume(abs(shift - reach) > 1e-3)
+        _assert_intersection_matches_oracle(a, b, POLYGON if shift < reach else EMPTY)
+    c = ellipse_region(center + 0.5 * shift, 0.5 * half_focal, 2 * minor, m)
+    _assert_intersection_matches_oracle(a, c)
+
+
+def test_intersect_triangles_sharing_an_edge():
+    # the intersection repeats the shared edge's end vertex up to rounding;
+    # the short edge between the copies points anywhere and must not set the width
+    a = _ellipse_polygon(0j, 1.0, 0.5, 0.0, {0, 1, 241})
+    b = _ellipse_polygon(0j, 1.0, 0.5, 0.0, {0, 1, 252})
+    _assert_intersection_matches_oracle(a, b, POLYGON)
+
+
+def _square(corner, side=1.0):
+    return ConvexRegion(POLYGON, tuple(corner + side * w for w in (0, 1, 1 + 1j, 1j)))
+
+
+@pytest.mark.parametrize("corner, side, kind, points", [
+    (1.0, 1.0, SEGMENT, (1, 1 + 1j)),  # a shared edge
+    (1.0 + 0.5j, 1.0, SEGMENT, (1 + 0.5j, 1 + 1j)),  # part of an edge
+    (1 + 1j, 1.0, POINT, (1 + 1j,)),  # a shared corner
+    (-1 - 1j, 1.0, POINT, (0,)),
+    (1 + 1.5j, 1.0, EMPTY, ()),
+    (0.25 + 0.25j, 0.5, POLYGON, (0.25 + 0.25j, 0.75 + 0.25j, 0.75 + 0.75j, 0.25 + 0.75j)),
+])
+def test_intersect_squares_touching_exactly(corner, side, kind, points):
+    # exact input, where the clipping oracle's answer depends on the order of
+    # its arguments (its sign tests see the rounding of the normals)
+    want = ConvexRegion(kind, tuple(complex(p) for p in points))
+    for p, q in ((_square(0), _square(corner, side)), (_square(corner, side), _square(0))):
+        got = intersect_regions(p, q)
+        assert got.kind == kind
+        assert hausdorff_distance(got, want) <= 1e-12
+
+
+@given(_polygons, st.integers(0, 39), st.integers(0, 39))
+def test_intersect_polygon_halves_meet_on_the_chord(a, start, span):
+    # the two parts of a cut along a chord between two of its vertices share
+    # that chord exactly
+    n = len(a.points)
+    assume(n >= 4)
+    span = 2 + span % (n - 3)
+    pts = a.points[start % n:] + a.points[:start % n]
+    one = ConvexRegion(POLYGON, pts[:span + 1])
+    two = ConvexRegion(POLYGON, pts[span:] + pts[:1])
+    chord = ConvexRegion(SEGMENT, (pts[0], pts[span]))
+    for p, q in ((one, two), (two, one)):
+        got = intersect_regions(p, q)
+        assert got.kind == SEGMENT
+        assert hausdorff_distance(got, chord) <= 1e-9
+
+
+@given(_polygons)
+def test_intersect_polygon_with_itself(a):
+    got = _assert_intersection_matches_oracle(a, a, POLYGON)
+    assert hausdorff_distance(got, a) <= 1e-12
+
+
+@given(_polygons, st.floats(0.05, 0.95))
+def test_intersect_nested_polygons(a, scale):
+    # a copy shrunk about the centroid: its edge normals equal a's up to rounding
+    c = _centroid(a)
+    inner = ConvexRegion(POLYGON, tuple(c + scale * (p - c) for p in a.points))
+    got = _assert_intersection_matches_oracle(a, inner, POLYGON)
+    assert hausdorff_distance(got, inner) <= 1e-9
+
+
+@given(_polygons, st.integers(0, 39), _overlaps)
+def test_intersect_polygons_touching_along_an_edge(a, edge, overlap):
+    # the mirror image of a in the line of one of its edges, pushed overlap into a
+    pts = a.points
+    p0, p1 = pts[edge % len(pts)], pts[(edge + 1) % len(pts)]
+    d = (p1 - p0) / abs(p1 - p0)
+    mirror = [p0 + d * d * (p - p0).conjugate() + 1j * d * overlap for p in pts]
+    b = region_from_vertices(convex_hull(mirror))
+    got = _assert_intersection_matches_oracle(a, b, SEGMENT)
+    # the sliver ends within overlap / tan(angle) of the edge's ends; the
+    # sharpest corners here are about 0.01 degrees
+    assert hausdorff_distance(got, ConvexRegion(SEGMENT, (p0, p1))) <= 1e-6
+
+
+@given(_polygons, st.integers(0, 39), st.sampled_from([1e-13, 1e-12]) | st.floats(-1.0, -1e-6))
+def test_intersect_polygons_touching_at_a_vertex(a, vertex, overlap):
+    # a turned half a turn about one of its vertices meets a only there.  The
+    # turned copy is pushed along the corner's bisector until its vertex lies
+    # overlap inside both edges of a's corner (outside, when negative); at a
+    # corner of half-angle beta that push is overlap / sin(beta), so sharp
+    # corners, where the push would leave the POINT scale, are skipped
+    pts = a.points
+    k = vertex % len(pts)
+    v = pts[k]
+    e1 = (pts[k - 1] - v) / abs(pts[k - 1] - v)
+    e2 = (pts[(k + 1) % len(pts)] - v) / abs(pts[(k + 1) % len(pts)] - v)
+    sin_beta = abs((e1.conjugate() * e2).imag) / abs(e1 + e2)
+    assume(sin_beta >= 1e-3)
+    push = overlap / sin_beta * (e1 + e2) / abs(e1 + e2)
+    b = ConvexRegion(POLYGON, tuple(2 * v - p + push for p in pts))
+    got = _assert_intersection_matches_oracle(a, b, POINT if overlap > 0 else EMPTY)
+    if overlap > 0:
+        assert abs(got.points[0] - v) <= 1e-9

@@ -60,6 +60,16 @@ def test_xi_rejects_negative():
         XiParameters((1.0, -0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rejected(bad):
+    with pytest.raises(InvalidInputError, match="xi\\[1\\] = .* is not finite"):
+        XiParameters((1.0, bad, 1.0))
+    with pytest.raises(InvalidInputError, match="entry 1 .* is not finite"):
+        build_from_superdiagonal([2.0, bad, 2.0])
+    with pytest.raises(InvalidInputError, match="entry 0 .* is not finite"):
+        build_from_superdiagonal([complex(1.0, bad)])
+
+
 @given(entries_st)
 def test_reciprocal_invariant(entries):
     m = build_from_superdiagonal(entries)

@@ -1,12 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
+from geometry_oracle import oracle_halfplane_intersection
+from reciprange import ranges
 from reciprange.ellipses import classify
 from reciprange.errors import InvalidInputError
-from reciprange.geometry import EMPTY, POINT, POLYGON, SEGMENT, region_contains_region
+from reciprange.geometry import (
+    EMPTY,
+    POINT,
+    POLYGON,
+    SEGMENT,
+    hausdorff_distance,
+    region_contains_region,
+)
 from reciprange.matrices import matrix_from_xi
 from reciprange.ranges import rank_k_analytic, rank_k_numeric, region_distance
 
@@ -165,3 +175,48 @@ def test_refinement_decreases_distance():
     d_coarse = region_distance(rank_k_analytic(rep, 2, 256), rank_k_numeric(m, 2, 256))
     d_fine = region_distance(rank_k_analytic(rep, 2, 2048), rank_k_numeric(m, 2, 2048))
     assert d_fine < d_coarse
+
+
+@pytest.mark.parametrize("xi", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, PHI, 0.0), (0.0, 0.0, 0.0),
+                                FIG1, FIG2, FIG3, FIG4, FIG5, (1.0,) * 5])
+def test_numeric_matches_clipping_oracle(xi, monkeypatch):
+    # the very half-planes rank_k_numeric builds, clipped one by one
+    seen = []
+    kernel = ranges.halfplane_intersection
+
+    def spy(halfplanes, box_halfwidth):
+        seen.append((halfplanes, box_halfwidth))
+        return kernel(halfplanes, box_halfwidth)
+
+    monkeypatch.setattr(ranges, "halfplane_intersection", spy)
+    m = matrix_from_xi(list(xi))
+    for k in range(1, m.n + 1):
+        got = rank_k_numeric(m, k, 512)
+        want = oracle_halfplane_intersection(*seen.pop())
+        assert got.kind == want.kind, (xi, k)
+        assert hausdorff_distance(got, want) <= 1e-9, (xi, k)
+
+
+def test_numeric_fine_grid_memory():
+    tracemalloc.start()
+    try:
+        region = rank_k_numeric(matrix_from_xi(list(FIG4)), 2, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert region.kind == POLYGON
+    assert peak < 64 * 2**20, peak
+
+
+def test_analytic_builds_only_requested_region(monkeypatch):
+    # FIG4 (de3, k = 2cos(3pi/7)) orders hull, lens, central disk
+    rep = classify(list(FIG4), tol=1e-6)
+    built = []
+    monkeypatch.setattr(ranges, "_hull_two", lambda *a: built.append("hull"))
+    monkeypatch.setattr(ranges, "intersect_regions", lambda *a: built.append("lens"))
+    rank_k_analytic(rep, 3)
+    assert built == []
+    rank_k_analytic(rep, 2)
+    assert built == ["lens"]
+    rank_k_analytic(rep, 1)
+    assert built == ["lens", "hull"]
