@@ -44,10 +44,6 @@ def rho_mul(a, b):
     return rho_trim(out)
 
 
-def rho_scale(a, s):
-    return [x * s for x in a]
-
-
 def rho_eval(a, rho):
     acc = 0
     for c in reversed(a):
@@ -121,15 +117,3 @@ def linear_factor(x_sq, c_sq, one=1.0) -> ZetaPoly:
     zero = one * 0
     return ZetaPoly([[c_sq * (-1), x_sq * (-1)], [one, zero]])
 
-
-def displaced_pair_factor(p, x_half, c, one=1.0) -> ZetaPoly:
-    """zeta^2 - 2 zeta ((X^2+p^2) rho + c^2) + ((X^2-p^2) rho + c^2)^2.
-
-    The quadratic contributed by a pair of congruent ellipses centered at +-p
-    with half focal distance X and minor half-axis c.
-    """
-    zero = one * 0
-    m = [c * c, x_half * x_half + p * p]
-    nn = [c * c, x_half * x_half - p * p]
-    const = rho_mul(nn, nn)
-    return ZetaPoly([const, rho_scale(m, -2), [one, zero, zero]])

@@ -10,18 +10,17 @@ independent oracle for the criteria.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import concentric6
-from .bipoly import ZetaPoly, displaced_pair_factor, linear_factor
+from .bipoly import ZetaPoly, linear_factor
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .kippenhahn import KippenhahnPolynomial, build_poly_from_scalars, closed_form_poly
-from .matrices import as_xi, exact_spectrum
-from .numberfield import COS7, PHI, ROOT3, SQRT3, SQRT5, TWO_COS_PI7
+from .matrices import as_xi, exact_spectrum, imag_part_spectrum
+from .numberfield import PHI, ROOT3, TWO_COS_PI7
 
 ALL_CONCENTRIC = "ALL_CONCENTRIC"
 DISPLACED_PAIR = "DISPLACED_PAIR"
@@ -126,12 +125,9 @@ def _as_zeta_poly(P):
 
 
 def _remainder_small(rem: ZetaPoly, scale, tol):
-    exact = any(
-        isinstance(c, Fraction) or type(c).__name__ == "FieldElement"
-        for cs in rem.coeffs
-        for c in cs
-    )
-    if exact:
+    """tol == 0 asks for an exactly zero remainder; otherwise its largest
+    coefficient must stay within tol * max(1, scale)."""
+    if tol == 0:
         return all(not c for cs in rem.coeffs for c in cs)
     m = max((abs(float(c)) for cs in rem.coeffs for c in cs), default=0.0)
     return m <= tol * max(1.0, float(scale))
@@ -142,7 +138,7 @@ def divides_linear(P, x_sq, c_sq, tol=DEFAULT_TOL, scale=None):
 
     ``scale`` sets the remainder threshold reference (defaults to the
     dividend's own coefficient norm); chained divisions should pass the
-    original polynomial's norm.
+    original polynomial's norm.  ``tol=0`` asks for an exact zero remainder.
     """
     poly = _as_zeta_poly(P)
     one = poly.coeffs[-1][0]
@@ -151,15 +147,16 @@ def divides_linear(P, x_sq, c_sq, tol=DEFAULT_TOL, scale=None):
 
 
 def divides_quadratic(P, p, x_half, c, tol=DEFAULT_TOL, scale=None):
-    """Divide by the displaced-pair quadratic; quotient on success, None otherwise."""
-    poly = _as_zeta_poly(P)
-    one = poly.coeffs[-1][0]
-    q, r = poly.divmod_monic(displaced_pair_factor(p, x_half, c, one=one))
-    return q if _remainder_small(r, scale or poly.max_abs_coeff(), tol) else None
+    """Divide by the displaced-pair quadratic of the congruent ellipses centered
+    at +-p with half focal distance X and minor half-axis c; quotient on
+    success, None otherwise."""
+    return divides_quadratic_from_squares(P, x_half * x_half + p * p, x_half * x_half - p * p,
+                                          c * c, tol=tol, scale=scale)
 
 
 def divides_quadratic_from_squares(P, sum_sq, diff_sq, c_sq, tol=DEFAULT_TOL, scale=None):
-    """Like divides_quadratic but parameterized by X^2+p^2, X^2-p^2, c^2, so
+    """Divide by zeta^2 - 2 zeta (sum_sq rho + c^2) + (diff_sq rho + c^2)^2, the
+    displaced-pair quadratic parameterized by X^2+p^2, X^2-p^2 and c^2, so
     exact backends can stay inside their number field."""
     poly = _as_zeta_poly(P)
     one = poly.coeffs[-1][0]
@@ -204,101 +201,60 @@ class ClassificationReport:
         return tuple(e for e in self.ellipses if e.center != 0)
 
 
-class _FloatCtx:
-    mode = "float"
+@dataclass(frozen=True)
+class _Backend:
+    """Scalar arithmetic for one classify mode.
 
-    def __init__(self, tol):
-        self.tol = tol
-        self.phi = PHI_F
-        self.sqrt3 = math.sqrt(3)
-        self.cosp = (COS_PI7, COS_2PI7, COS_3PI7)
-        self.k_values = (2 * COS_PI7, 2 * COS_3PI7)
+    ``eq``/``is_zero`` match criteria to ``tol`` relative to a scale (never
+    below ``floor``), or exactly when ``exact``; ``tol`` is also the confirming
+    divisions' remainder threshold, 0 (an exactly zero remainder) in exact mode.
+    """
 
-    def convert(self, v):
-        return float(v)
-
-    def eq(self, a, b, scale=1.0):
-        a, b = float(a), float(b)
-        return abs(a - b) <= max(ABS_FLOOR, self.tol * max(scale, abs(a), abs(b)))
-
-    def is_zero(self, a, scale=1.0):
-        return self.eq(a, 0.0, scale)
-
-
-class _ExtendedCtx:
-    mode = "extended"
-
-    def __init__(self, tol, dps=50):
-        import mpmath
-
-        self.mp = mpmath.mp
-        self.mp.dps = dps
-        self.mpm = mpmath
-        # 50-digit arithmetic; the tolerance stays caller-controlled so exact
-        # (Fraction) inputs can be pushed to ~1e-45 while double-rounded inputs
-        # still verify at 1e-9.
-        self.tol = tol
-        self.phi = (self.mpm.sqrt(5) + 1) / 2
-        self.sqrt3 = self.mpm.sqrt(3)
-        self.cosp = tuple(self.mpm.cos(j * self.mpm.pi / 7) for j in (1, 2, 3))
-        self.k_values = (2 * self.cosp[0], 2 * self.cosp[2])
-
-    def convert(self, v):
-        if hasattr(v, "_mpf_"):
-            return v
-        if isinstance(v, Fraction):
-            return self.mpm.mpf(v.numerator) / self.mpm.mpf(v.denominator)
-        return self.mpm.mpf(v)
+    exact: bool
+    floor: float
+    convert: object
+    phi: object
+    sqrt3: object
+    cosp: tuple  # cos(j pi/7) for j = 1, 2, 3
+    k_values: tuple  # the de2/de3 ratios 2cos(pi/7) (row ii) and 2cos(3pi/7) (row vi)
+    mpm: object = None  # the private 50-digit mpmath context in extended mode
+    tol: float = 0
 
     def eq(self, a, b, scale=1.0):
-        a, b = self.convert(a), self.convert(b)
-        m = max(self.convert(scale), abs(a), abs(b), self.convert(1))
-        return abs(a - b) <= self.tol * m
+        if self.exact:
+            return a == b
+        return abs(a - b) <= max(self.floor, self.tol * max(scale, abs(a), abs(b)))
 
     def is_zero(self, a, scale=1.0):
         return self.eq(a, 0, scale)
 
 
-class _ExactCtx:
-    mode = "exact"
-    tol = 0
-
-    def __init__(self):
-        self.phi = PHI
-        self.sqrt3 = ROOT3
-        self.cosp = tuple(TWO_COS_PI7[j] / 2 for j in (1, 2, 3))
-        self.k_values = (TWO_COS_PI7[1], TWO_COS_PI7[3])
-
-    def convert(self, v):
-        return Fraction(v) if not isinstance(v, Fraction) else v
-
-    def eq(self, a, b, scale=None):
-        return a == b
-
-    def is_zero(self, a, scale=None):
-        return not a
-
-
-def _make_ctx(mode, tol):
+@functools.cache
+def _mode_backend(mode):
+    """The backend of one mode at tol = 0; ``_backend`` sets the caller's tol."""
     if mode == "float":
-        return _FloatCtx(tol)
-    if mode == "extended":
-        return _ExtendedCtx(tol)
+        return _Backend(False, ABS_FLOOR, float, PHI_F, math.sqrt(3), (COS_PI7, COS_2PI7, COS_3PI7),
+                        (2 * COS_PI7, 2 * COS_3PI7))
     if mode == "exact":
-        return _ExactCtx()
-    raise InvalidInputError(f"unknown mode {mode!r}")
+        return _Backend(True, 0, Fraction, PHI, ROOT3, tuple(TWO_COS_PI7[j] / 2 for j in (1, 2, 3)),
+                        (TWO_COS_PI7[1], TWO_COS_PI7[3]))
+    # extended: 50-digit arithmetic in a private context, so the caller's
+    # mpmath.mp precision neither leaks in nor is changed; the tolerance stays
+    # the caller's, so double-rounded inputs still verify at 1e-9
+    import mpmath
+
+    mp = mpmath.MPContext()
+    mp.dps = 50
+    cosp = tuple(mp.cos(j * mp.pi / 7) for j in (1, 2, 3))
+    return _Backend(False, 0, mp.mpf, (mp.sqrt(5) + 1) / 2, mp.sqrt(3), cosp,
+                    (2 * cosp[0], 2 * cosp[2]), mp)
 
 
-def _poly_for_ctx(xi, ctx):
-    if ctx.mode == "exact":
-        return closed_form_poly([Fraction(v) for v in xi], exact=True)
-    if ctx.mode == "float":
-        return closed_form_poly(xi)
-    # extended: exact rational coefficients re-expressed as 50-digit floats
-    P = closed_form_poly([Fraction(v) for v in xi], exact=True)
-    mpf = ctx.mpm.mpf
-    P.poly.coeffs = [[mpf(c.numerator) / mpf(c.denominator) for c in cs] for cs in P.poly.coeffs]
-    return P
+def _backend(mode, tol):
+    if mode not in ("float", "exact", "extended"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    be = _mode_backend(mode)
+    return be if be.exact else replace(be, tol=tol)
 
 
 def classify(xi, mode="float", tol=DEFAULT_TOL):
@@ -307,14 +263,14 @@ def classify(xi, mode="float", tol=DEFAULT_TOL):
     Verdicts: ALL_CONCENTRIC, DISPLACED_PAIR, MIXED_NONE (not a pure union of
     ellipses), DEGENERATE_SPECTRUM (all xi vanish; the curve is the spectrum).
     Positive verdicts are only reported after the corresponding polynomial
-    division succeeds at the same tolerance.
+    division succeeds at the same tolerance (exactly, in exact mode).
     """
     xi = as_xi(xi)
     n = xi.n
     if n not in (4, 5, 6):
         raise UnsupportedDimensionError(f"classification covers n in 4..6, got {n}")
-    ctx = _make_ctx(mode, tol)
-    x = [ctx.convert(v) for v in xi]
+    be = _backend(mode, tol)
+    x = [be.convert(v) for v in xi]
     scale = max([1.0] + [abs(float(v)) for v in x])
     odd = n % 2 == 1
 
@@ -322,53 +278,47 @@ def classify(xi, mode="float", tol=DEFAULT_TOL):
         return ClassificationReport(n=n, xi=tuple(float(v) for v in xi), mode=mode,
                                     origin_component=odd, **kw)
 
-    if all(ctx.is_zero(v, scale) for v in x):
+    if all(be.is_zero(v, scale) for v in x):
         return report(verdict=DEGENERATE_SPECTRUM)
-
-    P = _poly_for_ctx(xi, ctx)
-    dtol = getattr(ctx, "tol", 0) or tol
-
     if n == 4:
-        return _classify4(x, P, ctx, dtol, scale, report)
+        return _classify4(x, be, scale, report)
     if n == 5:
-        return _classify5(x, P, ctx, dtol, scale, report)
-    return _classify6(x, P, ctx, dtol, scale, report)
+        return _classify5(x, be, scale, report)
+    return _classify6(x, be, scale, report)
 
 
 def _sqrt_float(v):
     return math.sqrt(max(0.0, float(v)))
 
 
-def _snap_poly(ctx, x_snapped, original_P):
-    """Kippenhahn polynomial of the criterion-exact (snapped) parameters.
+def _division_poly(be, x, snapped):
+    """P_n of the values the confirming division runs on.
 
-    In exact mode detection already required exact equality, so the original
-    polynomial is reused; the scalar modes rebuild from the snapped values so
-    the confirming division measures only roundoff, not the match distance.
+    The tolerant modes build it from the criterion-exact (snapped) values, so
+    the division measures only roundoff, not the match distance.  Exact
+    detection already required equality, so x itself serves and keeps the
+    arithmetic in Q.
     """
-    if ctx.mode == "exact":
-        return original_P
-    one = ctx.convert(1)
-    return KippenhahnPolynomial(len(x_snapped) + 1, build_poly_from_scalars(list(x_snapped), one))
+    return build_poly_from_scalars(list(x if be.exact else snapped), be.convert(1))
 
 
-def _classify4(x, P, ctx, dtol, scale, report):
-    phi = ctx.phi
+def _classify4(x, be, scale, report):
+    phi = be.phi
     inv_phi = 1 / phi
     branches = []
-    if ctx.eq(x[1], phi * x[0] - inv_phi * x[2], scale):
+    if be.eq(x[1], phi * x[0] - inv_phi * x[2], scale):
         branches.append(1)
-    if ctx.eq(x[1], phi * x[2] - inv_phi * x[0], scale):
+    if be.eq(x[1], phi * x[2] - inv_phi * x[0], scale):
         branches.append(2)
     for br in branches:
         big, small = (x[0], x[2]) if br == 1 else (x[2], x[0])
         snapped = [x[0], phi * big - inv_phi * small, x[2]]
-        Ps = _snap_poly(ctx, snapped, P)
-        q = divides_linear(Ps, phi * phi, phi * phi * big, tol=dtol)
+        Ps = _division_poly(be, x, snapped)
+        q = divides_linear(Ps, phi * phi, phi * phi * big, tol=be.tol)
         if q is None:
             continue
-        q2 = divides_linear(q, inv_phi * inv_phi, inv_phi * inv_phi * small, tol=dtol,
-                            scale=None if ctx.mode == "exact" else float(Ps.poly.max_abs_coeff()))
+        q2 = divides_linear(q, inv_phi * inv_phi, inv_phi * inv_phi * small, tol=be.tol,
+                            scale=Ps.max_abs_coeff())
         if q2 is None:
             continue
         c1 = _sqrt_float(big) * float(phi)
@@ -380,12 +330,10 @@ def _classify4(x, P, ctx, dtol, scale, report):
         k = branches if len(branches) == 2 else branches[0]
         return report(verdict=ALL_CONCENTRIC, criterion="con4", k=k, ellipses=ells,
                       snapped_xi=tuple(float(v) for v in snapped))
-    if ctx.is_zero(x[1], scale) and ctx.eq(x[0], x[2], scale) and not ctx.is_zero(x[0], scale):
+    if be.is_zero(x[1], scale) and be.eq(x[0], x[2], scale) and not be.is_zero(x[0], scale):
         c_sq = (x[0] + x[2]) / 2
-        Ps = _snap_poly(ctx, [c_sq, x[1] * 0, c_sq], P)
-        sum_sq = ctx.convert(Fraction(3, 2)) if ctx.mode != "float" else 1.5
-        diff_sq = ctx.convert(1) if ctx.mode != "float" else 1.0
-        q = divides_quadratic_from_squares(Ps, sum_sq, diff_sq, c_sq, tol=dtol)
+        Ps = _division_poly(be, x, [c_sq, x[1] * 0, c_sq])
+        q = divides_quadratic_from_squares(Ps, be.convert(3) / 2, be.convert(1), c_sq, tol=be.tol)
         if q is not None:
             c = _sqrt_float(c_sq)
             ells = (
@@ -397,11 +345,11 @@ def _classify4(x, P, ctx, dtol, scale, report):
     return report(verdict=MIXED_NONE)
 
 
-def _classify5(x, P, ctx, dtol, scale, report):
+def _classify5(x, be, scale, report):
     branches = []
-    if ctx.eq(x[0], x[3], scale):
+    if be.eq(x[0], x[3], scale):
         branches.append(1)
-    if ctx.eq(x[0] - x[3], 2 * (x[2] - x[1]), scale):
+    if be.eq(x[0] - x[3], 2 * (x[2] - x[1]), scale):
         branches.append(2)
     for br in branches:
         if br == 1:
@@ -411,12 +359,11 @@ def _classify5(x, P, ctx, dtol, scale, report):
             snapped = [x[0], x[1], x[1] + (x[0] - x[3]) / 2, x[3]]
         c_in_sq = (snapped[0] + snapped[3]) / 2
         c_out_sq = snapped[1] + snapped[2] + c_in_sq
-        Ps = _snap_poly(ctx, snapped, P)
-        pn = None if ctx.mode == "exact" else float(Ps.poly.max_abs_coeff())
-        q = divides_linear(Ps, ctx.convert(3), c_out_sq, tol=dtol)
+        Ps = _division_poly(be, x, snapped)
+        q = divides_linear(Ps, be.convert(3), c_out_sq, tol=be.tol)
         if q is None:
             continue
-        q2 = divides_linear(q, ctx.convert(1), c_in_sq, tol=dtol, scale=pn)
+        q2 = divides_linear(q, be.convert(1), c_in_sq, tol=be.tol, scale=Ps.max_abs_coeff())
         if q2 is None:
             continue
         c_in, c_out = _sqrt_float(c_in_sq), _sqrt_float(c_out_sq)
@@ -427,13 +374,13 @@ def _classify5(x, P, ctx, dtol, scale, report):
         k = branches if len(branches) == 2 else branches[0]
         return report(verdict=ALL_CONCENTRIC, criterion="con5", k=k, ellipses=ells,
                       snapped_xi=tuple(float(v) for v in snapped))
-    s3 = ctx.sqrt3
+    s3 = be.sqrt3
     pair_sum = x[1] + x[2]
     if (
-        ctx.is_zero(x[1] * x[2], scale * scale)
-        and not ctx.is_zero(pair_sum, scale)
-        and ctx.eq(x[0], s3 / 2 * pair_sum + x[2], scale)
-        and ctx.eq(x[3], s3 / 2 * pair_sum + x[1], scale)
+        be.is_zero(x[1] * x[2], scale * scale)
+        and not be.is_zero(pair_sum, scale)
+        and be.eq(x[0], s3 / 2 * pair_sum + x[2], scale)
+        and be.eq(x[3], s3 / 2 * pair_sum + x[1], scale)
     ):
         # snap the smaller of xi2, xi3 to zero and rebuild xi1, xi4
         zero2 = abs(float(x[1])) <= abs(float(x[2]))
@@ -442,8 +389,8 @@ def _classify5(x, P, ctx, dtol, scale, report):
         s = xi2 + xi3
         snapped = [s3 / 2 * s + xi3, xi2, xi3, s3 / 2 * s + xi2]
         c_sq = (2 + s3) / 2 * s
-        Ps = _snap_poly(ctx, snapped, P)
-        q = divides_quadratic_from_squares(Ps, ctx.convert(2), s3, c_sq, tol=dtol)
+        Ps = _division_poly(be, x, snapped)
+        q = divides_quadratic_from_squares(Ps, be.convert(2), s3, c_sq, tol=be.tol)
         if q is not None:
             c = _sqrt_float(c_sq)
             p = (math.sqrt(3) - 1) / 2
@@ -457,29 +404,20 @@ def _classify5(x, P, ctx, dtol, scale, report):
     return report(verdict=MIXED_NONE)
 
 
-def _classify6(x, P, ctx, dtol, scale, report):
-    exact = ctx.mode == "exact"
+def _classify6(x, be, scale, report):
     # three concentric ellipses: solve the linear system for the axes
-    t, residuals = concentric6.candidate_axes(
-        x, exact=exact, mpm=getattr(ctx, "mpm", None)
-    )
-    res_ok = all(ctx.is_zero(r, scale**3 + scale) for r in residuals)
-    sign_slack = 0.0 if exact else dtol * scale
-    if res_ok and all(float(v) >= -sign_slack for v in t):
-        if exact:
-            tc = list(t)
-        elif ctx.mode == "extended":
-            tc = [v if v > 0 else v * 0 for v in t]
-        else:
-            tc = [max(0.0, float(v)) for v in t]
-        q = P
+    t, residuals = concentric6.candidate_axes(x, exact=be.exact, mpm=be.mpm)
+    res_ok = all(be.is_zero(r, scale**3 + scale) for r in residuals)
+    if res_ok and all(float(v) >= -be.tol * scale for v in t):
+        tc = [v if float(v) > 0 else be.convert(0) for v in t]
+        q = _division_poly(be, x, x)
         ok = True
         # the division remainder re-expresses the matching residuals, amplified
         # by coefficient magnitudes; keep its threshold consistent with res_ok
-        conf_scale = None if exact else 4 * (scale**3 + scale)
-        s_vals = [4 * c * c for c in ctx.cosp]
+        conf_scale = 4 * (scale**3 + scale)
+        s_vals = [4 * c * c for c in be.cosp]
         for sj, tj in zip(s_vals, tc):
-            q = divides_linear(q, sj, tj, tol=dtol, scale=conf_scale)
+            q = divides_linear(q, sj, tj, tol=be.tol, scale=conf_scale)
             if q is None:
                 ok = False
                 break
@@ -493,14 +431,14 @@ def _classify6(x, P, ctx, dtol, scale, report):
                           snapped_xi=tuple(float(v) for v in x))
 
     # displaced families
-    cand = _match_de_family(x, ctx, scale)
+    cand = _match_de_family(x, be, scale)
     if cand is not None:
         crit, kval, row, snapped = cand
         X0, X, p = XP_TABLE[row]
         # rows (ii)/(vi): X, p = cos(a pi/7) +- cos(b pi/7) with (a,b) below
         a, b = (1, 2) if row == "ii" else (0, 1)
-        ca, cb = ctx.cosp[a], ctx.cosp[b]
-        c0x = ctx.cosp[0 if row == "ii" else 2]
+        ca, cb = be.cosp[a], be.cosp[b]
+        c0x = be.cosp[0 if row == "ii" else 2]
         x0_sq = 4 * c0x * c0x
         sum_sq = 2 * (ca * ca + cb * cb)
         diff_sq = 4 * ca * cb
@@ -513,11 +451,11 @@ def _classify6(x, P, ctx, dtol, scale, report):
         else:
             c_sq = snapped[4]
             c0_sq = kval * kval * snapped[4]
-        Ps = _snap_poly(ctx, snapped, P)
-        pnorm = None if exact else float(Ps.poly.max_abs_coeff())
-        q = divides_linear(Ps, x0_sq, c0_sq, tol=dtol, scale=pnorm)
+        Ps = _division_poly(be, x, snapped)
+        pnorm = Ps.max_abs_coeff()
+        q = divides_linear(Ps, x0_sq, c0_sq, tol=be.tol, scale=pnorm)
         if q is not None:
-            q2 = divides_quadratic_from_squares(q, sum_sq, diff_sq, c_sq, tol=dtol, scale=pnorm)
+            q2 = divides_quadratic_from_squares(q, sum_sq, diff_sq, c_sq, tol=be.tol, scale=pnorm)
             if q2 is not None:
                 c = _sqrt_float(c_sq)
                 c0 = _sqrt_float(c0_sq)
@@ -532,40 +470,39 @@ def _classify6(x, P, ctx, dtol, scale, report):
     return report(verdict=MIXED_NONE)
 
 
-def _match_de_family(x, ctx, scale):
+def _match_de_family(x, be, scale):
     """Try de1/de2/de3; returns (criterion, k, table_row, snapped_xi) or None."""
-    two_c2 = 2 * ctx.cosp[1]
+    two_c2 = 2 * be.cosp[1]
     # de1: xi3 = 0, xi5 = xi1 != 0, xi2 = xi4 = 2 xi1 cos(2pi/7)
     if (
-        ctx.is_zero(x[2], scale)
-        and ctx.eq(x[0], x[4], scale)
-        and not ctx.is_zero(x[0], scale)
-        and ctx.eq(x[1], two_c2 * x[0], scale)
-        and ctx.eq(x[3], two_c2 * x[4], scale)
+        be.is_zero(x[2], scale)
+        and be.eq(x[0], x[4], scale)
+        and not be.is_zero(x[0], scale)
+        and be.eq(x[1], two_c2 * x[0], scale)
+        and be.eq(x[3], two_c2 * x[4], scale)
     ):
         b = (x[0] + x[4]) / 2
         snapped = [b, two_c2 * b, b * 0, two_c2 * b, b]
         return "de1", None, "vi", snapped
-    for kv in ctx.k_values:
-        row = "ii" if kv == ctx.k_values[0] else "vi"
+    for kv, row in zip(be.k_values, ("ii", "vi")):
         km1_sq = (kv - 1) * (kv - 1)
         # de2: xi2 = 0, xi3 = xi5 = k xi1, xi4 = (k-1)^2 xi1
         if (
-            ctx.is_zero(x[1], scale)
-            and not ctx.is_zero(x[0], scale)
-            and ctx.eq(x[2], kv * x[0], scale)
-            and ctx.eq(x[4], kv * x[0], scale)
-            and ctx.eq(x[3], km1_sq * x[0], scale)
+            be.is_zero(x[1], scale)
+            and not be.is_zero(x[0], scale)
+            and be.eq(x[2], kv * x[0], scale)
+            and be.eq(x[4], kv * x[0], scale)
+            and be.eq(x[3], km1_sq * x[0], scale)
         ):
             snapped = [x[0], x[0] * 0, kv * x[0], km1_sq * x[0], kv * x[0]]
             return "de2", kv, row, snapped
         # de3: xi4 = 0, xi1 = xi3 = k xi5, xi2 = (k-1)^2 xi5
         if (
-            ctx.is_zero(x[3], scale)
-            and not ctx.is_zero(x[4], scale)
-            and ctx.eq(x[0], kv * x[4], scale)
-            and ctx.eq(x[2], kv * x[4], scale)
-            and ctx.eq(x[1], km1_sq * x[4], scale)
+            be.is_zero(x[3], scale)
+            and not be.is_zero(x[4], scale)
+            and be.eq(x[0], kv * x[4], scale)
+            and be.eq(x[2], kv * x[4], scale)
+            and be.eq(x[1], km1_sq * x[4], scale)
         ):
             snapped = [kv * x[4], km1_sq * x[4], kv * x[4], x[4] * 0, x[4]]
             return "de3", kv, row, snapped
@@ -583,16 +520,8 @@ def minor_axis_candidates(xi, tol=1e-9):
     components.  Computed from the symmetric tridiagonal with off-diagonals
     sqrt(xi_j), which is well conditioned even at repeated eigenvalues.
     """
-    xi = as_xi(xi)
-    n = xi.n
-    T = np.zeros((n, n))
-    off = np.sqrt(np.asarray(list(xi), dtype=float))
-    idx = np.arange(n - 1)
-    T[idx, idx + 1] = off
-    T[idx + 1, idx] = off
-    evals = np.linalg.eigvalsh(T)
     out = {0.0}
-    for v in evals:
+    for v in imag_part_spectrum(list(as_xi(xi))):
         if v >= -tol:
             out.add(float(max(0.0, v)) ** 2)
     # dedupe near-identical candidates

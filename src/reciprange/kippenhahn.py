@@ -4,9 +4,10 @@ The characteristic polynomial det(Re(e^{i theta} A) - lambda I) of a reciprocal
 matrix collapses, after zeta = lambda^2 and rho = cos^2(theta), to a polynomial
 P_n(zeta, rho) of zeta-degree floor(n/2) whose coefficients depend only on the
 xi-parameters (odd n carries an extra -lambda factor).  This module provides
-the closed forms for n <= 6, the three-term determinant recurrence as an
-independent oracle, eigenvalue curves, envelope sampling via eigenvector
-quadratic forms, and horizontal multiple-tangent detection.
+P_n for n <= 6 from the determinant recurrence in xi, the three-term recurrence
+on the matrix entries as an independent oracle, eigenvalue curves, envelope
+sampling via eigenvector quadratic forms, and horizontal multiple-tangent
+detection.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bipoly import ZetaPoly, rho_add, rho_mul, rho_trim
+from .bipoly import ZetaPoly, rho_trim
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .matrices import ReciprocalMatrix, as_xi, matrix_from_xi
+from .matrices import ReciprocalMatrix, as_xi, imag_part_spectrum
 
 DEFAULT_GRID = 2048
 DEGENERATE_GAP = 1e-9
@@ -60,19 +61,10 @@ class KippenhahnPolynomial:
         return {"n": self.n, "coeffs": [[fmt(c) for c in cs] for cs in self.poly.coeffs]}
 
 
-def _filled(xi, n, one):
-    xi = as_xi(xi)
-    if xi.n != n:
-        raise InvalidInputError(f"expected {n - 1} xi values, got {len(xi)}")
-    return [one * x for x in xi]
-
-
 def closed_form_poly(xi, exact=False) -> KippenhahnPolynomial:
-    """Closed-form P_n(zeta, rho) for n in 2..6.
+    """P_n(zeta, rho) for n in 2..6, from the xi-parameters.
 
-    With w_j = xi_j + rho the coefficients are signed sums of products of the
-    w_j over non-adjacent index sets; written out per dimension below.  With
-    ``exact`` the coefficients are Fractions (xi must then be rational-valued).
+    With ``exact`` the coefficients are Fractions (xi must then be rational-valued).
     """
     xi = as_xi(xi)
     if exact:
@@ -85,39 +77,29 @@ def closed_form_poly(xi, exact=False) -> KippenhahnPolynomial:
 
 
 def build_poly_from_scalars(x, one) -> ZetaPoly:
-    """The n = 2..6 closed forms over any scalar ring containing ``one``."""
+    """P_n(zeta, rho), n = len(x) + 1 in 2..6, over any scalar ring containing ``one``.
+
+    With w_j = xi_j + rho the tridiagonal determinant recurrence
+    D_j = -lam D_{j-1} - w_{j-1} D_{j-2} halves to E_0 = E_1 = 1,
+    E_j = (zeta if j is even, else 1) E_{j-1} - w_{j-1} E_{j-2}, with zeta = lam^2;
+    P_n = E_n, and D_n = -lam E_n for odd n.
+    """
     n = len(x) + 1
     if n not in (2, 3, 4, 5, 6):
         raise UnsupportedDimensionError(f"closed form implemented for n in 2..6, got {n}")
     zero = one * 0
-
-    if n == 2:
-        poly = ZetaPoly([[-x[0], -one], [one]])
-    elif n == 3:
-        poly = ZetaPoly([[-(x[0] + x[1]), -2 * one], [one]])
-    elif n == 4:
-        const = rho_mul([x[0], one], [x[2], one])
-        poly = ZetaPoly([const, [-(x[0] + x[1] + x[2]), -3 * one], [one]])
-    elif n == 5:
-        const = rho_add(
-            rho_add(rho_mul([x[0], one], [x[2], one]), rho_mul([x[0], one], [x[3], one])),
-            rho_mul([x[1], one], [x[3], one]),
-        )
-        poly = ZetaPoly([const, [-(x[0] + x[1] + x[2] + x[3]), -4 * one], [one]])
-    else:
-        e2 = x[0] * x[2] + x[0] * x[3] + x[0] * x[4] + x[1] * x[3] + x[1] * x[4] + x[2] * x[4]
-        q1 = 3 * (x[0] + x[4]) + 2 * (x[1] + x[2] + x[3])
-        const = rho_mul(rho_mul([x[0], one], [x[2], one]), [x[4], one])
-        poly = ZetaPoly(
-            [
-                [-c for c in const],
-                [e2, q1 * one, 6 * one],
-                [-(x[0] + x[1] + x[2] + x[3] + x[4]), -5 * one, zero],
-                [one],
-            ]
-        )
-    poly.coeffs = [rho_trim(c) for c in poly.coeffs]
-    return poly
+    prev, cur = [[one]], [[one]]
+    for j in range(2, n + 1):
+        xj = x[j - 2]
+        nxt = [[zero]] + cur if j % 2 == 0 else list(cur)
+        for i, c in enumerate(prev):  # nxt[i] -= (xj + rho) * c, with room for the rho shift
+            a = nxt[i] + [zero] * (len(c) + 1 - len(nxt[i]))
+            for k, v in enumerate(c):
+                a[k] -= xj * v
+                a[k + 1] -= v
+            nxt[i] = a
+        prev, cur = cur, nxt
+    return ZetaPoly([rho_trim(c) for c in cur])
 
 
 def determinant_poly_eval(matrix: ReciprocalMatrix, theta: float, lam: float) -> float:
@@ -246,23 +228,6 @@ class TangentLineEvent:
     shared_blocks: tuple  # ((0, k), (k, n)) for the zero-xi split index k, or ()
 
 
-def _block_spectra(xi, split):
-    """Eigenvalues of the two diagonal blocks of Im A when xi[split-1] = 0."""
-    def spec(vals):
-        m = len(vals) + 1
-        if m == 1:
-            return np.array([0.0])
-        T = np.zeros((m, m))
-        off = np.sqrt(np.asarray(vals, dtype=float))
-        idx = np.arange(m - 1)
-        T[idx, idx + 1] = off
-        T[idx + 1, idx] = off
-        return np.linalg.eigvalsh(T)
-
-    xi = list(xi)
-    return spec(xi[: split - 1]), spec(xi[split:])
-
-
 def detect_multiple_tangents(xi, tol=1e-9, method="auto") -> list:
     """Horizontal multiple tangent lines of the curve, from the xi-parameters.
 
@@ -330,7 +295,8 @@ def detect_multiple_tangents(xi, tol=1e-9, method="auto") -> list:
     for split in range(1, n):  # boundary splits only ever share the eigenvalue 0
         if abs(x[split - 1]) > atol:
             continue
-        left, right = _block_spectra(x, split)
+        # the diagonal blocks of Im A on either side of the vanishing xi
+        left, right = imag_part_spectrum(x[: split - 1]), imag_part_spectrum(x[split:])
         for ev in left:
             hits = np.sum(np.abs(right - ev) <= zthr)
             if hits:

@@ -133,6 +133,17 @@ def imag_part(matrix: ReciprocalMatrix) -> np.ndarray:
     return (A - A.conj().T) / 2j
 
 
+def imag_part_spectrum(xi) -> np.ndarray:
+    """Eigenvalues (ascending) of Im A, from the xi-parameters alone.
+
+    Im A is unitarily similar to the symmetric tridiagonal with zero diagonal
+    and off-diagonals sqrt(xi_j), which is well conditioned even at repeated
+    eigenvalues; an empty xi gives the 1x1 block [0].
+    """
+    off = np.sqrt(np.asarray(xi, dtype=float))
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+
+
 def flip(matrix: ReciprocalMatrix) -> ReciprocalMatrix:
     """Reverse row/column order; unitary similarity sending xi_j to xi_{n-j}."""
     return ReciprocalMatrix(tuple(1 / a for a in reversed(matrix.superdiag)))

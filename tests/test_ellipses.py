@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from reciprange.ellipses import (
     solve_Xp_table,
     verdict_matches_oracle,
 )
+from reciprange.bipoly import ZetaPoly
 from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.geometry import intersect_regions, ellipse_region, region_contains_region
 from reciprange.kippenhahn import closed_form_poly
@@ -109,6 +111,15 @@ def test_exact_division_zero_remainder():
     assert q2 is not None
 
 
+def test_divides_linear_tol_zero_means_exact():
+    tiny = Fraction(1, 2**60)
+    # zeta - (rho + 1) plus a constant remainder of 2^-60
+    P = ZetaPoly([[Fraction(-1) + tiny, Fraction(-1)], [Fraction(1)]])
+    assert divides_linear(P, Fraction(1), Fraction(1), tol=0) is None
+    q = divides_linear(P, Fraction(1), Fraction(1), tol=1e-9)
+    assert q is not None and q.coeffs == [[Fraction(1)]]
+
+
 # --- classification ---
 
 def test_classify_con4_both_branches():
@@ -139,6 +150,12 @@ def test_classify_ext_degenerate_inner():
 def test_classify_all_zero():
     for n in (4, 5, 6):
         assert classify([0.0] * (n - 1)).verdict == DEGENERATE_SPECTRUM
+
+
+def test_classify_unknown_mode():
+    for mode in ("bogus", ["float"], None):
+        with pytest.raises(InvalidInputError):
+            classify([1.0, 1.0, 1.0], mode=mode)
 
 
 def test_classify_unsupported_n():
@@ -217,6 +234,21 @@ def test_classify_exact_mode():
 def test_classify_extended_mode():
     assert classify([Fraction(1)] * 5, mode="extended", tol=1e-40).criterion == "3conel"
     assert classify(list(FIG2), mode="extended").criterion == "noncon5"
+
+
+def test_extended_mode_leaves_caller_mpmath_precision_alone():
+    cases = [([1.0, 1.0, 1.0], "con4"), ([1.0, 0.0, 1.0], "noncon4"), (list(FIG2), "noncon5"),
+             (list(FIG3), "de1"), (list(FIG4), "de3"), ([1.0] * 5, "3conel"), ([1.0, 2.0, 1.0], None)]
+    saved = mpmath.mp.dps
+    try:
+        mpmath.mp.dps = 5
+        for xi, criterion in cases:
+            assert classify(xi, mode="extended", tol=1e-6).criterion == criterion
+            assert mpmath.mp.dps == 5
+    finally:
+        mpmath.mp.dps = saved
+    classify([1.0] * 5, mode="extended")
+    assert mpmath.mp.dps == saved
 
 
 def test_foci_lie_in_spectrum():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from poly_oracle import hand_written_poly
 from reciprange.errors import UnsupportedDimensionError
 from reciprange.kippenhahn import (
     closed_form_poly,
@@ -78,7 +79,7 @@ def test_determinant_zero_at_unit_eigenvalue():
     assert abs(determinant_poly_eval(m, math.pi / 2, 1.0)) < 1e-12
 
 
-@given(st.sampled_from([4, 5, 6]), st.data())
+@given(st.sampled_from([2, 3, 4, 5, 6]), st.data())
 def test_closed_form_matches_determinant(n, data):
     xi = data.draw(poly_xi(n))
     theta = data.draw(st.floats(0, 2 * math.pi))
@@ -88,6 +89,24 @@ def test_closed_form_matches_determinant(n, data):
     d = determinant_poly_eval(m, theta, lam)
     v = P.char_value(lam, theta)
     assert abs(d - v) <= 1e-9 * max(1.0, abs(d), abs(v))
+
+
+# rationals with zeros; each is taken through float, as closed_form_poly does
+rational_xi = st.one_of(st.just(Fraction(0)), st.fractions(0, 5, max_denominator=1000)).map(
+    lambda v: Fraction(float(v))
+)
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(rational_xi, min_size=n - 1, max_size=n - 1)))
+def test_recurrence_matches_hand_written_forms(x):
+    P = closed_form_poly(x, exact=True).poly
+    assert P.coeffs == hand_written_poly(x, Fraction(1)).coeffs
+    xf = [float(v) for v in x]
+    Pf, Of = closed_form_poly(xf).poly, hand_written_poly(xf, 1.0)
+    assert [len(c) for c in Pf.coeffs] == [len(c) for c in Of.coeffs]
+    ref = max(1.0, Of.max_abs_coeff())
+    for a, b in zip(Pf.coeffs, Of.coeffs):
+        assert_allclose(a, b, rtol=0, atol=1e-12 * ref)
 
 
 def test_eigencurves_n2():
