@@ -3,7 +3,9 @@
 Regions are polygons with complex vertices (counterclockwise), demoted to
 SEGMENT / POINT / EMPTY when the area or width collapses.  Internally a
 half-plane {z : Re(e^{i theta} z) <= bound} is u . z <= bound with the outward
-unit normal u = e^{i phi}, phi = -theta.
+unit normal u = e^{i phi}, phi = -theta.  Hausdorff distance and containment
+compare support functions h(u) = max Re(conj(u) z): exact for convex regions
+and O(N + E) in their vertex counts.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ WIDTH_EPS = 1e-8
 ANGLE_EPS = 1e-12  # outward normals closer than this count as equal
 CERT_EPS = 1e-10  # relative violation the emptiness certificate tolerates
 SIDE_EPS = 1e-14  # a corner outside a line by less than this, relative, lies on it
+REPEAT_EPS = 1e-12  # loop vertices closer than this, relative, are one vertex
 TWO_PI = 2 * math.pi
 _BOX_PHI = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 
@@ -61,10 +64,13 @@ def _convex_loop(z):
 
     Where several lines of a half-plane intersection meet, the loop repeats a
     vertex up to rounding, and the short edges between the copies may point
-    anywhere.  One stack pass from the leftmost-lowest vertex, a hull vertex,
-    drops those copies with any collinear or (by rounding) reflex vertex, so
-    every edge left lies on a supporting line.  O(V).
+    anywhere: copies within REPEAT_EPS of the vertex before are dropped first.
+    One stack pass from the leftmost-lowest vertex, a hull vertex, then drops
+    collinear and (by rounding) reflex vertices, so every edge left lies on a
+    supporting line.  O(V).
     """
+    fresh = np.abs(z - np.roll(z, 1)) > REPEAT_EPS * np.max(np.abs(z))
+    z = z[fresh] if fresh.any() else z[:1]
     left = np.flatnonzero(z.real == z.real.min())
     start = int(left[np.argmin(z.imag[left])])
     hull = []
@@ -258,10 +264,6 @@ def convex_hull(points):
     return [complex(*p) for p in hull]
 
 
-def hull_region(points) -> ConvexRegion:
-    return region_from_vertices(convex_hull(points))
-
-
 def _edge_halfplanes(region: ConvexRegion):
     """(phi, c) arrays of a POLYGON's edge half-planes, in the loop's (cyclic
     angle) order, or of the four half-planes bounding a SEGMENT."""
@@ -319,19 +321,15 @@ def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
 def _point_segment_distance(z, a, b):
     d = b - a
     L2 = abs(d) ** 2
-    if L2 == 0:
-        return abs(z - a)
-    t = max(0.0, min(1.0, ((z - a).real * d.real + (z - a).imag * d.imag) / L2))
+    t = max(0.0, min(1.0, ((z - a).real * d.real + (z - a).imag * d.imag) / L2)) if L2 else 0.0
     return abs(z - (a + t * d))
 
 
 def region_contains(region: ConvexRegion, z, tol=1e-12) -> bool:
     if region.kind == EMPTY:
         return False
-    if region.kind == POINT:
-        return abs(z - region.points[0]) <= max(tol, 1e-12)
-    if region.kind == SEGMENT:
-        return _point_segment_distance(z, *region.points) <= max(tol, 1e-12)
+    if region.kind in (POINT, SEGMENT):  # a POINT is a segment of length 0
+        return _point_segment_distance(z, region.points[0], region.points[-1]) <= max(tol, 1e-12)
     pts = region.points
     n = len(pts)
     for i in range(n):
@@ -342,53 +340,58 @@ def region_contains(region: ConvexRegion, z, tol=1e-12) -> bool:
     return True
 
 
-def distances_to_region(zs, region: ConvexRegion) -> np.ndarray:
-    """Distances from an array of points to a convex region (vectorized)."""
-    zs = np.asarray(zs, dtype=complex).ravel()
-    if region.kind == EMPTY:
-        return np.full(zs.shape, math.inf)
-    if region.kind == POINT:
-        return np.abs(zs - region.points[0])
-    pts = np.asarray(region.points, dtype=complex)
-    if region.kind == SEGMENT:
-        a, b = pts
-        seg = np.array([a, b])
-        edges_a, edges_b = seg[:1], seg[1:]
-    else:
-        edges_a = pts
-        edges_b = np.roll(pts, -1)
-    d = edges_b - edges_a  # (E,)
-    L2 = np.abs(d) ** 2
-    L2 = np.where(L2 == 0, 1.0, L2)
-    w = zs[:, None] - edges_a[None, :]  # (N, E)
-    t = np.clip((w.real * d.real[None, :] + w.imag * d.imag[None, :]) / L2[None, :], 0.0, 1.0)
-    proj = edges_a[None, :] + t * d[None, :]
-    dist = np.min(np.abs(zs[:, None] - proj), axis=1)
-    if region.kind == POLYGON:
-        # points inside are at distance zero: all edge cross-products >= 0 (CCW)
-        cross = d.real[None, :] * w.imag - d.imag[None, :] * w.real
-        inside = np.all(cross >= -1e-12 * np.maximum(1.0, np.abs(d))[None, :], axis=1)
-        dist = np.where(inside, 0.0, dist)
-    return dist
+def _support_run(region: ConvexRegion):
+    """(phi, u, w) of a nonempty region's convex loop: the outward unit edge
+    normals u, by increasing angle phi in [0, 2pi), and the vertex w[j] that
+    supports every direction from phi[j] to phi[j + 1].  A POINT has one
+    full-circle arc.  O(V)."""
+    z = np.asarray(region.points, dtype=complex)
+    z = _convex_loop(z if polygon_area(z) >= 0 else z[::-1])
+    w = np.roll(z, -1)
+    if z.size == 1:
+        return np.zeros(1), np.ones(1, dtype=complex), w
+    u = -1j * (w - z) / np.abs(w - z)  # a CCW edge turned by -90 degrees
+    phi = np.mod(np.angle(u), TWO_PI)
+    first = int(np.argmin(phi))
+    return np.roll(phi, -first), np.roll(u, -first), np.roll(w, -first)
 
 
-def distance_to_region(z, region: ConvexRegion) -> float:
-    return float(distances_to_region(np.array([z]), region)[0])
+def _largest_gap(a: ConvexRegion, b: ConvexRegion, symmetric: bool) -> float:
+    """max over unit u of h_a(u) - h_b(u) (of |h_a(u) - h_b(u)| if symmetric),
+    h the support function, in O(N + E): the stable sort merges the two runs.
+
+    On each arc between merged breakpoints the support vertices p and q are
+    fixed, and Re((p - q) e^{-i phi}) peaks at |p - q| if the arc holds
+    arg(p - q), else at an end of the arc.
+    """
+    phi_a, u_a, w_a = _support_run(a)
+    phi_b, u_b, w_b = _support_run(b)
+    order = np.argsort(np.concatenate([phi_a, phi_b]), kind="stable")
+    from_a = order < phi_a.size
+    d = w_a[(np.cumsum(from_a) - 1) % phi_a.size] - w_b[(np.cumsum(~from_a) - 1) % phi_b.size]
+    phi = np.concatenate([phi_a, phi_b])[order]
+    u = np.concatenate([u_a, u_b])[order]
+    length = np.diff(phi, append=phi[0] + TWO_PI)
+    # an arc of zero length pairs vertices of different directions; its ends
+    # are its neighbours' ends, so it is left out
+    arc = length > 0
+    ends = np.stack([np.conj(u[arc]) * d[arc], np.conj(np.roll(u, -1)[arc]) * d[arc]]).real
+    d, phi, length = d[arc], phi[arc], length[arc]
+    best = -math.inf
+    for sign in (1, -1) if symmetric else (1,):
+        peak = np.mod(np.angle(sign * d) - phi, TWO_PI) <= length
+        best = max(best, float(np.max(np.where(peak, np.abs(d), np.max(sign * ends, axis=0)))))
+    return best
 
 
 def hausdorff_distance(a: ConvexRegion, b: ConvexRegion) -> float:
-    """Symmetric Hausdorff distance between two convex regions.
-
-    For convex sets the supremum is attained at extreme points, so scanning
-    vertices suffices.  EMPTY vs EMPTY is 0; EMPTY vs anything else is +inf.
+    """Symmetric Hausdorff distance between two convex regions, exact and
+    O(N + E): max over unit u of |h_a(u) - h_b(u)|, h the support function.
+    EMPTY vs EMPTY is 0; EMPTY vs anything else is +inf.
     """
-    if a.kind == EMPTY and b.kind == EMPTY:
-        return 0.0
-    if a.kind == EMPTY or b.kind == EMPTY:
-        return math.inf
-    d_ab = float(np.max(distances_to_region(np.asarray(a.points), b)))
-    d_ba = float(np.max(distances_to_region(np.asarray(b.points), a)))
-    return max(d_ab, d_ba)
+    if EMPTY in (a.kind, b.kind):
+        return 0.0 if a.kind == b.kind else math.inf
+    return _largest_gap(a, b, symmetric=True)
 
 
 def hausdorff_point_sets(P, Q) -> float:
@@ -400,12 +403,10 @@ def hausdorff_point_sets(P, Q) -> float:
 
 
 def region_contains_region(outer: ConvexRegion, inner: ConvexRegion, tol=1e-8) -> bool:
-    """Vertex containment check, adequate for convex inner regions."""
-    if inner.kind == EMPTY:
-        return True
-    if outer.kind == EMPTY:
-        return False
-    return bool(np.max(distances_to_region(np.asarray(inner.points), outer)) <= tol)
+    """Is the directed Hausdorff distance max over u of h_inner - h_outer <= tol?"""
+    if EMPTY in (inner.kind, outer.kind):
+        return inner.kind == EMPTY
+    return _largest_gap(inner, outer, symmetric=False) <= tol
 
 
 def ellipse_boundary(center: float, half_focal: float, minor: float, m: int = 1024):

@@ -14,7 +14,6 @@ import numpy as np
 from .ellipses import ALL_CONCENTRIC, DISPLACED_PAIR, ClassificationReport
 from .errors import InvalidInputError
 from .geometry import (
-    EMPTY,
     POINT,
     ConvexRegion,
     HalfPlane,
@@ -104,6 +103,4 @@ def rank_k_analytic(report: ClassificationReport, k, boundary_points=1024) -> Co
 
 def region_distance(a: ConvexRegion, b: ConvexRegion) -> float:
     """Symmetric Hausdorff distance; EMPTY vs EMPTY is 0, EMPTY vs other +inf."""
-    if a.kind == EMPTY and b.kind == EMPTY:
-        return 0.0
     return hausdorff_distance(a, b)

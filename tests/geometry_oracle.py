@@ -1,10 +1,11 @@
 """Reference geometry kept as an oracle for ``reciprange.geometry``.
 
 Sutherland-Hodgman clipping of a box (or of a polygon) by one half-plane at
-a time (O(T*V)) and region demotion from the dense V x V diameter matrix and
-the O(V^2) width scan.  Both are slow but independent of the sorted-angle
-deque and the rotating calipers the package uses, so the tests compare the
-two.
+a time (O(T*V)), region demotion from the dense V x V diameter matrix and
+the O(V^2) width scan, and Hausdorff distance and containment from the dense
+N x E scan of every vertex against every edge.  All are slow but independent
+of the sorted-angle deque, the rotating calipers and the support functions
+the package uses, so the tests compare the two.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from reciprange.geometry import AREA_EPS, POINT, POLYGON, SEGMENT, WIDTH_EPS, ConvexRegion
+from reciprange.geometry import AREA_EPS, EMPTY, POINT, POLYGON, SEGMENT, WIDTH_EPS, ConvexRegion
 
 
 def _clip_array(arr: np.ndarray, theta: float, bound: float) -> np.ndarray:
@@ -106,3 +107,57 @@ def oracle_intersect_polygons(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
         if len(pts) == 0:
             return ConvexRegion.empty()
     return oracle_region_from_vertices(pts)
+
+
+def oracle_distances(zs, region: ConvexRegion) -> np.ndarray:
+    """Distances from an array of points to a convex region: to the nearest
+    point of every edge at once (N x E arrays), 0 inside a POLYGON."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if region.kind == EMPTY:
+        return np.full(zs.shape, math.inf)
+    if region.kind == POINT:
+        return np.abs(zs - region.points[0])
+    pts = np.asarray(region.points, dtype=complex)
+    if region.kind == SEGMENT:
+        edges_a, edges_b = pts[:1], pts[1:]
+    else:
+        edges_a = pts
+        edges_b = np.roll(pts, -1)
+    d = edges_b - edges_a  # (E,)
+    L2 = np.abs(d) ** 2
+    L2 = np.where(L2 == 0, 1.0, L2)
+    w = zs[:, None] - edges_a[None, :]  # (N, E)
+    t = np.clip((w.real * d.real[None, :] + w.imag * d.imag[None, :]) / L2[None, :], 0.0, 1.0)
+    proj = edges_a[None, :] + t * d[None, :]
+    dist = np.min(np.abs(zs[:, None] - proj), axis=1)
+    if region.kind == POLYGON:
+        # points inside are at distance zero: all edge cross-products >= 0 (CCW),
+        # where a point up to 1e-12 outside an edge's line counts as on it
+        cross = d.real[None, :] * w.imag - d.imag[None, :] * w.real
+        inside = np.all(cross >= -1e-12 * np.abs(d)[None, :], axis=1)
+        dist = np.where(inside, 0.0, dist)
+    return dist
+
+
+def oracle_directed(a: ConvexRegion, b: ConvexRegion) -> float:
+    """The largest distance from a vertex of nonempty a to b: for convex a the
+    farthest point of a from b is a vertex."""
+    return float(np.max(oracle_distances(np.asarray(a.points), b)))
+
+
+def oracle_hausdorff(a: ConvexRegion, b: ConvexRegion) -> float:
+    """Symmetric Hausdorff distance; EMPTY vs EMPTY is 0, EMPTY vs other +inf."""
+    if a.kind == EMPTY and b.kind == EMPTY:
+        return 0.0
+    if a.kind == EMPTY or b.kind == EMPTY:
+        return math.inf
+    return max(oracle_directed(a, b), oracle_directed(b, a))
+
+
+def oracle_contains(outer: ConvexRegion, inner: ConvexRegion, tol=1e-8) -> bool:
+    """Every vertex of inner lies within tol of outer."""
+    if inner.kind == EMPTY:
+        return True
+    if outer.kind == EMPTY:
+        return False
+    return oracle_directed(inner, outer) <= tol

@@ -1,11 +1,13 @@
+import ast
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from reciprange import cli
-from reciprange.cli import main
+from reciprange.cli import SEED_CORPUS, main
 
 
 def run(capsys, *args):
@@ -169,3 +171,8 @@ def test_verify_battery(capsys, tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert "concentric_criterion_audit" in names
     assert "closed_form_vs_determinant" in names
+    # the range check names its farthest pair: the largest distance, where, and the bound
+    ranges = next(c for c in report["checks"] if c["name"] == "corpus_analytic_vs_numeric_ranges")
+    worst, xi, k = re.fullmatch(r"max (\S+) at (\(.*\)) k=(\d); bound 5e-3", ranges["detail"]).groups()
+    assert 0 < float(worst) < 5e-3 and int(k) >= 1
+    assert tuple(ast.literal_eval(xi)) in {tuple(x) for xs in SEED_CORPUS.values() for x in xs}

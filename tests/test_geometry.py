@@ -6,10 +6,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from geometry_oracle import (
+    oracle_contains,
+    oracle_directed,
     oracle_halfplane_intersection,
+    oracle_hausdorff,
     oracle_intersect_polygons,
     oracle_region_from_vertices,
 )
+from reciprange.cli import SEED_CORPUS
+from reciprange.ellipses import classify
 from reciprange.geometry import (
     EMPTY,
     POINT,
@@ -27,6 +32,8 @@ from reciprange.geometry import (
     region_contains_region,
     region_from_vertices,
 )
+from reciprange.matrices import matrix_from_xi
+from reciprange.ranges import rank_k_analytic, rank_k_numeric
 
 
 def disk_region(radius=1.0, center=0j, m=256):
@@ -214,6 +221,23 @@ def test_region_from_vertices_matches_oracle(pts, axis, spread):
     assert hausdorff_distance(got, want) <= 1e-9
 
 
+@pytest.mark.parametrize("m, fan", [(3, 6), (4, 4), (6, 2), (12, 3), (40, 4)])
+def test_lines_fanned_through_every_vertex(m, fan):
+    # each vertex of a regular m-gon comes out as fan + 1 copies equal up to
+    # rounding; the short edges between them must not make it a SEGMENT
+    pts = np.exp(2j * math.pi * np.arange(m) / m)
+    normals = -1j * (np.roll(pts, -1) - pts)
+    hps = []
+    for k, v in enumerate(pts):
+        for t in np.linspace(0.0, 1.0, fan + 2):
+            u = normals[k - 1] * (normals[k] / normals[k - 1]) ** t
+            u /= abs(u)
+            hps.append(HalfPlane(-np.angle(u), (np.conj(u) * v).real))
+    got = halfplane_intersection(hps, 10)
+    assert got.kind == POLYGON
+    assert hausdorff_distance(got, ConvexRegion(POLYGON, tuple(pts))) <= 1e-12
+
+
 def test_region_from_vertices_large_circle():
     # a dense V x V distance matrix would take 6.4 GB here
     z = np.exp(2j * math.pi * np.arange(20000) / 20000)
@@ -372,3 +396,106 @@ def test_intersect_polygons_touching_at_a_vertex(a, vertex, overlap):
     got = _assert_intersection_matches_oracle(a, b, POINT if overlap > 0 else EMPTY)
     if overlap > 0:
         assert abs(got.points[0] - v) <= 1e-9
+
+
+# support-function distances against the dense vertex-to-edge oracle.  Both
+# are exact up to rounding, which scales with the coordinates
+_segments = st.builds(lambda p, q: ConvexRegion(SEGMENT, (p, q)), _centers, _centers).filter(
+    lambda s: abs(s.points[1] - s.points[0]) > 1e-3)
+_points = st.builds(lambda p: ConvexRegion(POINT, (p,)), _centers)
+_by_kind = {POLYGON: _polygons, SEGMENT: _segments, POINT: _points}
+_regions = st.one_of(_polygons, _segments, _points)
+
+
+def _rounding(*regions):
+    return 1e-12 * max(1.0, max(abs(p) for r in regions for p in r.points))
+
+
+def _assert_distances_match_oracle(a, b):
+    """hausdorff_distance and region_contains_region agree with the oracle in
+    both argument orders; containment is tested just above and just below the
+    oracle's directed distance, so it must measure the same quantity."""
+    eps = _rounding(a, b)
+    for p, q in ((a, b), (b, a)):
+        assert abs(hausdorff_distance(p, q) - oracle_hausdorff(p, q)) <= eps
+        directed = oracle_directed(q, p)
+        for tol in (directed + eps, directed - eps) if directed > eps else (directed + eps,):
+            assert region_contains_region(p, q, tol=tol) == oracle_contains(p, q, tol=tol)
+    return hausdorff_distance(a, b)
+
+
+@pytest.mark.parametrize("kinds", [(POLYGON, POLYGON), (POLYGON, SEGMENT), (POLYGON, POINT),
+                                   (SEGMENT, SEGMENT), (SEGMENT, POINT), (POINT, POINT)])
+@given(st.data())
+def test_distances_match_oracle_every_kind(kinds, data):
+    a, b = (data.draw(_by_kind[kind]) for kind in kinds)
+    _assert_distances_match_oracle(a, b)
+
+
+@given(_polygons, st.sampled_from([1e-6, 1e-4]), st.integers(1, 4), _regions)
+def test_distances_match_oracle_halfplane_loops(a, turn, fan, other):
+    # lines fanned through every vertex of a make the intersection repeat it up
+    # to rounding, and each edge's line turned by `turn` about its midpoint
+    # leaves a vertex where the loop is nearly straight; the edge midpoints
+    # put into the loop make collinear vertices
+    pts = np.array(a.points)
+    normals = -1j * (np.roll(pts, -1) - pts)
+    normals /= np.abs(normals)
+    hps = []
+    for k, v in enumerate(pts):
+        spread = np.angle(normals[k] / normals[k - 1])
+        for t in np.linspace(0.0, 1.0, fan + 2):
+            u = normals[k - 1] * np.exp(1j * t * spread)
+            hps.append(HalfPlane(-np.angle(u), (np.conj(u) * v).real))
+        mid, u = (v + pts[(k + 1) % len(pts)]) / 2, normals[k] * np.exp(1j * turn)
+        hps.append(HalfPlane(-np.angle(u), (np.conj(u) * mid).real))
+    loop = halfplane_intersection(hps, 10)
+    assert loop.kind == POLYGON and len(loop.points) > len(pts)
+    z = np.array(loop.points)
+    mids = (z + np.roll(z, -1)) / 2
+    straight = ConvexRegion(POLYGON, tuple(np.stack([z, mids], axis=1).ravel().tolist()))
+    for b in (loop, straight):
+        _assert_distances_match_oracle(b, a)
+        _assert_distances_match_oracle(b, other)
+
+
+@given(_regions, _centers.filter(lambda s: abs(s) > 1e-3),
+       st.floats(0.05, 3.0).filter(lambda t: abs(t - 1) > 1e-3))
+def test_distances_of_moved_copies(a, shift, scale):
+    # d_H(A, A + s) = |s|, and for c in A, d_H(A, c + t (A - c)) is |1 - t|
+    # times the farthest vertex from c: a code that reads 0 fails both
+    eps = _rounding(a) * (1 + abs(shift) + scale)
+    moved = ConvexRegion(a.kind, tuple(p + shift for p in a.points))
+    assert abs(_assert_distances_match_oracle(a, moved) - abs(shift)) <= eps
+    c = _centroid(a)
+    scaled = ConvexRegion(a.kind, tuple(c + scale * (p - c) for p in a.points))
+    want = abs(1 - scale) * max(abs(p - c) for p in a.points)
+    assert abs(_assert_distances_match_oracle(a, scaled) - want) <= eps
+    inner, outer = (scaled, a) if scale < 1 else (a, scaled)
+    assert region_contains_region(outer, inner, tol=eps)
+    assert want == 0.0 or not region_contains_region(inner, outer, tol=0.9 * want)  # POINT: 0
+
+
+@given(_regions, st.integers(0, 39))
+def test_distances_identical_regions(a, start):
+    # the same loop from another starting vertex, or clockwise, is the same set
+    k = start % len(a.points)
+    again = ConvexRegion(a.kind, a.points[k:] + a.points[:k])
+    for b in (a, again, ConvexRegion(a.kind, a.points[::-1])):
+        assert _assert_distances_match_oracle(a, b) == 0.0
+        assert region_contains_region(a, b, tol=0.0) and region_contains_region(b, a, tol=0.0)
+
+
+def test_distances_match_oracle_verify_corpus():
+    # the (analytic, numeric) range pairs that `reciprange verify` measures
+    pairs = 0
+    for n, corpus in SEED_CORPUS.items():
+        for xi in corpus:
+            rep = classify(xi, tol=1e-6)
+            if rep.verdict not in ("ALL_CONCENTRIC", "DISPLACED_PAIR"):
+                continue
+            for k in range(1, (n + 1) // 2 + 1):
+                a, b = rank_k_analytic(rep, k), rank_k_numeric(matrix_from_xi(xi), k, 512)
+                assert abs(hausdorff_distance(a, b) - oracle_hausdorff(a, b)) <= 1e-15, (xi, k)
+                pairs += 1
+    assert pairs == 21

@@ -208,6 +208,20 @@ def test_numeric_fine_grid_memory():
     assert peak < 64 * 2**20, peak
 
 
+def test_region_distance_memory():
+    # the dense vertex-to-edge scan made 1026 x 2048 complex arrays (128 MB)
+    a = rank_k_analytic(classify(list(FIG4), tol=1e-6), 1)
+    b = rank_k_numeric(matrix_from_xi(list(FIG4)), 1, 2048)
+    tracemalloc.start()
+    try:
+        d = region_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < d < 5e-3
+    assert peak < 8 * 2**20, peak
+
+
 def test_analytic_builds_only_requested_region(monkeypatch):
     # FIG4 (de3, k = 2cos(3pi/7)) orders hull, lens, central disk
     rep = classify(list(FIG4), tol=1e-6)
