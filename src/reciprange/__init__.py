@@ -18,13 +18,11 @@ from .ellipses import (
     classify,
     divides_linear,
     divides_quadratic,
-    ellipse_of_2x2,
     solve_Xp_table,
 )
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .geometry import ConvexRegion, HalfPlane
 from .kippenhahn import (
-    CurveSample,
     KippenhahnPolynomial,
     TangentLineEvent,
     closed_form_poly,
@@ -41,9 +39,7 @@ from .matrices import (
     build_from_superdiagonal,
     exact_spectrum,
     flip,
-    imag_part,
     matrix_from_xi,
-    real_part_at,
 )
 from .ranges import rank_k_analytic, rank_k_numeric, region_distance
 
@@ -54,7 +50,6 @@ __all__ = [
     "MIXED_NONE",
     "ClassificationReport",
     "ConvexRegion",
-    "CurveSample",
     "EllipseComponent",
     "HalfPlane",
     "InvalidInputError",
@@ -73,15 +68,12 @@ __all__ = [
     "divides_linear",
     "divides_quadratic",
     "eigencurves",
-    "ellipse_of_2x2",
     "envelope_points",
     "exact_spectrum",
     "flip",
-    "imag_part",
     "matrix_from_xi",
     "rank_k_analytic",
     "rank_k_numeric",
-    "real_part_at",
     "region_distance",
     "solve_Xp_table",
 ]

@@ -42,8 +42,9 @@ from .svgplot import render_curve
 
 CLI_DEFAULT_TOL = 1e-6  # criterion match tolerance for caption-grade inputs
 MIN_GRID = 8
-#: largest --grid: the eigen solve holds grid * n^2 complex values and the
-#: envelope samples grid * n points, so larger grids only exhaust memory
+#: largest --grid: the eigen solve holds grid * n^2 real values (the stacked
+#: tridiagonals T(rho) and their eigenvectors) and the envelope samples
+#: grid * n records, so larger grids only exhaust memory
 MAX_GRID = 65536
 
 #: parameter sets used throughout the verification corpus

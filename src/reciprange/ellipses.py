@@ -78,48 +78,6 @@ class EllipseComponent:
         }
 
 
-@dataclass(frozen=True)
-class PEllipseCoefficients:
-    """Coefficients of the quadratic Kippenhahn factor of a 2x2 matrix."""
-
-    p: float
-    q: float
-    x: float
-    y: float
-    z: float
-
-    @property
-    def c_sq(self):
-        return self.z - math.hypot(self.x, self.y)
-
-
-def ellipse_of_2x2(zeta1, zeta2, frobenius_norm_sq, tol=DEFAULT_TOL):
-    """Elliptical range data of a 2x2 matrix: foci at its eigenvalues, minor
-    axis length sqrt(||A||_F^2 - |zeta1|^2 - |zeta2|^2)."""
-    zeta1, zeta2 = complex(zeta1), complex(zeta2)
-    deficit = frobenius_norm_sq - abs(zeta1) ** 2 - abs(zeta2) ** 2
-    if deficit < -max(ABS_FLOOR, tol * max(1.0, abs(frobenius_norm_sq))):
-        raise InvalidInputError(
-            f"Frobenius norm too small: ||A||_F^2 - |z1|^2 - |z2|^2 = {deficit}"
-        )
-    c = math.sqrt(max(0.0, deficit)) / 2
-    s, d = zeta1 + zeta2, zeta1 - zeta2
-    coeffs = PEllipseCoefficients(
-        p=s.real / 2,
-        q=s.imag / 2,
-        x=(d * d).real / 8,
-        y=d.real * d.imag / 4,
-        z=abs(d) ** 2 / 8 + c * c,
-    )
-    comp = EllipseComponent(
-        center=coeffs.p,
-        half_focal=abs(d) / 2,
-        minor_half_axis=c,
-        degenerate=c <= math.sqrt(ABS_FLOOR),
-    )
-    return coeffs, comp
-
-
 def _as_zeta_poly(P):
     return P.poly if isinstance(P, KippenhahnPolynomial) else P
 

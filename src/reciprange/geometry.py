@@ -171,6 +171,19 @@ def _by_angle(*lists):
     return phi[order], c[order]
 
 
+def _corner(xi, yi, ci, xj, yj, cj):
+    """The meeting point of the lines u_i . z = c_i and u_j . z = c_j (unit u).
+
+    Taken as c_i u_i + t (i u_i), the foot of line i plus a step along it, so
+    that it lies on line i to rounding however nearly parallel the lines are
+    (Cramer's rule is off by about 1e-16/sin(angle) across both).  The
+    differences of the normals keep sin(angle) and 1 - cos(angle) accurate.
+    """
+    dx, dy = xj - xi, yj - yi
+    t = (cj - ci + ci * (dx * dx + dy * dy) / 2) / (xi * dy - yi * dx)
+    return ci * xi - t * yi, ci * yi + t * xi
+
+
 def _intersect_sorted(phi, c):
     """Vertices (CCW, complex) of {z : u_j . z <= c_j for all j}, u_j = e^{i phi_j},
     or None when the intersection is empty.
@@ -194,9 +207,7 @@ def _intersect_sorted(phi, c):
         Sets that touch along an edge or at a point have corners on a line
         exactly; normals rounded through phi put them off it either way, and
         a strict test would then drop a line of a set that is not empty."""
-        det = X[i] * Y[j] - X[j] * Y[i]
-        x = (C[i] * Y[j] - C[j] * Y[i]) / det
-        y = (X[i] * C[j] - X[j] * C[i]) / det
+        x, y = _corner(X[i], Y[i], C[i], X[j], Y[j], C[j])
         return X[k] * x + Y[k] * y - C[k] > SIDE_EPS * (abs(x) + abs(y) + abs(C[k]))
 
     dq = deque()
@@ -218,10 +229,7 @@ def _intersect_sorted(phi, c):
 
     lines = np.fromiter(dq, dtype=np.intp, count=len(dq))
     lx, ly, lc = ux[lines], uy[lines], c[lines]
-    px, py, pc = np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1)
-    det = px * ly - lx * py
-    vx = (pc * ly - lc * py) / det  # vertex j joins line j-1 and line j
-    vy = (px * lc - lx * pc) / det
+    vx, vy = _corner(np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1), lx, ly, lc)  # lines j-1, j
     # emptiness certificate: each half-plane holds at the vertex extreme in its
     # outward normal, which sits between the edges whose angles bracket it
     extreme = np.searchsorted(phi[lines], phi) % lines.size
@@ -335,7 +343,7 @@ def region_contains(region: ConvexRegion, z, tol=1e-12) -> bool:
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
         cr = (b - a).real * (z - a).imag - (b - a).imag * (z - a).real
-        if cr < -tol * max(1.0, abs(b - a)):
+        if cr < -tol * abs(b - a):  # z more than tol outside the edge's line
             return False
     return True
 

@@ -5,9 +5,9 @@ matrix collapses, after zeta = lambda^2 and rho = cos^2(theta), to a polynomial
 P_n(zeta, rho) of zeta-degree floor(n/2) whose coefficients depend only on the
 xi-parameters (odd n carries an extra -lambda factor).  This module provides
 P_n for n <= 6 from the determinant recurrence in xi, the three-term recurrence
-on the matrix entries as an independent oracle, eigenvalue curves, envelope
-sampling via eigenvector quadratic forms, and horizontal multiple-tangent
-detection.
+on the matrix entries as an independent oracle, eigenvalue curves and envelope
+samples from the real symmetric tridiagonal T(rho) the curve reduces to
+(again xi only), and horizontal multiple-tangent detection.
 """
 
 from __future__ import annotations
@@ -127,95 +127,95 @@ def _theta_array(theta_grid):
     return arr
 
 
-def hermitian_parts(matrix: ReciprocalMatrix, thetas: np.ndarray) -> np.ndarray:
-    """Stack of Re(e^{i theta} A) over the grid, shape (T, n, n)."""
-    A = matrix.dense()
-    ph = np.exp(1j * thetas)
-    return 0.5 * (ph[:, None, None] * A[None] + np.conj(ph)[:, None, None] * A.conj().T[None])
+def _tridiagonal(xi, thetas):
+    """Off-diagonals (T, n - 1) of the two tridiagonals behind the curve.
+
+    Re(e^{i theta} A) has off-diagonals b_j with |b_j|^2 = xi_j + rho,
+    rho = cos^2 theta, whatever the entry phases, so the diagonal unitary D
+    with d_{j+1} = d_j conj(b_j)/|b_j| (phase 1 where b_j = 0) turns it into
+    the real symmetric T(rho): zero diagonal, off-diagonals sqrt(xi_j + rho).
+    The same D turns Im(e^{i theta} A) into the Hermitian S, zero diagonal,
+    off-diagonals (sin theta cos theta - i sqrt(xi_j (xi_j + 1)))/sqrt(xi_j + rho)
+    (sin theta where b_j = 0).  So v = D u has v* A v = e^{-i theta} (u* T u + i u* S u).
+    Returns (t, s), the off-diagonals of T and of S.
+    """
+    x = np.asarray(as_xi(xi).xi, dtype=float)
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    t = np.sqrt(x + cos * cos)
+    s = np.divide(sin * cos - 1j * np.sqrt(x * (x + 1)), t,
+                  out=np.repeat(sin.astype(complex), x.size, axis=1), where=t > 0)
+    return t, s
 
 
-def eigencurves(matrix: ReciprocalMatrix, theta_grid=DEFAULT_GRID) -> tuple:
+def _symmetric(off):
+    """Stack of zero-diagonal symmetric tridiagonals, shape (T, n, n)."""
+    m = off.shape[1]
+    M = np.zeros((off.shape[0], m + 1, m + 1))
+    i = np.arange(m)
+    M[:, i, i + 1] = off
+    M[:, i + 1, i] = off
+    return M
+
+
+def eigencurves(xi, theta_grid=DEFAULT_GRID) -> tuple:
     """Eigenvalues of Re(e^{i theta} A), each row sorted non-increasing.
 
+    ``xi`` is an XiParameters, a sequence of xi values or a ReciprocalMatrix.
     Returns (thetas, lambdas) with lambdas of shape (T, n); column j-1 is the
     j-th largest eigenvalue curve.
     """
     thetas = _theta_array(theta_grid)
-    H = hermitian_parts(matrix, thetas)
-    w = np.linalg.eigvalsh(H)
-    return thetas, w[:, ::-1]
+    t, _ = _tridiagonal(xi, thetas)
+    return thetas, np.linalg.eigvalsh(_symmetric(t))[:, ::-1]
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    """One envelope point: the tangent line at angle theta for branch j touches here."""
+def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
+    """Envelope samples z = v* A v over unit eigenvectors v of Re(e^{i theta} A).
 
-    theta: float
-    branch: int  # 1-based, 1 = largest eigenvalue
-    point: complex
-    eigenvalue: float
-    degenerate: bool = False
-
-
-def envelope_points(matrix: ReciprocalMatrix, theta_grid=DEFAULT_GRID) -> list:
-    """Envelope samples z = v* A v over unit eigenvectors of Re(e^{i theta} A).
-
-    Each sample satisfies Re(e^{i theta} z) = lambda_j(theta): the point lies on
-    its own tangent line.  For odd n the middle branch is pinned to the origin.
-    At (numerically) repeated eigenvalues the 2x2 compression of A onto the
-    eigenspace yields the two genuine tangency points; both are emitted and
-    flagged degenerate.
+    ``xi`` is an XiParameters, a sequence of xi values or a ReciprocalMatrix.
+    Returns a record array sorted by (theta, branch), with fields theta,
+    branch (1-based, 1 = largest eigenvalue), point, eigenvalue and
+    degenerate.  Each sample satisfies Re(e^{i theta} z) = lambda_j(theta):
+    the point lies on its own tangent line.  For odd n the middle branch is
+    pinned to the origin.  At (numerically) repeated eigenvalues the
+    compression of Im(e^{i theta} A) onto the eigenspace yields the genuine
+    tangency points; they are flagged degenerate and carry the cluster's mean
+    eigenvalue.
     """
     thetas = _theta_array(theta_grid)
-    n = matrix.n
-    A = matrix.dense()
-    H = hermitian_parts(matrix, thetas)
-    w, V = np.linalg.eigh(H)  # ascending
-    w = w[:, ::-1]
-    V = V[:, :, ::-1]
-    AV = np.einsum("tij,tjk->tik", np.broadcast_to(A, H.shape), V)
-    z = np.einsum("tij,tij->tj", np.conj(V), AV)
-
+    t, s = _tridiagonal(xi, thetas)
+    n = t.shape[1] + 1
+    w, U = np.linalg.eigh(_symmetric(t))  # ascending
+    w, U = w[:, ::-1], U[:, :, ::-1]
+    # u real: u* T u = lambda and u* S u = u.Re(S)u
+    phase = np.exp(-1j * thetas)[:, None]
+    z = phase * (w + 2j * np.einsum("tj,tjk->tk", s.real, U[:, :-1, :] * U[:, 1:, :]))
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=1, keepdims=True))
+    close = np.abs(np.diff(w, axis=1)) <= DEGENERATE_GAP * scale
     mid = (n + 1) // 2 if n % 2 == 1 else None
-    samples = []
-    for ti, theta in enumerate(thetas):
-        gaps_ok = np.abs(np.diff(w[ti])) > DEGENERATE_GAP * max(1.0, np.max(np.abs(w[ti])))
-        if mid is not None:
-            # the middle branch is pinned to the origin; never cluster across it
-            if mid - 2 >= 0:
-                gaps_ok[mid - 2] = True
-            if mid - 1 < len(gaps_ok):
-                gaps_ok[mid - 1] = True
-        handled = set()
-        for j in range(n):
-            branch = j + 1
-            if branch == mid:
-                samples.append(CurveSample(float(theta), branch, 0j, 0.0))
-                continue
-            lo_deg = j > 0 and not gaps_ok[j - 1]
-            hi_deg = j < n - 1 and not gaps_ok[j]
-            if not (lo_deg or hi_deg):
-                samples.append(CurveSample(float(theta), branch, complex(z[ti, j]), float(w[ti, j])))
-                continue
-            if j in handled:
-                continue
-            # collect the full numerically-degenerate cluster starting at j
-            jj = j
-            while jj < n - 1 and not gaps_ok[jj]:
-                jj += 1
-            cluster = list(range(j, jj + 1))
-            handled.update(cluster)
-            Vc = V[ti][:, cluster]
-            B = Vc.conj().T @ A @ Vc
-            K = (cmath.exp(1j * theta) * B - (cmath.exp(1j * theta) * B).conj().T) / 2j
-            kw, kv = np.linalg.eigh(K)
-            lam = float(np.mean(w[ti, cluster]))
-            for col in range(len(cluster)):
-                u = Vc @ kv[:, col]
-                zz = complex(np.conj(u) @ A @ u)
-                samples.append(CurveSample(float(theta), cluster[0] + 1 + col, zz, lam, True))
-    samples.sort(key=lambda s: (s.theta, s.branch))
-    return samples
+    if mid is not None:
+        # the middle branch is pinned to the origin; never cluster across it
+        close[:, max(mid - 2, 0):mid] = False
+        z[:, mid - 1] = 0
+        w[:, mid - 1] = 0.0
+    degenerate = np.zeros(w.shape, dtype=bool)
+    for ti in np.flatnonzero(close.any(axis=1)):
+        # a run of close gaps a..b-1 is the cluster of columns a..b
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], close[ti], [0]))))
+        for a, b in zip(edges[::2], edges[1::2]):
+            cols = slice(a, b + 1)
+            Uc = U[ti, :, cols]
+            K = Uc[:-1].T @ (s[ti, :, None] * Uc[1:])  # the upper half of Uc.T S Uc
+            mu, kv = np.linalg.eigh(K + K.conj().T)
+            z[ti, cols] = phase[ti] * (np.abs(kv.T) ** 2 @ w[ti, cols] + 1j * mu)
+            w[ti, cols] = np.mean(w[ti, cols])
+            degenerate[ti, cols] = True
+    samples = np.rec.fromarrays(
+        [np.repeat(thetas, n), np.tile(np.arange(1, n + 1), thetas.size), z.ravel(), w.ravel(),
+         degenerate.ravel()],
+        names="theta,branch,point,eigenvalue,degenerate",
+    )
+    return samples[np.lexsort((samples.branch, samples.theta))]
 
 
 @dataclass(frozen=True)
@@ -312,21 +312,18 @@ def detect_multiple_tangents(xi, tol=1e-9, method="auto") -> list:
 
 
 def curve_components(samples, gap_factor=10.0) -> list:
-    """Group envelope samples into closed components.
+    """Group envelope samples (the record array of envelope_points) into closed components.
 
     Per-branch runs are split where consecutive points jump by more than
     ``gap_factor`` times the median inter-sample spacing, then runs are chained
     greedily across branches while endpoints stay within the same threshold.
     Returns a list of dicts {"points": ndarray, "kind": "loop"|"point"}.
     """
-    pts_by_branch = {}
-    for s in samples:
-        pts_by_branch.setdefault(s.branch, []).append(s)
+    order = np.lexsort((samples.theta, samples.branch))
+    branch, points = samples.branch[order], samples.point[order]
     origin = []
     arcs = []
-    for branch, ss in sorted(pts_by_branch.items()):
-        ss.sort(key=lambda s: s.theta)
-        pts = np.array([s.point for s in ss])
+    for pts in np.split(points, np.flatnonzero(np.diff(branch)) + 1):
         if np.all(np.abs(pts) < 1e-12):
             origin.append(np.array([0j]))
             continue
@@ -402,7 +399,8 @@ def curve_components(samples, gap_factor=10.0) -> list:
 
 
 def samples_to_json(samples) -> list:
+    columns = (samples.theta, samples.branch, samples.point.real, samples.point.imag)
     return [
-        {"theta": s.theta, "branch": s.branch, "re": s.point.real, "im": s.point.imag}
-        for s in samples
+        {"theta": t, "branch": b, "re": re, "im": im}
+        for t, b, re, im in zip(*(c.tolist() for c in columns))
     ]

@@ -120,19 +120,6 @@ def matrix_from_xi(xi) -> ReciprocalMatrix:
     return ReciprocalMatrix(entries)
 
 
-def real_part_at(matrix: ReciprocalMatrix, theta: float) -> np.ndarray:
-    """The Hermitian matrix Re(e^{i theta} A) = (e^{i theta} A + e^{-i theta} A*)/2."""
-    A = matrix.dense()
-    B = cmath.exp(1j * theta) * A
-    return (B + B.conj().T) / 2
-
-
-def imag_part(matrix: ReciprocalMatrix) -> np.ndarray:
-    """Im A = (A - A*)/(2i)."""
-    A = matrix.dense()
-    return (A - A.conj().T) / 2j
-
-
 def imag_part_spectrum(xi) -> np.ndarray:
     """Eigenvalues (ascending) of Im A, from the xi-parameters alone.
 

@@ -25,27 +25,31 @@ from .geometry import (
     region_from_vertices,
 )
 from .kippenhahn import DEFAULT_GRID, _theta_array, eigencurves
-from .matrices import ReciprocalMatrix, as_xi, matrix_from_xi
+from .matrices import as_xi, matrix_from_xi
 
 BOUND_SLACK = 1e-12
 
 
 def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     """Lambda_k as the intersection of a bounding box with the supporting
-    half-planes {Re(e^{i theta} z) <= lambda_k(theta)} over the grid."""
-    if not isinstance(matrix, ReciprocalMatrix):
-        matrix = matrix_from_xi(as_xi(matrix))
-    n = matrix.n
+    half-planes {Re(e^{i theta} z) <= lambda_k(theta)} over the grid.
+
+    ``matrix`` is a ReciprocalMatrix, an XiParameters or a sequence of xi
+    values; only its xi enter."""
+    xi = as_xi(matrix)
+    n = xi.n
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in 1..{n}, got {k}")
     thetas = _theta_array(theta_grid)
     if thetas.size < 8:
         raise InvalidInputError("theta grid needs at least 8 points")
-    _, lam = eigencurves(matrix, thetas)
+    _, lam = eigencurves(xi, thetas)
     bounds = lam[:, k - 1]
-    # box exceeding the numerical radius; slack absorbs eigensolver noise so
-    # degenerate (segment/point) intersections keep their exact extent
-    r = 2 + max(abs(a) for a in matrix.superdiag) + max(1 / abs(a) for a in matrix.superdiag)
+    # box exceeding the numerical radius (of the canonical representative,
+    # whose range every matrix with these xi shares); slack absorbs eigensolver
+    # noise so degenerate (segment/point) intersections keep their exact extent
+    entries = matrix_from_xi(xi).superdiag
+    r = 2 + max(abs(a) for a in entries) + max(1 / abs(a) for a in entries)
     slack = BOUND_SLACK * max(1.0, float(np.max(np.abs(bounds))))
     hps = [HalfPlane(float(t), float(b) + slack) for t, b in zip(thetas, bounds)]
     return halfplane_intersection(hps, r)

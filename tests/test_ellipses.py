@@ -18,7 +18,6 @@ from reciprange.ellipses import (
     classify,
     divides_linear,
     divides_quadratic,
-    ellipse_of_2x2,
     solve_Xp_table,
     verdict_matches_oracle,
 )
@@ -30,36 +29,6 @@ from reciprange.matrices import exact_spectrum
 
 K17 = 2 * math.cos(math.pi / 7)
 K37 = 2 * math.cos(3 * math.pi / 7)
-
-
-# --- the 2x2 elliptical range ---
-
-def test_2x2_nilpotent_circle():
-    co, comp = ellipse_of_2x2(0, 0, 4.0)
-    assert (co.p, co.q, co.x, co.y) == (0, 0, 0, 0)
-    assert co.z == pytest.approx(1.0)
-    assert comp.minor_half_axis == pytest.approx(1.0)
-
-
-def test_2x2_normal_degenerate():
-    co, comp = ellipse_of_2x2(1, -1, 2.0)
-    assert co.x == pytest.approx(0.5) and co.y == 0 and co.z == pytest.approx(0.5)
-    assert co.c_sq == pytest.approx(0.0, abs=1e-15)
-    assert comp.degenerate and comp.foci == pytest.approx((-1.0, 1.0))
-
-
-def test_2x2_matches_displaced_factor():
-    co, comp = ellipse_of_2x2(PHI, -1 / PHI, PHI**2 + PHI**-2 + 4.0)
-    assert co.p == pytest.approx(0.5)
-    assert co.x == pytest.approx(5 / 8)
-    assert co.z == pytest.approx(5 / 8 + 1)
-    assert comp.minor_half_axis == pytest.approx(1.0)
-    assert comp.half_focal == pytest.approx(math.sqrt(5) / 2)
-
-
-def test_2x2_rejects_norm_deficit():
-    with pytest.raises(InvalidInputError):
-        ellipse_of_2x2(2, -2, 1.0)
 
 
 # --- divisibility ---

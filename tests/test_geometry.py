@@ -119,6 +119,15 @@ def test_containment():
     assert not region_contains(d, 1.2 + 0j, tol=1e-9)
 
 
+@pytest.mark.parametrize("z, inside", [
+    (5e-5 - 5e-9j, False), (5e-5 - 5e-13j, True), (5e-5 + 5e-9j, True)])
+def test_contains_small_square_slack_in_distance(z, inside):
+    # the slack is tol = 1e-12 in distance, whatever the edge length
+    square = ConvexRegion(POLYGON, (0j, 1e-4 + 0j, 1e-4 + 1e-4j, 1e-4j))
+    assert region_contains(square, z) == inside
+    assert intersect_regions(ConvexRegion(POINT, (z,)), square).kind == (POINT if inside else EMPTY)
+
+
 @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
                 min_size=3, max_size=40))
 def test_hull_contains_all_points(pts):
@@ -205,6 +214,22 @@ def test_deque_matches_oracle_empty(offset, axis, degs, z0, gap):
     hps = [_hp_through(offset, axis, z0, -gap), _hp_through(offset, axis + 180, z0, 0.0)]
     hps += [_hp_through(offset, d, z0, 0.5) for d in degs]
     _assert_matches_oracle(hps, EMPTY)
+
+
+@given(_offsets, st.sets(st.integers(0, 359), min_size=3, max_size=40),
+       st.sampled_from([1e-11, 1e-10, 1e-9, 1e-8, 1e-7]))
+def test_deque_matches_oracle_nearly_parallel(offset, degs, turn):
+    # the edge lines of a whole-degree polygon, each also turned by `turn`
+    # about its midpoint: neighbouring normals closer than any grid's, but
+    # above ANGLE_EPS, meet inside the set
+    pts = np.exp(1j * (offset + np.radians(sorted(degs))))
+    hps = []
+    for p0, p1 in zip(pts, np.roll(pts, -1)):
+        for u, z in ((-1j * (p1 - p0), p0), (-1j * (p1 - p0) * np.exp(1j * turn), (p0 + p1) / 2)):
+            u /= abs(u)
+            hps.append(HalfPlane(-np.angle(u), (np.conj(u) * z).real))
+    assume(polygon_area(pts) > 1e-3)
+    _assert_matches_oracle(hps, POLYGON)
 
 
 @given(st.lists(_centers, min_size=3, max_size=40),

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dense_oracle import oracle_eigencurves, oracle_envelope_points
 from poly_oracle import hand_written_poly
 from reciprange.errors import UnsupportedDimensionError
 from reciprange.kippenhahn import (
@@ -18,7 +19,12 @@ from reciprange.kippenhahn import (
     envelope_points,
     samples_to_json,
 )
-from reciprange.matrices import build_from_superdiagonal, exact_spectrum, matrix_from_xi
+from reciprange.matrices import (
+    build_from_superdiagonal,
+    exact_spectrum,
+    imag_part_spectrum,
+    matrix_from_xi,
+)
 
 PHI = (math.sqrt(5) + 1) / 2
 
@@ -139,6 +145,74 @@ def test_eigencurve_antisymmetry(n, data):
     _, lam = eigencurves(m, thetas)
     _, lam_pi = eigencurves(m, thetas + np.pi)
     assert_allclose(lam_pi, -lam[:, ::-1], atol=1e-9)
+
+
+# --- the xi-only tridiagonal core against the dense complex oracle ---
+
+def _entries(xi, phases, inverted):
+    """Superdiagonal with these xi: modulus sqrt(xi) + sqrt(xi + 1), or its
+    reciprocal (|a| < 1) where inverted, times e^{i phase}."""
+    mods = [math.sqrt(x) + math.sqrt(x + 1) for x in xi]
+    return [(1 / m if inv else m) * complex(math.cos(p), math.sin(p))
+            for m, p, inv in zip(mods, phases, inverted)]
+
+
+def _pinned_kernel(xi):
+    """Odd n whose Im A has a kernel of dimension >= 3.  At rho = 0 the
+    pinned middle branch then leaves branches mid +- 1 as arbitrary vectors
+    of that kernel, in the oracle as in the package, so the two cannot agree."""
+    return len(xi) % 2 == 0 and np.sum(np.abs(imag_part_spectrum(xi)) < 1e-9) >= 3
+
+
+def _assert_matches_dense(matrix, grid=64):
+    """Same (theta, branch) rows and degenerate flags; every value within
+    1e-12 max(1, |value|) of the oracle's."""
+    thetas = np.linspace(0, 2 * np.pi, grid, endpoint=False)
+
+    def close(got, want):
+        want = np.asarray(want)
+        return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    _, lam = eigencurves(matrix, grid)
+    assert close(lam, oracle_eigencurves(matrix, thetas))
+    got = envelope_points(matrix, grid)
+    want = oracle_envelope_points(matrix, thetas)
+    assert list(zip(got.theta.tolist(), got.branch.tolist())) == [s[:2] for s in want]
+    assert got.degenerate.tolist() == [s[4] for s in want]
+    assert close(got.point, [s[2] for s in want])
+    assert close(got.eigenvalue, [s[3] for s in want])
+
+
+xi_or_zero = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+phase = st.floats(0, 2 * math.pi)
+
+
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(xi_or_zero, min_size=n - 1, max_size=n - 1),
+    st.lists(phase, min_size=n - 1, max_size=n - 1),
+    st.lists(st.booleans(), min_size=n - 1, max_size=n - 1),
+)))
+def test_curve_core_matches_dense_oracle(args):
+    xi, phases, inverted = args
+    assume(not _pinned_kernel(xi))
+    _assert_matches_dense(build_from_superdiagonal(_entries(xi, phases, inverted)))
+
+
+@given(st.lists(phase, min_size=4, max_size=4), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_drop_case_matches_dense_oracle(phases, inverted):
+    m = build_from_superdiagonal(_entries((0.5, 0.0, 0.5, 0.0), phases, inverted))
+    _assert_matches_dense(m)
+    assert envelope_points(m, 64).degenerate.any()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_zero_xi_matches_dense_oracle(n, rng):
+    _assert_matches_dense(matrix_from_xi([0.0] * (n - 1)))
+    if n % 2 == 0:  # for odd n see _pinned_kernel
+        for modulus in (1.0, 1 + 2**-52):
+            # 1 + 2^-52 gives xi = 5e-32, more than rho = 4e-33 at theta = pi/2
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
+            _assert_matches_dense(build_from_superdiagonal(modulus * phases))
 
 
 def test_envelope_tangency_invariant(rng):

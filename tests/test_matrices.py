@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dense_oracle import imag_part, real_part_at
 from reciprange.errors import InvalidInputError
 from reciprange.kippenhahn import determinant_poly_eval
 from reciprange.matrices import (
@@ -14,11 +15,10 @@ from reciprange.matrices import (
     build_from_superdiagonal,
     exact_spectrum,
     flip,
-    imag_part,
+    imag_part_spectrum,
     matrix_from_json_dict,
     matrix_from_xi,
     matrix_to_json_dict,
-    real_part_at,
 )
 
 PHI = (math.sqrt(5) + 1) / 2
@@ -116,6 +116,16 @@ def test_imag_part_eigenvalues_for_xi_101():
     m = matrix_from_xi([1.0, 0.0, 1.0])
     ev = np.linalg.eigvalsh(imag_part(m))
     assert_allclose(ev, [-1, -1, 1, 1], atol=1e-12)
+    assert_allclose(imag_part_spectrum(m.xi()), ev, atol=1e-12)
+
+
+@given(xi_lists, st.lists(st.floats(0, 2 * math.pi), min_size=6, max_size=6))
+def test_imag_part_spectrum_matches_dense_im_a(xi, phases):
+    # Im A from the entries, any phases, against the xi-only tridiagonal
+    entries = [(math.sqrt(x) + math.sqrt(x + 1)) * complex(math.cos(p), math.sin(p))
+               for x, p in zip(xi, phases)]
+    ev = np.linalg.eigvalsh(imag_part(build_from_superdiagonal(entries)))
+    assert_allclose(imag_part_spectrum(xi), ev, atol=1e-12 * max(1.0, *xi))
 
 
 def test_flip_reverses_xi():
