@@ -117,3 +117,11 @@ def linear_factor(x_sq, c_sq, one=1.0) -> ZetaPoly:
     zero = one * 0
     return ZetaPoly([[c_sq * (-1), x_sq * (-1)], [one, zero]])
 
+
+def quadratic_factor(sum_sq, diff_sq, c_sq, one=1.0) -> ZetaPoly:
+    """zeta^2 - 2 zeta (sum_sq rho + c^2) + (diff_sq rho + c^2)^2: the factor of a
+    displaced pair of congruent ellipses, sum_sq = X^2 + p^2, diff_sq = X^2 - p^2."""
+    zero = one * 0
+    const = [c_sq * c_sq, 2 * c_sq * diff_sq, diff_sq * diff_sq]
+    return ZetaPoly([const, [c_sq * -2, sum_sq * -2], [one, zero, zero]])
+

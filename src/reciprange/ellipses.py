@@ -15,8 +15,10 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import concentric6
-from .bipoly import ZetaPoly, linear_factor
+from .bipoly import ZetaPoly, linear_factor, quadratic_factor
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .kippenhahn import KippenhahnPolynomial, build_poly_from_scalars, closed_form_poly
 from .matrices import as_xi, exact_spectrum, imag_part_spectrum
@@ -117,13 +119,7 @@ def divides_quadratic_from_squares(P, sum_sq, diff_sq, c_sq, tol=DEFAULT_TOL, sc
     displaced-pair quadratic parameterized by X^2+p^2, X^2-p^2 and c^2, so
     exact backends can stay inside their number field."""
     poly = _as_zeta_poly(P)
-    one = poly.coeffs[-1][0]
-    zero = one * 0
-    m = [c_sq, sum_sq]
-    nn = [c_sq, diff_sq]
-    const = [nn[0] * nn[0], 2 * nn[0] * nn[1], nn[1] * nn[1]]
-    divisor = ZetaPoly([const, [m[0] * -2, m[1] * -2], [one, zero, zero]])
-    q, r = poly.divmod_monic(divisor)
+    q, r = poly.divmod_monic(quadratic_factor(sum_sq, diff_sq, c_sq, one=poly.coeffs[-1][0]))
     return q if _remainder_small(r, scale or poly.max_abs_coeff(), tol) else None
 
 
@@ -490,12 +486,67 @@ def minor_axis_candidates(xi, tol=1e-9):
     return uniq
 
 
+def _coeff_rows(polys) -> np.ndarray:
+    """The zeta-rho coefficients of each ZetaPoly as one float row, zero-padded alike."""
+    depth = max(len(p.coeffs) for p in polys)
+    width = max(len(c) for p in polys for c in p.coeffs)
+    out = np.zeros((len(polys), depth, width))
+    for i, p in enumerate(polys):
+        for j, c in enumerate(p.coeffs):
+            out[i, j, : len(c)] = [float(v) for v in c]
+    return out.reshape(len(polys), -1)
+
+
+#: rounding level of the divisibility defect relative to P_n's largest
+#: coefficient (the spectrum's foci are rounded to 12 digits)
+DEFECT_NOISE = 1e-11
+
+
+def _sampson_distance(xi, factors, xi_tol) -> float:
+    """First-order xi-distance from P_n to a product of factors with free c^2.
+
+    ``factors`` holds (build, c_sq) pairs, build(c_sq) giving the ZetaPoly
+    factor; the foci stay fixed and each c^2 may move.  With r the
+    coefficients of P_n(xi) - prod(factors), this is the Sampson distance
+    |r| / ||dr/dxi|| with the c^2 directions projected out: the least-norm
+    delta with r + (dr/dxi) delta + (dr/dc^2) gamma = 0 in the least-squares
+    sense.  Along directions so weakly reachable that the rounding of r alone
+    could move delta by xi_tol / 10, and for the part of r no first-order move
+    reaches (singular points of the variety, such as the crossing of the two
+    con4 branches), r counts by the plain ratio |r| / ||dr/dxi||, a lower
+    bound.  A tridiagonal determinant uses each off-diagonal pair at most
+    once, so P_n is affine in each xi_j, and every factor is at most quadratic
+    in its c^2: the differences below are exact derivatives up to rounding.
+    """
+    x = [float(v) for v in as_xi(xi)]
+    P = closed_form_poly(x).poly
+    built = [build(c) for build, c in factors]
+    d_xi = [closed_form_poly(x[:j] + [x[j] + 1.0] + x[j + 1 :]).poly - P for j in range(len(x))]
+    d_c = [functools.reduce(ZetaPoly.__mul__, built[:i] + [build(c + 1) - build(c - 1)] + built[i + 1 :])
+           for i, (build, c) in enumerate(factors)]
+    rows = _coeff_rows([P - functools.reduce(ZetaPoly.__mul__, built)] + d_xi + d_c)
+    r, jx, jc = rows[0], rows[1 : 1 + len(x)].T, rows[1 + len(x) :].T / 2
+
+    def off_c(v):  # the part of v that no change of the c^2 can produce
+        return v - jc @ np.linalg.lstsq(jc, v, rcond=None)[0]
+
+    a, b, jnorm = off_c(jx), -off_c(r), np.linalg.norm(jx, 2)
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    noise = DEFECT_NOISE * float(P.max_abs_coeff())
+    keep = (sv > 1e-9 * jnorm) & (sv * xi_tol >= 10 * noise)
+    delta = vt[keep].T @ (u[:, keep].T @ b / sv[keep])
+    return float(np.linalg.norm(delta) + np.linalg.norm(b - a @ delta) / jnorm)
+
+
 def brute_force_decompositions(xi, tol=DEFAULT_TOL):
     """Search full elliptical decompositions of P_n by divisibility alone.
 
     Candidate foci come from the exact spectrum, candidate minor half-axes from
-    the eigenvalues of Im A.  Returns a set of decomposition types found:
-    "concentric" (all factors origin-centered) and/or "displaced".
+    the eigenvalues of Im A.  A candidate is accepted when every division
+    leaves a remainder within tol times the largest coefficient of P_n and its
+    Sampson distance is within tol * max(1, max |xi|).  Returns a set of
+    decomposition types found: "concentric" (all factors origin-centered)
+    and/or "displaced".
     """
     xi = as_xi(xi)
     n = xi.n
@@ -508,18 +559,23 @@ def brute_force_decompositions(xi, tol=DEFAULT_TOL):
     found = set()
 
     pnorm = float(P.poly.max_abs_coeff())
+    xi_tol = tol * max([1.0] + [abs(float(v)) for v in xi])
 
-    def linear_chain(poly, xs):
+    def accept(factors):
+        return _sampson_distance(xi, factors, xi_tol) <= xi_tol
+
+    def linear_chain(poly, xs, factors):
         if not xs:
-            return poly.degree == 0
+            return poly.degree == 0 and accept(factors)
         head, rest = xs[0], xs[1:]
         for c2 in c2_cands:
             q = divides_linear(poly, head * head, c2, tol=tol, scale=pnorm)
-            if q is not None and linear_chain(q, rest):
+            factor = (functools.partial(linear_factor, head * head), c2)
+            if q is not None and linear_chain(q, rest, factors + [factor]):
                 return True
         return False
 
-    if linear_chain(P, pos):
+    if linear_chain(P, pos, []):
         found.add("concentric")
 
     pairs = set()
@@ -535,14 +591,17 @@ def brute_force_decompositions(xi, tol=DEFAULT_TOL):
             q = divides_quadratic_from_squares(P, X * X + p * p, X * X - p * p, c2, tol=tol, scale=pnorm)
             if q is None:
                 continue
+            pair = (functools.partial(quadratic_factor, X * X + p * p, X * X - p * p), c2)
             if q.degree == 0:
-                found.add("displaced")
+                if accept([pair]):
+                    found.add("displaced")
             else:
                 rest = [v for v in pos]  # remaining foci for the central factors
                 for c02 in c2_cands:
                     for x0 in rest:
                         q2 = divides_linear(q, x0 * x0, c02, tol=tol, scale=pnorm)
-                        if q2 is not None and q2.degree == 0:
+                        central = (functools.partial(linear_factor, x0 * x0), c02)
+                        if q2 is not None and q2.degree == 0 and accept([pair, central]):
                             found.add("displaced")
     return found
 

@@ -132,8 +132,10 @@ def region_from_vertices(pts) -> ConvexRegion:
     """Classify a convex vertex loop into POLYGON/SEGMENT/POINT/EMPTY.
 
     Demotion: diameter below WIDTH_EPS collapses to POINT; a width below
-    WIDTH_EPS or an area below AREA_EPS collapses to SEGMENT between the
-    diameter pair.  Area, diameter and width take O(V).
+    WIDTH_EPS or an area below AREA_EPS collapses to SEGMENT along the
+    diameter, each end the mean of the vertices whose projection on it lies
+    within the loop's spread across it of the extreme.  Area, diameter and
+    width take O(V).
     """
     z = np.asarray(pts, dtype=complex).ravel()
     if z.size == 0:
@@ -149,12 +151,21 @@ def region_from_vertices(pts) -> ConvexRegion:
     # every vertex projects between the diameter pair along its direction, so
     # the extremes of that projection are the pair again; they stay right on
     # loops too flat for the calipers' turn tests (collinear runs)
-    along = ((loop - hull[i]) * np.conj(hull[j] - hull[i])).real
-    i, j = sorted((int(np.argmin(along)), int(np.argmax(along))))
-    if abs(loop[j] - loop[i]) < WIDTH_EPS:
+    d = hull[j] - hull[i]
+    rel = (loop - hull[i]) * np.conj(d)
+    along = rel.real
+    lo, hi = int(np.argmin(along)), int(np.argmax(along))
+    if abs(loop[hi] - loop[lo]) < WIDTH_EPS:
         return ConvexRegion(POINT, (complex(z.mean()),))
     if z.size == 2 or abs(area) < AREA_EPS or width < WIDTH_EPS:
-        return ConvexRegion(SEGMENT, (complex(loop[i]), complex(loop[j])))
+        # on a thin strip the corners at each end tie for the extreme, so
+        # each end is the mean of the vertices whose projection lies within
+        # the loop's spread across d of it, which rounding cannot flip; the
+        # ends keep the loop's order
+        reach = float(np.ptp(rel.imag))
+        ends = sorted((np.flatnonzero(along <= along[lo] + reach),
+                       np.flatnonzero(along >= along[hi] - reach)), key=lambda e: e[0])
+        return ConvexRegion(SEGMENT, tuple(complex(loop[e].mean()) for e in ends))
     return ConvexRegion(POLYGON, tuple(loop.tolist()))
 
 

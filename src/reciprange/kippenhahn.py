@@ -331,16 +331,10 @@ def curve_components(samples, gap_factor=10.0) -> list:
         wrap = np.abs(pts[0] - pts[-1])
         med = np.median(np.concatenate([deltas, [wrap]]))
         thr = gap_factor * max(med, 1e-12)
-        breaks = [i + 1 for i, d in enumerate(deltas) if d > thr]
-        if not breaks:
-            arcs.append(pts)
-            continue
-        idx = np.arange(len(pts))
-        segs = np.split(idx, breaks)
+        segs = np.split(pts, np.flatnonzero(deltas > thr) + 1)
         if len(segs) > 1 and wrap <= thr:
-            segs[0] = np.concatenate([segs[-1], segs[0]])
-            segs.pop()
-        arcs.extend(pts[s] for s in segs if len(s) > 0)
+            segs[0] = np.concatenate([segs.pop(), segs[0]])
+        arcs.extend(segs)
 
     # chain arcs whose endpoints nearly coincide
     med_all = np.median(np.abs(np.diff(np.concatenate(arcs)))) if arcs else 0.0
@@ -350,7 +344,8 @@ def curve_components(samples, gap_factor=10.0) -> list:
     for i in range(len(arcs)):
         if used[i]:
             continue
-        chain = list(arcs[i])
+        front, back = [], [arcs[i]]  # the chain is front reversed, then back
+        head, tail = arcs[i][0], arcs[i][-1]
         used[i] = True
         grew = True
         while grew:
@@ -359,43 +354,60 @@ def curve_components(samples, gap_factor=10.0) -> list:
                 if used[j]:
                     continue
                 a = arcs[j]
-                pairs = [
-                    (abs(chain[-1] - a[0]), "append", False),
-                    (abs(chain[-1] - a[-1]), "append", True),
-                    (abs(chain[0] - a[-1]), "prepend", False),
-                    (abs(chain[0] - a[0]), "prepend", True),
-                ]
-                d, action, rev = min(pairs, key=lambda t: t[0])
-                if d <= thr:
-                    seg = list(a[::-1]) if rev else list(a)
-                    chain = chain + seg if action == "append" else seg + chain
+                # on ties the first wins: append, append reversed, prepend, prepend reversed
+                d = (abs(tail - a[0]), abs(tail - a[-1]), abs(head - a[-1]), abs(head - a[0]))
+                k = min(range(4), key=d.__getitem__)
+                if d[k] <= thr:
+                    seg = a[::-1] if k % 2 else a
+                    if k < 2:
+                        back.append(seg)
+                        tail = seg[-1]
+                    else:
+                        front.append(seg)
+                        head = seg[0]
                     used[j] = True
                     grew = True
-        chains.append(np.array(chain))
+        chains.append(np.concatenate(front[::-1] + back))
 
     # the +- symmetry traces every centered component twice, and multiple
     # tangents can shed tiny remnants lying on a larger chain: absorb any
     # chain already covered by a kept one
     chains.sort(key=len, reverse=True)
-    comps = []
+    comps, kept = [], []
     for ch in chains:
         center = np.mean(ch)
         if np.max(np.abs(ch - center)) <= thr:
             ch = np.array([center])  # a degenerate component: a single point
-        absorbed = False
-        for kept in comps:
-            kp = kept["points"]
-            step = max(1, len(ch) // 256)
-            probe = ch[::step]
-            dmin = np.min(np.abs(probe[:, None] - kp[None, :]), axis=1)
-            if np.max(dmin) <= 2 * thr:
-                absorbed = True
-                break
-        if not absorbed:
+        probe = ch[:: max(1, len(ch) // 256)]
+        if not any(_covered(probe, *k, 2 * thr) for k in kept):
             comps.append({"points": ch, "kind": "loop" if len(ch) > 1 else "point"})
+            by_re = np.argsort(ch.real)
+            kept.append((ch.real[by_re], ch[by_re]))
     for o in origin:
         comps.append({"points": o, "kind": "point"})
     return comps
+
+
+def _covered(probe, sorted_re, sorted_pts, radius):
+    """Whether every probe point has a point of sorted_pts within ``radius``.
+
+    |p - q| <= radius needs |Re p - Re q| <= radius, so each probe is compared
+    only with the points whose real part lies in that window (sorted_pts is
+    sorted by real part), widened by a few ulps so that rounding of the window
+    ends drops no pair.
+    """
+    slack = radius + 4 * np.finfo(float).eps * (np.abs(probe.real) + radius)
+    lo = np.searchsorted(sorted_re, probe.real - slack, side="left")
+    hi = np.searchsorted(sorted_re, probe.real + slack, side="right")
+    counts = hi - lo
+    if not counts.all():
+        return False
+    # the window indices of all probes, laid end to end
+    idx = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    near = np.abs(np.repeat(probe, counts) - sorted_pts[idx]) <= radius
+    hit = np.zeros(probe.size, dtype=bool)
+    hit[np.repeat(np.arange(probe.size), counts)[near]] = True
+    return bool(hit.all())
 
 
 def samples_to_json(samples) -> list:

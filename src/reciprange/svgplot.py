@@ -6,6 +6,7 @@ formatting: identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import numpy as np
 
 WIDTH, HEIGHT = 800, 600
 MARGIN = 0.10
@@ -13,16 +14,21 @@ MARGIN = 0.10
 CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
+#: every pixel coordinate is printed with this format
+_NUM = "%.4f"
+
+
 def _fmt(v: float) -> str:
-    return f"{v:.4f}"
+    return _NUM % v
 
 
 class _Frame:
     def __init__(self, points):
-        xs = [p.real for p in points] or [0.0]
-        ys = [p.imag for p in points] or [0.0]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+        z = np.asarray(points, dtype=complex)
+        if z.size == 0:
+            z = np.zeros(1, dtype=complex)
+        x0, x1 = float(z.real.min()), float(z.real.max())
+        y0, y1 = float(z.imag.min()), float(z.imag.max())
         span = max(x1 - x0, y1 - y0, 1e-6)
         pad = MARGIN * span
         x0, x1 = x0 - pad, x1 + pad
@@ -34,13 +40,19 @@ class _Frame:
         self.cy = (y0 + y1) / 2
 
     def to_px(self, z):
+        """Pixel coordinates of a complex scalar or array (elementwise, same rounding)."""
         x = WIDTH / 2 + (z.real - self.cx) * self.scale
         y = HEIGHT / 2 - (z.imag - self.cy) * self.scale
         return x, y
 
+    def coords(self, pts):
+        """The "x,y x,y ..." attribute text of a point array, filled in by one format."""
+        x, y = self.to_px(np.asarray(pts, dtype=complex))
+        return " ".join([f"{_NUM},{_NUM}"] * x.size) % tuple(np.column_stack((x, y)).ravel().tolist())
+
 
 def _polyline(frame, pts, color, width=1.5, close=True):
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (frame.to_px(p) for p in pts))
+    coords = frame.coords(pts)
     tag = "polygon" if close else "polyline"
     return f'<{tag} points="{coords}" fill="none" stroke="{color}" stroke-width="{width}"/>'
 
@@ -77,18 +89,15 @@ def render_curve(components, foci=(), region=None) -> str:
 
     ``region`` optionally overlays a shaded convex region (a ConvexRegion).
     """
-    pts = [p for c in components for p in c["points"]]
-    pts += [complex(f) for f in foci]
+    pts = [c["points"] for c in components] + [np.asarray(foci, dtype=complex)]
     if region is not None:
-        pts += list(region.points)
-    frame = _Frame(pts)
+        pts.append(np.asarray(region.points, dtype=complex))
+    frame = _Frame(np.concatenate(pts))
     body = []
     body.extend(_axes(frame))
     if region is not None and region.points:
         if region.kind == "POLYGON":
-            coords = " ".join(
-                f"{_fmt(x)},{_fmt(y)}" for x, y in (frame.to_px(p) for p in region.points)
-            )
+            coords = frame.coords(region.points)
             body.append(f'<polygon points="{coords}" fill="#ffbb78" fill-opacity="0.55" stroke="#ff7f0e" stroke-width="1.0"/>')
         elif region.kind == "SEGMENT":
             (x1, y1), (x2, y2) = (frame.to_px(p) for p in region.points)
@@ -103,7 +112,7 @@ def render_curve(components, foci=(), region=None) -> str:
         if comp["kind"] == "point":
             body.append(_marker(frame, comp["points"][0], "#000000", 2.5))
             continue
-        body.append(_polyline(frame, list(comp["points"]), CURVE_COLORS[ci % len(CURVE_COLORS)]))
+        body.append(_polyline(frame, comp["points"], CURVE_COLORS[ci % len(CURVE_COLORS)]))
         ci += 1
     for f in foci:
         body.append(_marker(frame, complex(f), "#444444", 2.0))

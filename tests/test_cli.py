@@ -176,3 +176,33 @@ def test_verify_battery(capsys, tmp_path):
     worst, xi, k = re.fullmatch(r"max (\S+) at (\(.*\)) k=(\d); bound 5e-3", ranges["detail"]).groups()
     assert 0 < float(worst) < 5e-3 and int(k) >= 1
     assert tuple(ast.literal_eval(xi)) in {tuple(x) for xs in SEED_CORPUS.values() for x in xs}
+
+
+def _random_check(path):
+    report = json.loads(path.read_text())
+    return report, next(c for c in report["checks"] if c["name"] == "random_criterion_vs_divisibility")
+
+
+@pytest.mark.parametrize("seed", [27, 1885715326])
+def test_verify_n4_seeds_with_near_variety_draws(capsys, tmp_path, seed):
+    # each seed draws one xi whose P_4 divides to 1e-6 of its coefficients
+    # while lying 1e-5 off the con4 variety in xi
+    out = tmp_path / "verify.json"
+    code, _ = run(capsys, "verify", "--n", "4", "--seed", str(seed), "--grid", "256", "--out", str(out))
+    report, check = _random_check(out)
+    assert code == 0 and report["failures"] == 0
+    assert check["status"] == "pass" and check["detail"] == "100 draws agree"
+
+
+def test_verify_names_disagreeing_draws(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "brute_force_decompositions", lambda xi, tol: {"concentric"})
+    out = tmp_path / "verify.json"
+    code, _ = run(capsys, "verify", "--n", "4", "--grid", "64", "--out", str(out))
+    report, check = _random_check(out)
+    assert code == 4 and check["status"] == "fail"
+    entries = check["detail"].split("; ")
+    assert len(entries) == 100
+    for entry in entries:
+        xi, verdicts = re.fullmatch(r"(\[.*\]): (classify \w+, divisibility \[.*\])", entry).groups()
+        assert len(ast.literal_eval(xi)) == 3
+        assert verdicts == "classify MIXED_NONE, divisibility ['concentric']"

@@ -310,7 +310,10 @@ def test_xp_table_rows():
 
 def test_oracle_agreement_structured():
     for xi in ([1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.5, 1.0], list(FIG1), list(FIG2),
-               [1.0] * 5, list(FIG3), [0.7, 0.3, 1.1, 0.7], [0.0, 0.0, 0.0], [1.0, PHI, 0.0]):
+               [1.0] * 5, list(FIG3), [0.7, 0.3, 1.1, 0.7], [0.0, 0.0, 0.0], [1.0, PHI, 0.0],
+               # con5 with xi_2 close to xi_3: the variety is nearly tangent to
+               # the c^2 directions, which rounding must not turn into distance
+               [1.1671077620373191, 0.5207225532765101, 0.5207294883428578, 1.1671077620373191]):
         rep = classify(xi)
         found = brute_force_decompositions(xi)
         assert verdict_matches_oracle(rep, found), (xi, rep.verdict, found)
@@ -329,6 +332,19 @@ def test_oracle_agreement_random(n, data):
     rep = classify(xi)
     found = brute_force_decompositions(xi)
     assert verdict_matches_oracle(rep, found), (xi, rep.verdict, found)
+
+
+@pytest.mark.parametrize("xi", [
+    (1.8145491952665136, 1.9393076437559764, 1.6125877491519145),  # verify --n 4 --seed 27
+    (1.4819315598896727, 1.5318015740382296, 1.4011974099565903),  # verify --n 4 --seed 1885715326
+])
+def test_oracle_measures_defect_in_xi(xi):
+    # 3.0e-5 and 1.3e-5 off the con4 variety in xi: the division remainders
+    # pass at 1e-6 times the coefficients of P_4, the Sampson distance does not
+    assert classify(xi, tol=1e-6).verdict == MIXED_NONE
+    assert brute_force_decompositions(xi, tol=1e-6) == set()
+    assert classify(xi, tol=1e-4).verdict == ALL_CONCENTRIC
+    assert brute_force_decompositions(xi, tol=1e-4) == {"concentric"}
 
 
 def test_report_json_schema():

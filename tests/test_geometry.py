@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import FIG3
 from geometry_oracle import (
     oracle_contains,
     oracle_directed,
@@ -67,6 +68,32 @@ def test_segment_demotion():
     assert r.kind == SEGMENT
     ends = sorted(p.real for p in r.points)
     assert ends == pytest.approx([-1.0, 1.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3, 2.0, -1.2])
+def test_strip_segment_stable_under_corner_rounding(angle, rng):
+    # a strip 2 BOUND_SLACK wide: its end corners tie for the diameter, and
+    # each end of the SEGMENT is their mean, the strip's centre line
+    unit = complex(math.cos(angle), math.sin(angle))
+    corners = (np.array([0, 1.7, 1.7 + 2e-12j, 2e-12j]) + (0.3 - 0.2j)) * unit
+    want = region_from_vertices(corners)
+    assert want.kind == SEGMENT
+    centre = np.array([0.3 - 0.2j + 1e-12j, 2.0 - 0.2j + 1e-12j]) * unit
+    assert np.max(np.abs(np.sort_complex(np.array(want.points)) - np.sort_complex(centre))) < 1e-15
+    for _ in range(200):
+        moved = corners + (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)) * 1e-16
+        got = region_from_vertices(moved)
+        assert got.kind == SEGMENT
+        assert max(abs(a - b) for a, b in zip(got.points, want.points)) < 1e-15
+
+
+@pytest.mark.parametrize("grid", [128, 512, 2048])
+def test_numeric_strip_demotes_to_its_centre_line(grid):
+    # FIG3's Lambda_3 is a segment on the real axis; the numeric strip around
+    # it is 2 BOUND_SLACK wide and used to give one of its edges or diagonals
+    r = rank_k_numeric(FIG3, 3, grid)
+    assert r.kind == SEGMENT
+    assert max(abs(p.imag) for p in r.points) < 1e-15
 
 
 def test_hausdorff_identical_and_shifted():
