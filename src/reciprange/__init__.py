@@ -21,7 +21,7 @@ from .ellipses import (
     solve_Xp_table,
 )
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .geometry import ConvexRegion, HalfPlane
+from .geometry import ConvexRegion
 from .kippenhahn import (
     KippenhahnPolynomial,
     TangentLineEvent,
@@ -51,7 +51,6 @@ __all__ = [
     "ClassificationReport",
     "ConvexRegion",
     "EllipseComponent",
-    "HalfPlane",
     "InvalidInputError",
     "KippenhahnPolynomial",
     "ReciprocalMatrix",

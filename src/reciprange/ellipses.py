@@ -497,8 +497,9 @@ def _coeff_rows(polys) -> np.ndarray:
     return out.reshape(len(polys), -1)
 
 
-#: rounding level of the divisibility defect relative to P_n's largest
-#: coefficient (the spectrum's foci are rounded to 12 digits)
+#: level, relative to P_n's largest coefficient, below which the divisibility
+#: defect counts as rounding; the float foci leave about 1e-15 there, so this
+#: is a wide margin, not the rounding level itself
 DEFECT_NOISE = 1e-11
 
 
@@ -554,7 +555,7 @@ def brute_force_decompositions(xi, tol=DEFAULT_TOL):
         raise UnsupportedDimensionError(f"oracle covers n in 4..6, got {n}")
     P = closed_form_poly(xi)
     spec = exact_spectrum(n)
-    pos = sorted(set(round(v, 12) for v in spec.positive()), reverse=True)
+    pos = sorted(spec.positive(), reverse=True)
     c2_cands = minor_axis_candidates(xi, tol)
     found = set()
 
@@ -579,7 +580,9 @@ def brute_force_decompositions(xi, tol=DEFAULT_TOL):
         found.add("concentric")
 
     pairs = set()
-    vals = sorted(set(round(v, 12) for v in spec.eigenvalues), reverse=True)
+    # the spectrum 2cos(j pi/(n+1)) is symmetric about 0: mirroring the positive
+    # half makes mirrored pairs give the same (|p|, X) exactly
+    vals = pos + [0.0] * (n % 2) + [-v for v in reversed(pos)]
     for i, zi in enumerate(vals):
         for zj in vals[i + 1 :]:
             p = (zi + zj) / 2

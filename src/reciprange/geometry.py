@@ -32,14 +32,6 @@ EMPTY = "EMPTY"
 
 
 @dataclass(frozen=True)
-class HalfPlane:
-    """{z : Re(e^{i theta} z) <= bound}."""
-
-    theta: float
-    bound: float
-
-
-@dataclass(frozen=True)
 class ConvexRegion:
     kind: str
     points: tuple  # CCW vertices (POLYGON), endpoints (SEGMENT), single point (POINT)
@@ -86,39 +78,24 @@ def _convex_loop(z):
 
 
 def _calipers(z):
-    """Rotating calipers on a strictly convex CCW loop.
+    """Rotating calipers on a strictly convex CCW loop, without a Python loop.
 
     Returns (i, j, width): the farthest vertex pair z[i], z[j] and the least
-    distance between two parallel supporting lines.  The antipodal vertex of
-    each edge only moves forward around the loop, so the scan is O(V).
+    distance between two parallel supporting lines.  Vertex j supports the
+    directions between the outward normals of edges j - 1 and j, so the
+    antipodal vertex of every edge, the support vertex of its negated
+    normal, comes from one searchsorted over the cyclically sorted normals:
+    O(V log V).  Of an edge parallel to edge i rounding may give either end.
     """
     m = z.size
-    xs, ys = z.real.tolist(), z.imag.tolist()
-    lengths = np.abs(np.roll(z, -1) - z).tolist()
-    anti = [0] * m
-    j = 1 % m
-    for i in range(m):
-        i1 = i + 1 if i + 1 < m else 0
-        ex, ey = xs[i1] - xs[i], ys[i1] - ys[i]
-        for _ in range(m):  # advance while the next vertex lies farther from edge i's line
-            j1 = j + 1 if j + 1 < m else 0
-            turn = ex * (ys[j1] - ys[j]) - ey * (xs[j1] - xs[j])
-            tie = 1e-12 * lengths[i] * lengths[j]
-            if turn < -tie:
-                break
-            # edge j parallel to edge i, within rounding: move on only along a
-            # straight run away from z[i] (never around a flat loop)
-            if turn <= tie and ((xs[j1] - xs[i]) ** 2 + (ys[j1] - ys[i]) ** 2
-                                <= (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2):
-                break
-            j = j1
-        anti[i] = j
     i0 = np.arange(m)
     i1 = np.roll(i0, -1)
-    j0 = np.asarray(anti)
+    e = z[i1] - z
+    phi = np.mod(np.angle(-1j * e), TWO_PI)  # outward normals, increasing from `first`
+    first = int(np.argmin(phi))
+    j0 = (np.searchsorted(np.roll(phi, -first), np.mod(phi + math.pi, TWO_PI)) + first) % m
     j1 = (j0 + 1) % m
-    e = z[i1] - z[i0]
-    height = (np.conj(e) * (z[j0] - z[i0])).imag
+    height = (np.conj(e) * (z[j0] - z)).imag
     width = float(np.min(height / np.abs(e)))
     # every antipodal pair has an endpoint of some edge and that edge's antipodal
     # vertex (or its successor, when the two edges are parallel)
@@ -135,7 +112,7 @@ def region_from_vertices(pts) -> ConvexRegion:
     WIDTH_EPS or an area below AREA_EPS collapses to SEGMENT along the
     diameter, each end the mean of the vertices whose projection on it lies
     within the loop's spread across it of the extreme.  Area, diameter and
-    width take O(V).
+    width take O(V log V).
     """
     z = np.asarray(pts, dtype=complex).ravel()
     if z.size == 0:
@@ -250,14 +227,13 @@ def _intersect_sorted(phi, c):
     return vx + 1j * vy
 
 
-def halfplane_intersection(halfplanes, box_halfwidth) -> ConvexRegion:
+def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:
     """Intersection of the centered square of half-width box_halfwidth with the
-    half-planes: O(T) past the angle sort, which is linear on a theta grid."""
-    halfplanes = list(halfplanes)
-    phi = np.mod(-np.array([hp.theta for hp in halfplanes], dtype=float), TWO_PI)
-    bound = np.array([hp.bound for hp in halfplanes], dtype=float)
+    half-planes {z : Re(e^{i thetas[j]} z) <= bounds[j]}, given as two arrays:
+    O(T) past the angle sort, which is linear on a theta grid."""
+    phi = np.mod(-np.asarray(thetas, dtype=float), TWO_PI)
     box = np.full(4, float(box_halfwidth))
-    verts = _intersect_sorted(*_by_angle((phi, bound), (_BOX_PHI, box)))
+    verts = _intersect_sorted(*_by_angle((phi, np.asarray(bounds, dtype=float)), (_BOX_PHI, box)))
     return ConvexRegion.empty() if verts is None else region_from_vertices(verts)
 
 

@@ -162,11 +162,20 @@ def eigencurves(xi, theta_grid=DEFAULT_GRID) -> tuple:
 
     ``xi`` is an XiParameters, a sequence of xi values or a ReciprocalMatrix.
     Returns (thetas, lambdas) with lambdas of shape (T, n); column j-1 is the
-    j-th largest eigenvalue curve.
+    j-th largest eigenvalue curve.  The rows depend on theta only through
+    rho = cos^2 theta, so an integer grid of m points solves T(rho) at grid
+    indices 0..floor(m/4) (0..floor(m/2) for odd m) and copies row j from
+    min(j, m - j), folded once more onto min(q, m/2 - q) for even m: mirrored
+    rows are bitwise equal.  An explicit theta array is solved row by row.
     """
     thetas = _theta_array(theta_grid)
-    t, _ = _tridiagonal(xi, thetas)
-    return thetas, np.linalg.eigvalsh(_symmetric(t))[:, ::-1]
+    rep = np.arange(thetas.size)
+    if np.isscalar(theta_grid):
+        rep = np.minimum(rep, thetas.size - rep)
+        if thetas.size % 2 == 0:
+            rep = np.minimum(rep, thetas.size // 2 - rep)
+    t, _ = _tridiagonal(xi, thetas[: rep.max() + 1])
+    return thetas, np.linalg.eigvalsh(_symmetric(t))[rep, ::-1]
 
 
 def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:

@@ -16,7 +16,6 @@ from .errors import InvalidInputError
 from .geometry import (
     POINT,
     ConvexRegion,
-    HalfPlane,
     convex_hull,
     ellipse_region,
     halfplane_intersection,
@@ -24,7 +23,7 @@ from .geometry import (
     intersect_regions,
     region_from_vertices,
 )
-from .kippenhahn import DEFAULT_GRID, _theta_array, eigencurves
+from .kippenhahn import DEFAULT_GRID, eigencurves
 from .matrices import as_xi, matrix_from_xi
 
 BOUND_SLACK = 1e-12
@@ -35,15 +34,16 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     half-planes {Re(e^{i theta} z) <= lambda_k(theta)} over the grid.
 
     ``matrix`` is a ReciprocalMatrix, an XiParameters or a sequence of xi
-    values; only its xi enter."""
+    values; only its xi enter.  An even integer grid of m points takes
+    floor(m/4) + 1 eigen solves (see ``eigencurves``), and the thetas and
+    bounds go to ``halfplane_intersection`` as arrays."""
     xi = as_xi(matrix)
     n = xi.n
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in 1..{n}, got {k}")
-    thetas = _theta_array(theta_grid)
+    thetas, lam = eigencurves(xi, theta_grid)
     if thetas.size < 8:
         raise InvalidInputError("theta grid needs at least 8 points")
-    _, lam = eigencurves(xi, thetas)
     bounds = lam[:, k - 1]
     # box exceeding the numerical radius (of the canonical representative,
     # whose range every matrix with these xi shares); slack absorbs eigensolver
@@ -51,8 +51,7 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     entries = matrix_from_xi(xi).superdiag
     r = 2 + max(abs(a) for a in entries) + max(1 / abs(a) for a in entries)
     slack = BOUND_SLACK * max(1.0, float(np.max(np.abs(bounds))))
-    hps = [HalfPlane(float(t), float(b) + slack) for t, b in zip(thetas, bounds)]
-    return halfplane_intersection(hps, r)
+    return halfplane_intersection(thetas, bounds + slack, r)
 
 
 def _disk(e, m):

@@ -12,10 +12,19 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from reciprange.geometry import AREA_EPS, EMPTY, POINT, POLYGON, SEGMENT, WIDTH_EPS, ConvexRegion
+
+
+@dataclass(frozen=True)
+class HalfPlane:
+    """{z : Re(e^{i theta} z) <= bound}, one input of the clipping oracle."""
+
+    theta: float
+    bound: float
 
 
 def _clip_array(arr: np.ndarray, theta: float, bound: float) -> np.ndarray:
@@ -48,7 +57,9 @@ def _polygon_area(pts) -> float:
     return s / 2
 
 
-def _polygon_width(arr) -> float:
+def oracle_width(arr) -> float:
+    """The least distance between two parallel supporting lines of a convex
+    loop, from every edge's normal in turn; 0 below three vertices."""
     n = len(arr)
     if n < 3:
         return 0.0
@@ -63,6 +74,12 @@ def _polygon_width(arr) -> float:
     return 0.0 if best is math.inf else best
 
 
+def oracle_diameter(arr):
+    """The farthest vertex pair (i, j), from the dense V x V distance matrix."""
+    d = np.abs(arr[:, None] - arr[None, :])
+    return np.unravel_index(np.argmax(d), d.shape)
+
+
 def oracle_region_from_vertices(pts) -> ConvexRegion:
     """Demotion by brute force: POINT below WIDTH_EPS diameter, SEGMENT below
     AREA_EPS area or WIDTH_EPS width."""
@@ -72,12 +89,11 @@ def oracle_region_from_vertices(pts) -> ConvexRegion:
     if len(pts) == 1:
         return ConvexRegion(POINT, (pts[0],))
     arr = np.asarray(pts, dtype=complex)
-    d = np.abs(arr[:, None] - arr[None, :])
-    i, j = np.unravel_index(np.argmax(d), d.shape)
-    if d[i, j] < WIDTH_EPS:
+    i, j = oracle_diameter(arr)
+    if abs(arr[i] - arr[j]) < WIDTH_EPS:
         return ConvexRegion(POINT, (sum(pts) / len(pts),))
     area = _polygon_area(pts)
-    if len(pts) == 2 or abs(area) < AREA_EPS or _polygon_width(arr) < WIDTH_EPS:
+    if len(pts) == 2 or abs(area) < AREA_EPS or oracle_width(arr) < WIDTH_EPS:
         return ConvexRegion(SEGMENT, (pts[i], pts[j]))
     return ConvexRegion(POLYGON, tuple(pts if area >= 0 else pts[::-1]))
 

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
+from reciprange import ellipses
 from reciprange.ellipses import (
     ALL_CONCENTRIC,
     DEGENERATE_SPECTRUM,
@@ -345,6 +347,29 @@ def test_oracle_measures_defect_in_xi(xi):
     assert brute_force_decompositions(xi, tol=1e-6) == set()
     assert classify(xi, tol=1e-4).verdict == ALL_CONCENTRIC
     assert brute_force_decompositions(xi, tol=1e-4) == {"concentric"}
+
+
+def test_oracle_foci_leave_no_defect_where_they_fix_it(monkeypatch):
+    # P_5 has zeta^1 rho coefficient -4 and zeta^0 rho^2 coefficient 3, and a
+    # product of two concentric factors has -(X1^2 + X2^2) and X1^2 X2^2
+    # there: both defects are 0 for the foci X^2 = 3, 1 of the spectrum,
+    # whatever the xi and c^2.  Foci rounded to 12 digits left 4e-13 there
+    factors = []
+    sampson = ellipses._sampson_distance
+
+    def spy(xi, fs, xi_tol):
+        factors.append(fs)
+        return sampson(xi, fs, xi_tol)
+
+    monkeypatch.setattr(ellipses, "_sampson_distance", spy)
+    xi = (1.167, 0.5207, 0.5207, 1.167)
+    assert brute_force_decompositions(xi) == {"concentric"}
+    P = closed_form_poly(xi).poly
+    assert factors
+    for fs in factors:
+        defect = P - functools.reduce(ZetaPoly.__mul__, [build(c) for build, c in fs])
+        for zeta, rho in ((0, 2), (1, 1)):
+            assert abs(float(defect.coeffs[zeta][rho])) <= 1e-14 * float(P.max_abs_coeff())
 
 
 def test_report_json_schema():

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG3
 from geometry_oracle import (
+    HalfPlane,
     oracle_contains,
+    oracle_diameter,
     oracle_directed,
     oracle_halfplane_intersection,
     oracle_hausdorff,
     oracle_intersect_polygons,
     oracle_region_from_vertices,
+    oracle_width,
 )
 from reciprange.cli import SEED_CORPUS
 from reciprange.ellipses import classify
@@ -22,7 +25,7 @@ from reciprange.geometry import (
     POLYGON,
     SEGMENT,
     ConvexRegion,
-    HalfPlane,
+    _calipers,
     convex_hull,
     ellipse_region,
     halfplane_intersection,
@@ -37,34 +40,39 @@ from reciprange.matrices import matrix_from_xi
 from reciprange.ranges import rank_k_analytic, rank_k_numeric
 
 
+def _intersect(hps, box_halfwidth):
+    """halfplane_intersection of a list of HalfPlanes, passed as two arrays."""
+    return halfplane_intersection([hp.theta for hp in hps], [hp.bound for hp in hps], box_halfwidth)
+
+
 def disk_region(radius=1.0, center=0j, m=256):
     hps = [HalfPlane(t, radius) for t in np.linspace(0, 2 * math.pi, m, endpoint=False)]
-    r = halfplane_intersection(hps, 10 * radius + 10)
+    r = _intersect(hps, 10 * radius + 10)
     return ConvexRegion(POLYGON, tuple(p + center for p in r.points))
 
 
 def test_square_intersection():
     hps = [HalfPlane(j * math.pi / 2, 1.0) for j in range(4)]
-    r = halfplane_intersection(hps, 10)
+    r = _intersect(hps, 10)
     assert r.kind == POLYGON
     assert abs(polygon_area(list(r.points)) - 4.0) < 1e-12
 
 
 def test_empty_intersection():
     hps = [HalfPlane(0.0, -1.0), HalfPlane(math.pi, -1.0)]  # x <= -1 and x >= 1
-    assert halfplane_intersection(hps, 10).kind == EMPTY
+    assert _intersect(hps, 10).kind == EMPTY
 
 
 def test_point_demotion():
     hps = [HalfPlane(t, 1e-12) for t in np.linspace(0, 2 * math.pi, 64, endpoint=False)]
-    r = halfplane_intersection(hps, 10)
+    r = _intersect(hps, 10)
     assert r.kind == POINT and abs(r.points[0]) < 1e-9
 
 
 def test_segment_demotion():
     hps = [HalfPlane(0, 1), HalfPlane(math.pi, 1),
            HalfPlane(math.pi / 2, 1e-12), HalfPlane(-math.pi / 2, 1e-12)]
-    r = halfplane_intersection(hps, 10)
+    r = _intersect(hps, 10)
     assert r.kind == SEGMENT
     ends = sorted(p.real for p in r.points)
     assert ends == pytest.approx([-1.0, 1.0], abs=1e-9)
@@ -200,7 +208,7 @@ def _hp_through(offset, deg, z0, slack):
 
 
 def _assert_matches_oracle(hps, kind=None):
-    got = halfplane_intersection(hps, 10)
+    got = _intersect(hps, 10)
     want = oracle_halfplane_intersection(hps, 10)
     assert got.kind == want.kind
     if kind is not None:
@@ -273,6 +281,53 @@ def test_region_from_vertices_matches_oracle(pts, axis, spread):
     assert hausdorff_distance(got, want) <= 1e-9
 
 
+# loops for the calipers against the O(V^2) oracle, each turned by `tilt`,
+# moved to a centre and taken through convex_hull: regular 2m-gons and
+# rectangles (parallel antipodal edges), a 2m-gon with one edge turned 1e-11
+# about its end, a parallelogram or one with its top 1e-11 off parallel,
+# strips 2e-12 wide, two-vertex flat loops and hulls of random clouds
+def _regular(m):
+    return np.exp(1j * math.pi * np.arange(2 * m) / m)
+
+
+def _edge_turned(m, turn):
+    z = _regular(m)
+    z[0] = z[1] + (z[0] - z[1]) * np.exp(1j * turn)
+    return z
+
+
+_sizes = st.floats(1e-3, 3.0)
+_turns = st.sampled_from([1e-11, -1e-11, 0.0])
+_loop_shapes = st.one_of(
+    st.builds(_regular, st.integers(2, 30)),
+    st.builds(lambda w, h: np.array([0, w, w + 1j * h, 1j * h]), _sizes, _sizes),
+    st.builds(_edge_turned, st.integers(2, 30), _turns),
+    st.builds(lambda w, h, a, t: np.array([0, w, w + a + 1j * (h + w * t), a + 1j * h]),
+              _sizes, _sizes, st.floats(-0.4, 0.4), _turns),
+    st.builds(lambda w: np.array([0, w, w + 2e-12j, 2e-12j]), st.floats(0.1, 3.0)),
+    st.builds(lambda w: np.array([0, w]), st.floats(1e-3, 3.0)),
+    st.lists(_centers, min_size=3, max_size=40).map(np.array),
+)
+
+
+@settings(max_examples=400)
+@given(_loop_shapes, _offsets, _centers)
+# rounding takes one edge's search past the first end of its parallel edge,
+# so only the j + 1 candidates of the other pair find the long diagonal
+@example(np.array([0, 1, 1.25 + 1j, 0.25 + 1j]), 0.3014614839273489, 0j)
+def test_calipers_match_oracle(shape, tilt, center):
+    # the hull makes each loop strictly convex and CCW after the move, as
+    # _calipers asks; width and diameter agree with the oracle to 1e-12 of
+    # the loop's diameter, the scale of the rounding in both
+    z = np.array(convex_hull(center + complex(math.cos(tilt), math.sin(tilt)) * shape))
+    assume(z.size >= 2)
+    i, j, width = _calipers(z)
+    p, q = oracle_diameter(z)
+    diameter = abs(z[p] - z[q])
+    assert abs(abs(z[i] - z[j]) - diameter) <= 1e-12 * diameter
+    assert abs(width - oracle_width(z)) <= 1e-12 * diameter
+
+
 @pytest.mark.parametrize("m, fan", [(3, 6), (4, 4), (6, 2), (12, 3), (40, 4)])
 def test_lines_fanned_through_every_vertex(m, fan):
     # each vertex of a regular m-gon comes out as fan + 1 copies equal up to
@@ -285,7 +340,7 @@ def test_lines_fanned_through_every_vertex(m, fan):
             u = normals[k - 1] * (normals[k] / normals[k - 1]) ** t
             u /= abs(u)
             hps.append(HalfPlane(-np.angle(u), (np.conj(u) * v).real))
-    got = halfplane_intersection(hps, 10)
+    got = _intersect(hps, 10)
     assert got.kind == POLYGON
     assert hausdorff_distance(got, ConvexRegion(POLYGON, tuple(pts))) <= 1e-12
 
@@ -501,7 +556,7 @@ def test_distances_match_oracle_halfplane_loops(a, turn, fan, other):
             hps.append(HalfPlane(-np.angle(u), (np.conj(u) * v).real))
         mid, u = (v + pts[(k + 1) % len(pts)]) / 2, normals[k] * np.exp(1j * turn)
         hps.append(HalfPlane(-np.angle(u), (np.conj(u) * mid).real))
-    loop = halfplane_intersection(hps, 10)
+    loop = _intersect(hps, 10)
     assert loop.kind == POLYGON and len(loop.points) > len(pts)
     z = np.array(loop.points)
     mids = (z + np.roll(z, -1)) / 2

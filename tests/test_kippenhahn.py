@@ -147,6 +147,21 @@ def test_eigencurve_antisymmetry(n, data):
     assert_allclose(lam_pi, -lam[:, ::-1], atol=1e-9)
 
 
+@pytest.mark.parametrize("m", [8, 9, 10, 11, 2048, 2050])
+def test_eigencurves_grid_fold(m, rng):
+    # lambda depends on theta only through cos^2 theta: rows j, m - j and, for
+    # even m, m/2 - j come from one solve, and each matches its own solve
+    for n in (2, 5, 6, 7):
+        xi = rng.uniform(0.0, 2.5, n - 1)
+        thetas, lam = eigencurves(xi, m)
+        j = np.arange(m)
+        assert np.array_equal(lam, lam[(m - j) % m])
+        if m % 2 == 0:
+            assert np.array_equal(lam, lam[(m // 2 - j) % m])
+        _, each = eigencurves(xi, thetas)
+        assert np.all(np.abs(lam - each) <= 1e-14 * np.max(np.abs(each), axis=1, keepdims=True))
+
+
 # --- the xi-only tridiagonal core against the dense complex oracle ---
 
 def _entries(xi, phases, inverted):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
-from geometry_oracle import oracle_halfplane_intersection
+from geometry_oracle import HalfPlane, oracle_halfplane_intersection
 from reciprange import ranges
 from reciprange.ellipses import classify
 from reciprange.errors import InvalidInputError
@@ -14,6 +14,7 @@ from reciprange.geometry import (
     POINT,
     POLYGON,
     SEGMENT,
+    ConvexRegion,
     hausdorff_distance,
     region_contains_region,
 )
@@ -184,9 +185,9 @@ def test_numeric_matches_clipping_oracle(xi, monkeypatch):
     seen = []
     kernel = ranges.halfplane_intersection
 
-    def spy(halfplanes, box_halfwidth):
-        seen.append((halfplanes, box_halfwidth))
-        return kernel(halfplanes, box_halfwidth)
+    def spy(thetas, bounds, box_halfwidth):
+        seen.append(([HalfPlane(float(t), float(b)) for t, b in zip(thetas, bounds)], box_halfwidth))
+        return kernel(thetas, bounds, box_halfwidth)
 
     monkeypatch.setattr(ranges, "halfplane_intersection", spy)
     m = matrix_from_xi(list(xi))
@@ -195,6 +196,19 @@ def test_numeric_matches_clipping_oracle(xi, monkeypatch):
         want = oracle_halfplane_intersection(*seen.pop())
         assert got.kind == want.kind, (xi, k)
         assert hausdorff_distance(got, want) <= 1e-9, (xi, k)
+
+
+@pytest.mark.parametrize("grid", [512, 2048, 2050])
+@pytest.mark.parametrize("xi", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, PHI, 0.0), (0.0, 0.0, 0.0),
+                                FIG1, FIG2, FIG3, FIG4, FIG5, (1.0,) * 5])
+def test_numeric_d2_symmetric(xi, grid):
+    # an even grid holds theta, -theta, pi - theta and pi + theta, whose bounds
+    # come from one eigen solve, so Lambda_k is its own negative and conjugate
+    for k in range(1, len(xi) + 2):
+        r = rank_k_numeric(xi, k, grid)
+        for image in (lambda z: -z, lambda z: z.conjugate()):
+            mirrored = ConvexRegion(r.kind, tuple(image(z) for z in r.points))
+            assert hausdorff_distance(r, mirrored) <= 1e-12, (xi, k)
 
 
 def test_numeric_fine_grid_memory():
