@@ -11,10 +11,13 @@ and O(N + E) in their vertex counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import InvalidInputError
 
 AREA_EPS = 1e-14
 WIDTH_EPS = 1e-8
@@ -59,22 +62,43 @@ def _convex_loop(z):
     anywhere: copies within REPEAT_EPS of the vertex before are dropped first.
     One stack pass from the leftmost-lowest vertex, a hull vertex, then drops
     collinear and (by rounding) reflex vertices, so every edge left lies on a
-    supporting line.  O(V).
+    supporting line.  O(V).  The stack keeps a vertex after its two loop
+    predecessors unless they turn right or go straight on; that test runs
+    for every consecutive triple at once, runs of kept vertices go onto the
+    stack in one step, and Python steps only at failing turns.
     """
     fresh = np.abs(z - np.roll(z, 1)) > REPEAT_EPS * np.max(np.abs(z))
     z = z[fresh] if fresh.any() else z[:1]
     left = np.flatnonzero(z.real == z.real.min())
     start = int(left[np.argmin(z.imag[left])])
-    hull = []
-    for p in np.roll(z, -start).tolist() + [complex(z[start])]:
+    q = np.append(np.roll(z, -start), z[start])
+    # turn = conj(q[i-1] - q[i-2]) * (q[i] - q[i-1]) for every i >= 2, in the
+    # scalar complex product's operations
+    d = np.diff(q)
+    ar, ai, br, bi = d.real[:-1], -d.imag[:-1], d.real[1:], d.imag[1:]
+    cross, dot = ar * bi + ai * br, ar * br - ai * bi
+    # keep a left turn, and the far end of a flat loop (a reversal)
+    keep = (cross > 0) | ((cross == 0) & (dot < 0))
+    stops = (np.flatnonzero(~keep) + 2).tolist() + [q.size]
+    hull = []  # indices into q
+    i = 0
+    while i < q.size:
+        if len(hull) > 1 and hull[-1] == i - 1 and hull[-2] == i - 2:
+            j = stops[bisect_left(stops, i)]
+            hull.extend(range(i, j))
+            if j == q.size:
+                break
+            i = j
+        p = complex(q[i])
         while len(hull) > 1:
-            turn = (hull[-1] - hull[-2]).conjugate() * (p - hull[-1])
-            # keep a left turn, and the far end of a flat loop (a reversal)
+            a, b = complex(q[hull[-2]]), complex(q[hull[-1]])
+            turn = (b - a).conjugate() * (p - b)
             if turn.imag > 0 or (turn.imag == 0 and turn.real < 0):
                 break
             hull.pop()
-        hull.append(p)
-    return np.array(hull[:-1])
+        hull.append(i)
+        i += 1
+    return q[np.fromiter(hull, dtype=np.intp, count=len(hull) - 1)]
 
 
 def _calipers(z):
@@ -177,7 +201,14 @@ def _intersect_sorted(phi, c):
     or None when the intersection is empty.
 
     phi must be increasing in [0, 2pi] and the intersection bounded.  Sorted-angle
-    deque algorithm (de Berg et al., Computational Geometry, ch. 4), O(T).
+    deque algorithm (de Berg et al., Computational Geometry, ch. 4), O(T).  While
+    the deque ends with lines k - 2, k - 1, line k pops nothing at the back
+    unless it cuts their corner, and ends the set only if it turns pi or more
+    from line k - 1; both tests run for every k at once, so a run of lines
+    without either event joins the deque in one step, up to the first of them
+    that cuts the front corner (a front cut tests the rest of its run again,
+    against the new corner).  Python steps only at pops, front cuts and turns
+    of pi.
     """
     # of half-planes with equal normals only the tightest can bound the set
     first = np.flatnonzero(np.concatenate(([True], np.diff(phi) > ANGLE_EPS)))
@@ -188,6 +219,7 @@ def _intersect_sorted(phi, c):
         phi, c = phi[:-1], c[:-1]
     ux, uy = np.cos(phi), np.sin(phi)
     X, Y, C, P = ux.tolist(), uy.tolist(), c.tolist(), phi.tolist()
+    T = len(C)
 
     def outside(k, i, j):
         """Is the corner of lines i and j outside half-plane k beyond rounding?
@@ -198,8 +230,34 @@ def _intersect_sorted(phi, c):
         x, y = _corner(X[i], Y[i], C[i], X[j], Y[j], C[j])
         return X[k] * x + Y[k] * y - C[k] > SIDE_EPS * (abs(x) + abs(y) + abs(C[k]))
 
+    def within(k, x, y):
+        """Do corners (x, y) lie in half-planes k (a slice) up to rounding?  The
+        negation of outside() but at NaN, where outside() has to decide."""
+        return ux[k] * x + uy[k] * y - c[k] <= SIDE_EPS * (abs(x) + abs(y) + np.abs(c[k]))
+
+    def first_cut(lo, hi, i, j):
+        """The first k in lo..hi - 1 not within the corner of lines i and j, else hi."""
+        if lo == hi:  # an event line: its back pops may change the front first
+            return hi
+        kept = within(slice(lo, hi), *_corner(X[i], Y[i], C[i], X[j], Y[j], C[j]))
+        k = int(np.argmin(kept))
+        return hi if kept[k] else lo + k
+
+    # outside(k, k - 2, k - 1) and the turn from line k - 1 for every k >= 2;
+    # lines with either event (or a NaN corner) take the scalar step
+    with np.errstate(all="ignore"):
+        back = within(slice(2, None), *_corner(ux[:-2], uy[:-2], c[:-2], ux[1:-1], uy[1:-1], c[1:-1]))
+    stops = (np.flatnonzero(~back | (np.diff(phi)[1:] >= math.pi)) + 2).tolist() + [T]
+
     dq = deque()
-    for k in range(len(C)):
+    k = 0
+    while k < T:
+        if len(dq) > 1 and dq[-1] == k - 1 and dq[-2] == k - 2:
+            j = first_cut(k, stops[bisect_left(stops, k)], dq[0], dq[1])
+            dq.extend(range(k, j))
+            if j == T:
+                break
+            k = j
         while len(dq) > 1 and outside(k, dq[-2], dq[-1]):
             dq.pop()
         while len(dq) > 1 and outside(k, dq[0], dq[1]):
@@ -208,6 +266,7 @@ def _intersect_sorted(phi, c):
         if dq and P[k] - P[dq[-1]] >= math.pi:
             return None
         dq.append(k)
+        k += 1
     while len(dq) > 2 and outside(dq[0], dq[-2], dq[-1]):
         dq.pop()
     while len(dq) > 2 and outside(dq[-1], dq[0], dq[1]):
@@ -230,10 +289,22 @@ def _intersect_sorted(phi, c):
 def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:
     """Intersection of the centered square of half-width box_halfwidth with the
     half-planes {z : Re(e^{i thetas[j]} z) <= bounds[j]}, given as two arrays:
-    O(T) past the angle sort, which is linear on a theta grid."""
-    phi = np.mod(-np.asarray(thetas, dtype=float), TWO_PI)
-    box = np.full(4, float(box_halfwidth))
-    verts = _intersect_sorted(*_by_angle((phi, np.asarray(bounds, dtype=float)), (_BOX_PHI, box)))
+    O(T) past the angle sort, which is linear on a theta grid.
+
+    Raises InvalidInputError unless thetas and bounds are finite 1-D arrays of
+    one length and box_halfwidth is finite and positive."""
+    thetas = np.asarray(thetas, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
+    if thetas.ndim != 1 or bounds.shape != thetas.shape:
+        raise InvalidInputError(f"thetas and bounds must be 1-D arrays of one length, "
+                                f"got shapes {thetas.shape} and {bounds.shape}")
+    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(bounds))):
+        raise InvalidInputError("thetas and bounds must be finite")
+    r = float(box_halfwidth)
+    if not 0 < r < math.inf:
+        raise InvalidInputError(f"box half-width must be finite and positive, got {box_halfwidth}")
+    phi = np.mod(-thetas, TWO_PI)
+    verts = _intersect_sorted(*_by_angle((phi, bounds), (_BOX_PHI, np.full(4, r))))
     return ConvexRegion.empty() if verts is None else region_from_vertices(verts)
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("default")
+# HYPOTHESIS_PROFILE=deep runs 1000 derandomised examples per test
+settings.register_profile("deep", parent=settings.get_profile("default"), max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 PHI = (math.sqrt(5) + 1) / 2
 SQRT3 = math.sqrt(3)

@@ -6,17 +6,37 @@ the O(V^2) width scan, and Hausdorff distance and containment from the dense
 N x E scan of every vertex against every edge.  All are slow but independent
 of the sorted-angle deque, the rotating calipers and the support functions
 the package uses, so the tests compare the two.
+
+``oracle_deque_vertices`` and ``oracle_convex_loop`` are not independent:
+they are the package's sorted-angle deque and convex-loop stack with one
+Python step per line and per vertex.  The package skips the steps that
+change nothing, and the tests ask for bitwise-equal results.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from reciprange.geometry import AREA_EPS, EMPTY, POINT, POLYGON, SEGMENT, WIDTH_EPS, ConvexRegion
+from reciprange.geometry import (
+    ANGLE_EPS,
+    AREA_EPS,
+    CERT_EPS,
+    EMPTY,
+    POINT,
+    POLYGON,
+    REPEAT_EPS,
+    SEGMENT,
+    SIDE_EPS,
+    TWO_PI,
+    WIDTH_EPS,
+    ConvexRegion,
+    _corner,
+)
 
 
 @dataclass(frozen=True)
@@ -177,3 +197,64 @@ def oracle_contains(outer: ConvexRegion, inner: ConvexRegion, tol=1e-8) -> bool:
     if outer.kind == EMPTY:
         return False
     return oracle_directed(inner, outer) <= tol
+
+
+def oracle_deque_vertices(phi, c):
+    """``geometry._intersect_sorted`` with one Python step per line: vertices
+    (CCW, complex) of {z : u_j . z <= c_j for all j}, u_j = e^{i phi_j}, or
+    None when the intersection is empty."""
+    first = np.flatnonzero(np.concatenate(([True], np.diff(phi) > ANGLE_EPS)))
+    c = np.minimum.reduceat(c, first)
+    phi = phi[first]
+    if phi.size > 1 and phi[0] + TWO_PI - phi[-1] <= ANGLE_EPS:
+        c[0] = min(c[0], c[-1])
+        phi, c = phi[:-1], c[:-1]
+    ux, uy = np.cos(phi), np.sin(phi)
+    X, Y, C, P = ux.tolist(), uy.tolist(), c.tolist(), phi.tolist()
+
+    def outside(k, i, j):
+        x, y = _corner(X[i], Y[i], C[i], X[j], Y[j], C[j])
+        return X[k] * x + Y[k] * y - C[k] > SIDE_EPS * (abs(x) + abs(y) + abs(C[k]))
+
+    dq = deque()
+    for k in range(len(C)):
+        while len(dq) > 1 and outside(k, dq[-2], dq[-1]):
+            dq.pop()
+        while len(dq) > 1 and outside(k, dq[0], dq[1]):
+            dq.popleft()
+        if dq and P[k] - P[dq[-1]] >= math.pi:
+            return None
+        dq.append(k)
+    while len(dq) > 2 and outside(dq[0], dq[-2], dq[-1]):
+        dq.pop()
+    while len(dq) > 2 and outside(dq[-1], dq[0], dq[1]):
+        dq.popleft()
+    if len(dq) < 3 or P[dq[0]] + TWO_PI - P[dq[-1]] >= math.pi:
+        return None
+
+    lines = np.fromiter(dq, dtype=np.intp, count=len(dq))
+    lx, ly, lc = ux[lines], uy[lines], c[lines]
+    vx, vy = _corner(np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1), lx, ly, lc)
+    extreme = np.searchsorted(phi[lines], phi) % lines.size
+    violation = ux * vx[extreme] + uy * vy[extreme] - c
+    if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
+        return None
+    return vx + 1j * vy
+
+
+def oracle_convex_loop(z):
+    """``geometry._convex_loop`` with one Python step per vertex: the vertices
+    at which a nearly convex CCW loop turns strictly left."""
+    fresh = np.abs(z - np.roll(z, 1)) > REPEAT_EPS * np.max(np.abs(z))
+    z = z[fresh] if fresh.any() else z[:1]
+    left = np.flatnonzero(z.real == z.real.min())
+    start = int(left[np.argmin(z.imag[left])])
+    hull = []
+    for p in np.roll(z, -start).tolist() + [complex(z[start])]:
+        while len(hull) > 1:
+            turn = (hull[-1] - hull[-2]).conjugate() * (p - hull[-1])
+            if turn.imag > 0 or (turn.imag == 0 and turn.real < 0):
+                break
+            hull.pop()
+        hull.append(p)
+    return np.array(hull[:-1])

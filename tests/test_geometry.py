@@ -9,6 +9,8 @@ from conftest import FIG3
 from geometry_oracle import (
     HalfPlane,
     oracle_contains,
+    oracle_convex_loop,
+    oracle_deque_vertices,
     oracle_diameter,
     oracle_directed,
     oracle_halfplane_intersection,
@@ -19,13 +21,20 @@ from geometry_oracle import (
 )
 from reciprange.cli import SEED_CORPUS
 from reciprange.ellipses import classify
+from reciprange.errors import InvalidInputError
 from reciprange.geometry import (
+    _BOX_PHI,
     EMPTY,
     POINT,
     POLYGON,
     SEGMENT,
+    TWO_PI,
     ConvexRegion,
+    _by_angle,
     _calipers,
+    _convex_loop,
+    _edge_halfplanes,
+    _intersect_sorted,
     convex_hull,
     ellipse_region,
     halfplane_intersection,
@@ -61,6 +70,25 @@ def test_square_intersection():
 def test_empty_intersection():
     hps = [HalfPlane(0.0, -1.0), HalfPlane(math.pi, -1.0)]  # x <= -1 and x >= 1
     assert _intersect(hps, 10).kind == EMPTY
+
+
+_SIXTEEN = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+
+
+@pytest.mark.parametrize("thetas, bounds, box", [
+    (_SIXTEEN, np.where(np.arange(16) == 3, np.nan, 1.0), 1.0),  # gave POINT (1-0.199j)
+    (_SIXTEEN, np.where(np.arange(16) == 3, np.inf, 1.0), 10.0),
+    (np.where(np.arange(16) == 3, np.nan, _SIXTEEN), np.ones(16), 10.0),  # gave a POLYGON
+    (_SIXTEEN, np.ones(15), 10.0),  # raised IndexError
+    (_SIXTEEN[:, None], np.ones((16, 1)), 10.0),
+    (_SIXTEEN, np.ones(16), 0.0),
+    (_SIXTEEN, np.ones(16), -1.0),
+    (_SIXTEEN, np.ones(16), math.inf),
+    (_SIXTEEN, np.ones(16), math.nan),
+])
+def test_halfplane_intersection_rejects_invalid_input(thetas, bounds, box):
+    with pytest.raises(InvalidInputError):
+        halfplane_intersection(thetas, bounds, box)
 
 
 def test_point_demotion():
@@ -606,3 +634,109 @@ def test_distances_match_oracle_verify_corpus():
                 assert abs(hausdorff_distance(a, b) - oracle_hausdorff(a, b)) <= 1e-15, (xi, k)
                 pairs += 1
     assert pairs == 21
+
+
+# the deque and the stack skip the steps that change nothing; against the
+# one-step-per-line oracles every decision, and so every bit of the result,
+# must be the same.  Inputs: the edge lines of convex polygons with lines
+# through or beyond them (exactly touching ones too), unboxed or with angles
+# next to the wrap, so that the closing lines pop the front; fans of lines
+# through the two ends of a segment, the shape of a thin numeric strip;
+# polygon edges next to copies turned about 1e-11; triangles with their
+# bounds moved across emptiness, some with their normals reversed; and two
+# bundles of lines whose normals lie pi or more apart, an empty or unbounded
+# set that the deque ends at a turn of pi
+def _support(pts, phi):
+    """h(u) = max Re(conj(u) z) over the points, u = e^{i phi}, for each phi."""
+    return np.max((np.exp(-1j * phi)[:, None] * np.asarray(pts)[None, :]).real, axis=1)
+
+
+_slacks = st.sampled_from([0.0, 1e-14, 1e-12, 1e-3, 0.5])
+_near_wrap = st.floats(0.0, 0.3) | st.floats(TWO_PI - 0.3, TWO_PI, exclude_max=True)
+
+
+@st.composite
+def _polygon_lines(draw):
+    poly = draw(_polygons)
+    phi, c = _edge_halfplanes(poly)
+    extra = np.array(draw(st.lists(_offsets | _near_wrap, max_size=40)))
+    slack = np.array(draw(st.lists(_slacks, min_size=extra.size, max_size=extra.size)))
+    return np.concatenate([phi, extra]), np.concatenate([c, _support(poly.points, extra) + slack])
+
+
+def _fan_lines(p, length, axis, m, offset, slack):
+    phi = offset + TWO_PI * np.arange(m) / m
+    return phi, _support([p, p + length * np.exp(1j * axis)], phi) + slack
+
+
+def _turned_lines(poly, turn):
+    pts = np.array(poly.points)
+    e = np.roll(pts, -1) - pts
+    u = -1j * e / np.abs(e) * np.exp(1j * turn)
+    phi, c = _edge_halfplanes(poly)
+    return np.concatenate([phi, np.angle(u)]), np.concatenate([c, (np.conj(u) * (pts + e / 2)).real])
+
+
+def _triangle_lines(poly, sign, gap):
+    phi, c = _edge_halfplanes(poly)
+    return (phi if sign > 0 else phi + math.pi), sign * c + gap
+
+
+def _bundle_lines(offset, near, far, bounds):
+    phi = offset + np.concatenate([np.array(near) * 0.3, math.pi + 0.3 + np.array(far) * 0.3])
+    return phi, np.array(bounds[:phi.size])
+
+
+_line_sets = st.one_of(
+    _polygon_lines(),
+    st.builds(_fan_lines, _centers, st.sampled_from([0.0, 1e-9, 0.5, 2.0]), _offsets,
+              st.integers(8, 300), _offsets, st.sampled_from([0.0, 1e-13, 1e-12, 1e-10])),
+    st.builds(_turned_lines, _polygons, st.sampled_from([1e-11, -1e-11, 2e-12, 1e-10])),
+    st.builds(_triangle_lines,
+              st.builds(_ellipse_polygon, _centers, st.floats(0.2, 2.0), st.floats(0.05, 1.0),
+                        _offsets, st.sets(st.integers(0, 359), min_size=3, max_size=3)),
+              st.sampled_from([1, -1]), st.floats(-1.0, 1.0) | st.sampled_from([0.0, -1e-13])),
+    st.builds(_bundle_lines, _offsets, st.lists(st.floats(0, 1), min_size=1, max_size=5),
+              st.lists(st.floats(0, 1), min_size=1, max_size=5), st.lists(_bounds, min_size=10, max_size=10)),
+)
+
+
+@given(_line_sets, st.booleans())
+def test_deque_skips_change_no_decision(lines, boxed):
+    phi, c = lines
+    sets = [(np.mod(phi, TWO_PI), c)] + ([(_BOX_PHI, np.full(4, 10.0))] if boxed else [])
+    phi, c = _by_angle(*sets)
+    got, want = _intersect_sorted(phi, c), oracle_deque_vertices(phi, c)
+    assert (got is None) == (want is None)
+    assert got is None or np.array_equal(got, want)
+
+
+@st.composite
+def _stack_loops(draw):
+    """Nearly convex CCW loops: a polygon, a two-vertex flat loop or a strip
+    2e-12 wide, with vertices repeated (exactly, within REPEAT_EPS or just
+    beyond it), points put on edges (collinear runs) and points moved off an
+    edge's midpoint by rounding (reflex or not), from any starting vertex."""
+    base = draw(st.one_of(
+        _polygons.map(lambda a: list(a.points)),
+        st.builds(lambda p, q: [p, q], _centers, _centers),
+        st.builds(lambda w: [0j, complex(w), complex(w, 2e-12), 2e-12j], st.floats(0.1, 3.0))))
+    z = list(base)
+    for _ in range(draw(st.integers(0, 12))):
+        i = draw(st.integers(0, len(z) - 1))
+        p, q = z[i], z[(i + 1) % len(z)]
+        how = draw(st.sampled_from(["repeat", "edge", "dent"]))
+        if how == "repeat":
+            new = p * (1 + draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-11])))
+        elif how == "edge":
+            new = p + draw(st.sampled_from([0.25, 0.5, 1 / 3, 0.9])) * (q - p)
+        else:
+            new = (p + q) / 2 + draw(st.sampled_from([1, -1, 4, -4])) * 1e-16 * 1j * (q - p)
+        z.insert(i + 1, new)
+    return np.roll(np.array(z, dtype=complex), draw(st.integers(0, len(z) - 1)))
+
+
+@given(_stack_loops())
+def test_convex_loop_skips_change_no_decision(z):
+    got, want = _convex_loop(z), oracle_convex_loop(z)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

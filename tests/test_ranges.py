@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
-from geometry_oracle import HalfPlane, oracle_halfplane_intersection
-from reciprange import ranges
+from geometry_oracle import HalfPlane, oracle_convex_loop, oracle_deque_vertices, oracle_halfplane_intersection
+from reciprange import geometry, ranges
 from reciprange.ellipses import classify
 from reciprange.errors import InvalidInputError
 from reciprange.geometry import (
@@ -196,6 +199,34 @@ def test_numeric_matches_clipping_oracle(xi, monkeypatch):
         want = oracle_halfplane_intersection(*seen.pop())
         assert got.kind == want.kind, (xi, k)
         assert hausdorff_distance(got, want) <= 1e-9, (xi, k)
+
+
+_paper_or_drawn = st.sampled_from([FIG1, FIG2, FIG3, FIG4, FIG5, (1.0, 0.0, 1.0), (1.0,) * 5]) | st.lists(
+    st.floats(0.0, 2.5), min_size=2, max_size=6).map(tuple)
+
+
+@given(_paper_or_drawn, st.sampled_from([127, 128, 513, 2048]), st.data())
+def test_numeric_skips_change_no_decision(xi, grid, data):
+    # the deque and the convex-loop stack of one rank_k_numeric call, on the
+    # very lines and vertices it used, against their one-step-per-line oracles
+    k = data.draw(st.integers(1, len(xi) + 1))
+    calls = []
+
+    def spy(name, oracle):
+        kernel = getattr(geometry, name)
+
+        def run(*args):
+            got = kernel(*args)
+            calls.append((name, got, oracle(*args)))
+            return got
+        return mock.patch.object(geometry, name, run)
+
+    with spy("_intersect_sorted", oracle_deque_vertices), spy("_convex_loop", oracle_convex_loop):
+        rank_k_numeric(xi, k, grid)
+    assert calls[0][0] == "_intersect_sorted"
+    for name, got, want in calls:
+        assert (got is None) == (want is None), name
+        assert got is None or np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("grid", [512, 2048, 2050])
