@@ -5,7 +5,8 @@ union of ellipses (all origin-centered, or one central plus a displaced pair);
 every positive verdict is confirmed by explicit polynomial division before it
 is reported.  A brute-force decomposition search over candidate foci
 (from the exact spectrum) and minor half-axes (from Im A) serves as an
-independent oracle for the criteria.
+independent oracle for the criteria; it divides many draws at once with its
+own stacked synthetic division, not with the ``ZetaPoly`` division above.
 """
 
 from __future__ import annotations
@@ -219,6 +220,7 @@ def classify(xi, mode="float", tol=DEFAULT_TOL):
     Positive verdicts are only reported after the corresponding polynomial
     division succeeds at the same tolerance (exactly, in exact mode).
     """
+    check_tolerance(tol)
     xi = as_xi(xi)
     n = xi.n
     if n not in (4, 5, 6):
@@ -467,23 +469,22 @@ def _match_de_family(x, be, scale):
 # brute-force decomposition oracle
 # ---------------------------------------------------------------------------
 
-def minor_axis_candidates(xi, tol=1e-9):
-    """Nonnegative squared eigenvalues of Im A (the horizontal-tangent ordinates).
+def _minor_axis_candidates(x: np.ndarray, tol) -> np.ndarray:
+    """Each draw's candidate squared minor half-axes, NaN-padded to one (B, C) array.
 
-    These are the only possible squared minor half-axes of elliptical
-    components.  Computed from the symmetric tridiagonal with off-diagonals
-    sqrt(xi_j), which is well conditioned even at repeated eigenvalues.
+    The nonnegative eigenvalues of Im A (the horizontal-tangent ordinates) are
+    the only possible minor half-axes of elliptical components.  Their
+    squares and 0 are sorted per draw and near-identical ones merged.
     """
-    out = {0.0}
-    for v in imag_part_spectrum(list(as_xi(xi))):
-        if v >= -tol:
-            out.add(float(max(0.0, v)) ** 2)
-    # dedupe near-identical candidates
-    uniq = []
-    for v in sorted(out):
-        if not uniq or v - uniq[-1] > 1e-12 * max(1.0, v):
-            uniq.append(v)
-    return uniq
+    rows = []
+    for spectrum in imag_part_spectrum(x):
+        uniq = []
+        for v in sorted({0.0} | {float(max(0.0, v)) ** 2 for v in spectrum if v >= -tol}):
+            if not uniq or v - uniq[-1] > 1e-12 * max(1.0, v):
+                uniq.append(v)
+        rows.append(uniq)
+    width = max(map(len, rows))
+    return np.array([r + [np.nan] * (width - len(r)) for r in rows])
 
 
 def _coeff_rows(polys) -> np.ndarray:
@@ -539,46 +540,124 @@ def _sampson_distance(xi, factors, xi_tol) -> float:
     return float(np.linalg.norm(delta) + np.linalg.norm(b - a @ delta) / jnorm)
 
 
-def brute_force_decompositions(xi, tol=DEFAULT_TOL):
-    """Search full elliptical decompositions of P_n by divisibility alone.
+def _divide_monic(P, low):
+    """Quotients and remainders of stacked divisions by monic divisors in zeta.
+
+    ``P`` (..., D, W) holds the dividends' rho-coefficient rows, ``low``
+    (..., d, W_d) each divisor's rows below its leading 1; the leading axes
+    broadcast.  The float operations are ``ZetaPoly.divmod_monic``'s, in its
+    order: a quotient row times a divisor row accumulates its rho-products
+    over the quotient index in ascending order, as ``rho_mul`` does, and is
+    then subtracted.  So every remainder equals divmod_monic's up to the signs
+    of zeros.  P_n and its factors are homogeneous in zeta and rho, so the
+    products vanish past width W and are dropped there.
+    """
+    d, wd = low.shape[-2:]
+    depth, w = P.shape[-2:]
+    lead = np.broadcast_shapes(P.shape[:-2], low.shape[:-2])
+    rem = np.array(np.broadcast_to(P, lead + (depth, w)))
+    quot = np.empty(lead + (depth - d, w))
+    prod = np.empty(lead + (w + wd - 1,))
+    for k in range(depth - d - 1, -1, -1):
+        quot[..., k, :] = q = rem[..., k + d, :]
+        for j in range(d):
+            prod[...] = 0.0
+            for i in range(w):
+                prod[..., i : i + wd] += q[..., i, None] * low[..., j, :]
+            rem[..., k + j, :] -= prod[..., :w]
+    return quot, rem[..., :d, :]
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One division step of the search: ``factor(*focus, c^2)`` for every focus
+    parameter tuple in ``foci`` and every minor-axis candidate c^2.  Candidates
+    run focus by focus, or c^2 by c^2 when ``c2_major``."""
+
+    factor: object  # linear_factor or quadratic_factor
+    foci: tuple
+    c2_major: bool = False
+
+    def low_rows(self, c2):
+        """(S, K, d, W_d): the divisor rows below the leading 1 of every candidate,
+        in search order, for each row of the (S, C) candidate array ``c2``."""
+        shape = (len(c2), len(self.foci), c2.shape[1])
+        params = [np.array(v)[:, None] for v in zip(*self.foci)]
+        rows = self.factor(*params, c2[:, None, :]).coeffs[:-1]
+        low = np.zeros(shape + (len(rows), max(map(len, rows))))
+        for j, row in enumerate(rows):
+            for m, v in enumerate(row):
+                low[..., j, m] = v
+        if self.c2_major:
+            low = low.swapaxes(1, 2)
+        return low.reshape(shape[0], shape[1] * shape[2], *low.shape[3:])
+
+    def candidate(self, k, c2):
+        """The (build, c^2) factor of candidate ``k`` for one draw's candidates ``c2``."""
+        f, c = divmod(k, len(c2)) if not self.c2_major else divmod(k, len(self.foci))[::-1]
+        return functools.partial(self.factor, *self.foci[f]), float(c2[c])
+
+
+def _chain_search(P, thr, c2, levels, accept):
+    """The draws whose P_n divides through ``levels`` into factors ``accept`` takes.
+
+    A depth-first search run level by level: each level divides every
+    surviving quotient by all of its candidates at once and keeps those whose
+    remainder stays within the draw's threshold ``thr``.  The chains that
+    survive every level go to ``accept(draw, factors)`` in depth-first order,
+    and a draw stops at its first success.
+    """
+    draws, quot, chains = np.arange(len(P)), P, [()] * len(P)
+    for level in levels:
+        q, r = _divide_monic(quot[:, None], level.low_rows(c2[draws]))
+        s, k = np.nonzero(np.max(np.abs(r), axis=(-2, -1)) <= thr[draws, None])
+        draws, quot = draws[s], q[s, k]
+        chains = [chains[i] + ((level, kk),) for i, kk in zip(s.tolist(), k.tolist())]
+    found = set()
+    for b, chain in zip(draws.tolist(), chains):
+        if b not in found and accept(b, [level.candidate(k, c2[b]) for level, k in chain]):
+            found.add(b)
+    return found
+
+
+def check_tolerance(tol):
+    """Reject a tolerance that is NaN, infinite or negative; 0 asks for exact matches."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidInputError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def brute_force_batch(xis, tol=DEFAULT_TOL):
+    """Search full elliptical decompositions of P_n by divisibility alone, for draws of one n.
 
     Candidate foci come from the exact spectrum, candidate minor half-axes from
     the eigenvalues of Im A.  A candidate is accepted when every division
     leaves a remainder within tol times the largest coefficient of P_n and its
-    Sampson distance is within tol * max(1, max |xi|).  Returns a set of
-    decomposition types found: "concentric" (all factors origin-centered)
-    and/or "displaced".
+    Sampson distance is within tol * max(1, max |xi|).  The divisions of all
+    draws and candidates run as stacked synthetic divisions over numpy arrays,
+    independent of the ``ZetaPoly`` division that ``classify`` confirms with.
+    Returns one set per draw of the decomposition types found: "concentric"
+    (all factors origin-centered) and/or "displaced".
     """
-    xi = as_xi(xi)
-    n = xi.n
+    check_tolerance(tol)
+    xis = [as_xi(xi) for xi in xis]
+    if not xis:
+        return []
+    n = xis[0].n
     if n not in (4, 5, 6):
         raise UnsupportedDimensionError(f"oracle covers n in 4..6, got {n}")
-    P = closed_form_poly(xi)
-    spec = exact_spectrum(n)
-    pos = sorted(spec.positive(), reverse=True)
-    c2_cands = minor_axis_candidates(xi, tol)
-    found = set()
+    if any(xi.n != n for xi in xis):
+        raise InvalidInputError(f"one batch takes draws of one n, got {sorted({xi.n for xi in xis})}")
+    P = _coeff_rows([closed_form_poly(xi).poly for xi in xis]).reshape(len(xis), n // 2 + 1, -1)
+    thr = tol * np.maximum(1.0, np.max(np.abs(P), axis=(1, 2)))
+    x = np.array([xi.xi for xi in xis])
+    c2 = _minor_axis_candidates(x, tol)
+    xi_tol = (tol * np.maximum(1.0, np.max(x, axis=1))).tolist()
 
-    pnorm = float(P.poly.max_abs_coeff())
-    xi_tol = tol * max([1.0] + [abs(float(v)) for v in xi])
+    def accept(b, factors):
+        return _sampson_distance(xis[b], factors, xi_tol[b]) <= xi_tol[b]
 
-    def accept(factors):
-        return _sampson_distance(xi, factors, xi_tol) <= xi_tol
-
-    def linear_chain(poly, xs, factors):
-        if not xs:
-            return poly.degree == 0 and accept(factors)
-        head, rest = xs[0], xs[1:]
-        for c2 in c2_cands:
-            q = divides_linear(poly, head * head, c2, tol=tol, scale=pnorm)
-            factor = (functools.partial(linear_factor, head * head), c2)
-            if q is not None and linear_chain(q, rest, factors + [factor]):
-                return True
-        return False
-
-    if linear_chain(P, pos, []):
-        found.add("concentric")
-
+    pos = sorted(exact_spectrum(n).positive(), reverse=True)
+    concentric = [_Level(linear_factor, ((v * v,),)) for v in pos]
     pairs = set()
     # the spectrum 2cos(j pi/(n+1)) is symmetric about 0: mirroring the positive
     # half makes mirrored pairs give the same (|p|, X) exactly
@@ -589,24 +668,20 @@ def brute_force_decompositions(xi, tol=DEFAULT_TOL):
             X = (zi - zj) / 2
             if abs(p) > 1e-12 and X > 1e-12:
                 pairs.add((abs(p), X))
-    for p, X in sorted(pairs):
-        for c2 in c2_cands:
-            q = divides_quadratic_from_squares(P, X * X + p * p, X * X - p * p, c2, tol=tol, scale=pnorm)
-            if q is None:
-                continue
-            pair = (functools.partial(quadratic_factor, X * X + p * p, X * X - p * p), c2)
-            if q.degree == 0:
-                if accept([pair]):
-                    found.add("displaced")
-            else:
-                rest = [v for v in pos]  # remaining foci for the central factors
-                for c02 in c2_cands:
-                    for x0 in rest:
-                        q2 = divides_linear(q, x0 * x0, c02, tol=tol, scale=pnorm)
-                        central = (functools.partial(linear_factor, x0 * x0), c02)
-                        if q2 is not None and q2.degree == 0 and accept([pair, central]):
-                            found.add("displaced")
+    # one displaced pair, then origin-centered factors at any foci
+    displaced = [_Level(quadratic_factor, tuple((X * X + p * p, X * X - p * p) for p, X in sorted(pairs)))]
+    displaced += [_Level(linear_factor, tuple((v * v,) for v in pos), c2_major=True)] * (n // 2 - 2)
+
+    found = [set() for _ in xis]
+    for kind, levels in (("concentric", concentric), ("displaced", displaced)):
+        for b in _chain_search(P, thr, c2, levels, accept):
+            found[b].add(kind)
     return found
+
+
+def brute_force_decompositions(xi, tol=DEFAULT_TOL):
+    """``brute_force_batch`` for one xi: the set of decomposition types found."""
+    return brute_force_batch([xi], tol)[0]
 
 
 def verdict_matches_oracle(rep: ClassificationReport, found: set) -> bool:

@@ -125,10 +125,14 @@ def imag_part_spectrum(xi) -> np.ndarray:
 
     Im A is unitarily similar to the symmetric tridiagonal with zero diagonal
     and off-diagonals sqrt(xi_j), which is well conditioned even at repeated
-    eigenvalues; an empty xi gives the 1x1 block [0].
+    eigenvalues; an empty xi gives the 1x1 block [0].  A stack of xi
+    (shape (..., n - 1)) is solved by one stacked ``eigvalsh``.
     """
     off = np.sqrt(np.asarray(xi, dtype=float))
-    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    j = np.arange(off.shape[-1])
+    T = np.zeros(off.shape[:-1] + (len(j) + 1, len(j) + 1))
+    T[..., j, j + 1] = T[..., j + 1, j] = off
+    return np.linalg.eigvalsh(T)
 
 
 def flip(matrix: ReciprocalMatrix) -> ReciprocalMatrix:

@@ -1,12 +1,23 @@
-"""The n = 2..6 Kippenhahn polynomials written out by hand: an oracle for the recurrence.
+"""Polynomial oracles: hand-written P_n and the per-candidate decomposition search.
 
 With w_j = xi_j + rho the coefficients of P_n(zeta, rho) are signed sums of
 products of the w_j over non-adjacent index sets.  ``kippenhahn`` builds P_n
 by the determinant recurrence; these forms are kept here so tests can check
 it against an independent derivation.
+
+``oracle_brute_force`` searches elliptical decompositions of one xi, one
+candidate division at a time through ``ZetaPoly.divmod_monic``;
+``ellipses.brute_force_batch`` stacks every draw's divisions into one
+synthetic division, and tests check that it decides the same.
 """
 
-from reciprange.bipoly import ZetaPoly, rho_add, rho_mul, rho_trim
+import functools
+
+from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor, rho_add, rho_mul, rho_trim
+from reciprange.ellipses import _sampson_distance, divides_linear, divides_quadratic_from_squares
+from reciprange.errors import UnsupportedDimensionError
+from reciprange.kippenhahn import closed_form_poly
+from reciprange.matrices import as_xi, exact_spectrum, imag_part_spectrum
 
 
 def hand_written_poly(x, one) -> ZetaPoly:
@@ -42,3 +53,92 @@ def hand_written_poly(x, one) -> ZetaPoly:
         raise ValueError(f"hand-written forms cover n in 2..6, got {n}")
     poly.coeffs = [rho_trim(c) for c in poly.coeffs]
     return poly
+
+
+def minor_axis_candidates(xi, tol=1e-9):
+    """Nonnegative squared eigenvalues of Im A (the horizontal-tangent ordinates).
+
+    These are the only possible squared minor half-axes of elliptical
+    components.  Computed from the symmetric tridiagonal with off-diagonals
+    sqrt(xi_j), which is well conditioned even at repeated eigenvalues.
+    """
+    out = {0.0}
+    for v in imag_part_spectrum(list(as_xi(xi))):
+        if v >= -tol:
+            out.add(float(max(0.0, v)) ** 2)
+    # dedupe near-identical candidates
+    uniq = []
+    for v in sorted(out):
+        if not uniq or v - uniq[-1] > 1e-12 * max(1.0, v):
+            uniq.append(v)
+    return uniq
+
+
+def oracle_brute_force(xi, tol=1e-9):
+    """Search full elliptical decompositions of P_n by divisibility alone.
+
+    Candidate foci come from the exact spectrum, candidate minor half-axes from
+    the eigenvalues of Im A.  A candidate is accepted when every division
+    leaves a remainder within tol times the largest coefficient of P_n and its
+    Sampson distance is within tol * max(1, max |xi|).  Returns a set of
+    decomposition types found: "concentric" (all factors origin-centered)
+    and/or "displaced".
+    """
+    xi = as_xi(xi)
+    n = xi.n
+    if n not in (4, 5, 6):
+        raise UnsupportedDimensionError(f"oracle covers n in 4..6, got {n}")
+    P = closed_form_poly(xi)
+    spec = exact_spectrum(n)
+    pos = sorted(spec.positive(), reverse=True)
+    c2_cands = minor_axis_candidates(xi, tol)
+    found = set()
+
+    pnorm = float(P.poly.max_abs_coeff())
+    xi_tol = tol * max([1.0] + [abs(float(v)) for v in xi])
+
+    def accept(factors):
+        return _sampson_distance(xi, factors, xi_tol) <= xi_tol
+
+    def linear_chain(poly, xs, factors):
+        if not xs:
+            return poly.degree == 0 and accept(factors)
+        head, rest = xs[0], xs[1:]
+        for c2 in c2_cands:
+            q = divides_linear(poly, head * head, c2, tol=tol, scale=pnorm)
+            factor = (functools.partial(linear_factor, head * head), c2)
+            if q is not None and linear_chain(q, rest, factors + [factor]):
+                return True
+        return False
+
+    if linear_chain(P, pos, []):
+        found.add("concentric")
+
+    pairs = set()
+    # the spectrum 2cos(j pi/(n+1)) is symmetric about 0: mirroring the positive
+    # half makes mirrored pairs give the same (|p|, X) exactly
+    vals = pos + [0.0] * (n % 2) + [-v for v in reversed(pos)]
+    for i, zi in enumerate(vals):
+        for zj in vals[i + 1 :]:
+            p = (zi + zj) / 2
+            X = (zi - zj) / 2
+            if abs(p) > 1e-12 and X > 1e-12:
+                pairs.add((abs(p), X))
+    for p, X in sorted(pairs):
+        for c2 in c2_cands:
+            q = divides_quadratic_from_squares(P, X * X + p * p, X * X - p * p, c2, tol=tol, scale=pnorm)
+            if q is None:
+                continue
+            pair = (functools.partial(quadratic_factor, X * X + p * p, X * X - p * p), c2)
+            if q.degree == 0:
+                if accept([pair]):
+                    found.add("displaced")
+            else:
+                rest = [v for v in pos]  # remaining foci for the central factors
+                for c02 in c2_cands:
+                    for x0 in rest:
+                        q2 = divides_linear(q, x0 * x0, c02, tol=tol, scale=pnorm)
+                        central = (functools.partial(linear_factor, x0 * x0), c02)
+                        if q2 is not None and q2.degree == 0 and accept([pair, central]):
+                            found.add("displaced")
+    return found

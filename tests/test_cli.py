@@ -195,7 +195,8 @@ def test_verify_n4_seeds_with_near_variety_draws(capsys, tmp_path, seed):
 
 
 def test_verify_names_disagreeing_draws(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "brute_force_decompositions", lambda xi, tol: {"concentric"})
+    # every draw of the batch says concentric, so all 100 disagree with classify
+    monkeypatch.setattr(cli, "brute_force_batch", lambda xis, tol: [{"concentric"} for _ in xis])
     out = tmp_path / "verify.json"
     code, _ = run(capsys, "verify", "--n", "4", "--grid", "64", "--out", str(out))
     report, check = _random_check(out)
@@ -206,3 +207,31 @@ def test_verify_names_disagreeing_draws(capsys, tmp_path, monkeypatch):
         xi, verdicts = re.fullmatch(r"(\[.*\]): (classify \w+, divisibility \[.*\])", entry).groups()
         assert len(ast.literal_eval(xi)) == 3
         assert verdicts == "classify MIXED_NONE, divisibility ['concentric']"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("mode", ["float", "exact", "extended"])
+def test_classify_bad_tolerance_is_an_input_error(capsys, mode, tol):
+    # NaN and -1 used to print MIXED_NONE and inf DEGENERATE_SPECTRUM for con4 input
+    code = main(["classify", "--xi", "1,1,1", "--mode", mode, f"--tolerance={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "tolerance must be finite and nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_bad_tolerance_is_an_input_error(capsys, tmp_path, tol):
+    code, _ = run(capsys, "verify", "--n", "4", f"--tolerance={tol}", "--out", str(tmp_path / "v.json"))
+    assert code == 2 and not (tmp_path / "v.json").exists()
+
+
+def test_classify_zero_tolerance_is_exact(capsys):
+    code, out = run(capsys, "classify", "--xi", "1,0,1", "--tolerance", "0")
+    assert code == 0 and json.loads(out)["verdict"] == "DISPLACED_PAIR"
+
+
+@pytest.mark.parametrize("n", ["0", "3", "7"])
+def test_verify_unsupported_dimension(capsys, tmp_path, n):
+    code = main(["verify", "--n", n, "--out", str(tmp_path / "v.json")])
+    assert code == 3 and not (tmp_path / "v.json").exists()
+    assert f"verify covers n in 4..6, got {n}" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from reciprange.ellipses import (
     DEGENERATE_SPECTRUM,
     DISPLACED_PAIR,
     MIXED_NONE,
+    brute_force_batch,
     brute_force_decompositions,
     classify,
     divides_linear,
@@ -23,7 +24,8 @@ from reciprange.ellipses import (
     solve_Xp_table,
     verdict_matches_oracle,
 )
-from reciprange.bipoly import ZetaPoly
+from poly_oracle import minor_axis_candidates, oracle_brute_force
+from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor
 from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.geometry import intersect_regions, ellipse_region, region_contains_region
 from reciprange.kippenhahn import closed_form_poly
@@ -370,6 +372,175 @@ def test_oracle_foci_leave_no_defect_where_they_fix_it(monkeypatch):
         defect = P - functools.reduce(ZetaPoly.__mul__, [build(c) for build, c in fs])
         for zeta, rho in ((0, 2), (1, 1)):
             assert abs(float(defect.coeffs[zeta][rho])) <= 1e-14 * float(P.max_abs_coeff())
+
+
+# --- the batched oracle against the per-candidate search ---
+
+ORACLE_TOLS = (0.0, 1e-9, 1e-6, 1e-4)
+#: verify --n 4 at seeds 27 and 1885715326: 1e-5 off the con4 variety
+NEAR_CON4 = [
+    (1.8145491952665136, 1.9393076437559764, 1.6125877491519145),
+    (1.4819315598896727, 1.5318015740382296, 1.4011974099565903),
+]
+
+
+@functools.cache
+def _conel_base():
+    from reciprange.concentric6 import find_concentric_instance
+
+    return find_concentric_instance(seed=11)[0]
+
+
+#: members of every criterion family, from two parameters in [0.2, 2]
+FAMILIES = {
+    4: [
+        lambda t, s: (t + s, PHI * (t + s) - s / PHI, s),  # con4
+        lambda t, s: (t, 0.0, t),  # noncon4
+    ],
+    5: [
+        lambda t, s: (t, s, s + t, t),  # con5, first branch
+        lambda t, s: (t + 1, s, s + (t + 0.5) / 2, 0.5),  # con5, second branch
+        lambda t, s: (SQRT3 / 2 * t + t, 0.0, t, SQRT3 / 2 * t),  # noncon5
+    ],
+    6: [
+        lambda t, s: tuple(t * v for v in _conel_base()),  # 3conel
+        lambda t, s: (t, 2 * math.cos(2 * math.pi / 7) * t, 0.0, 2 * math.cos(2 * math.pi / 7) * t, t),  # de1
+        *[lambda t, s, k=k: (t, 0.0, k * t, (k - 1) ** 2 * t, k * t) for k in (K17, K37)],  # de2
+        *[lambda t, s, k=k: (k * t, (k - 1) ** 2 * t, k * t, 0.0, t) for k in (K17, K37)],  # de3
+    ],
+}
+
+
+@st.composite
+def _family_draws(draw, n):
+    """A criterion-family member of dimension n, reversed or not, one entry pushed 0, 1e-5 or 1e-3 off."""
+    member = draw(st.sampled_from(FAMILIES[n]))
+    xi = list(member(draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))))
+    if draw(st.booleans()):
+        xi.reverse()
+    j = draw(st.integers(0, n - 2))
+    xi[j] = max(0.0, xi[j] + draw(st.sampled_from([0.0, 1e-5, -1e-5, 1e-3, -1e-3])))
+    return xi
+
+
+def _uniform_draws(n):
+    """Uniform draws on [0, 2.5] with some entries zeroed."""
+    return st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.5)), min_size=n - 1, max_size=n - 1)
+
+
+def _draws(n):
+    return st.one_of(_family_draws(n), _uniform_draws(n), st.just([0.0] * (n - 1)))
+
+
+@given(st.sampled_from([4, 5, 6]), st.sampled_from(ORACLE_TOLS), st.data())
+def test_batch_matches_oracle_on_uniform_draws(n, tol, data):
+    draws = data.draw(st.lists(_uniform_draws(n), min_size=1, max_size=5))
+    assert brute_force_batch(draws, tol) == [oracle_brute_force(xi, tol) for xi in draws]
+
+
+@given(st.sampled_from([4, 5, 6]), st.sampled_from(ORACLE_TOLS), st.data())
+def test_batch_matches_oracle_near_the_criteria(n, tol, data):
+    draws = data.draw(st.lists(_family_draws(n), min_size=1, max_size=5))
+    assert brute_force_batch(draws, tol) == [oracle_brute_force(xi, tol) for xi in draws]
+
+
+@pytest.mark.parametrize("tol", ORACLE_TOLS)
+def test_batch_matches_oracle_on_fixed_cases(tol):
+    from reciprange.cli import SEED_CORPUS
+
+    for n in (4, 5, 6):
+        draws = [xi for xi in NEAR_CON4 if len(xi) == n - 1] + [(0.0,) * (n - 1)] + SEED_CORPUS[n]
+        assert brute_force_batch(draws, tol) == [oracle_brute_force(xi, tol) for xi in draws], n
+
+
+@given(st.sampled_from([4, 5, 6]), st.data())
+def test_batch_equals_single_calls_in_any_order(n, data):
+    # the zero vector has the single candidate c^2 = 0, so mixed batches pad with NaN
+    draws = data.draw(st.lists(_draws(n), min_size=1, max_size=6))
+    order = data.draw(st.permutations(range(len(draws))))
+    singles = [brute_force_decompositions(xi, 1e-6) for xi in draws]
+    assert brute_force_batch(draws, 1e-6) == singles
+    assert brute_force_batch([draws[i] for i in order], 1e-6) == [singles[i] for i in order]
+
+
+@given(st.sampled_from([4, 5, 6]), st.sampled_from(ORACLE_TOLS), st.data())
+def test_minor_axis_candidates_pad_with_nan_only(n, tol, data):
+    draws = data.draw(st.lists(_draws(n), min_size=1, max_size=6))
+    c2 = ellipses._minor_axis_candidates(np.array(draws, dtype=float), tol)
+    for row, xi in zip(c2, draws):
+        want = minor_axis_candidates(xi, tol)
+        assert row[: len(want)].tolist() == want
+        assert np.isnan(row[len(want) :]).all()
+
+
+def _rows(poly, depth, width):
+    out = np.zeros((depth, width))
+    for j, c in enumerate(poly.coeffs):
+        out[j, : len(c)] = [float(v) for v in c]
+    return out
+
+
+def _assert_same_division(P, arr, factor, focus, c2s):
+    """Divide the ZetaPoly ``P`` and its array ``arr`` by factor(*focus, c^2) for every
+    c^2; |quotient| and |remainder| must agree bitwise.  Returns the quotient pairs."""
+    low = ellipses._Level(factor, (focus,)).low_rows(np.array([c2s]))[0]
+    quot, rem = ellipses._divide_monic(arr, low)
+    out = []
+    for c2, q_arr, r_arr in zip(c2s, quot, rem):
+        q, r = P.divmod_monic(factor(*focus, c2))
+        assert np.array_equal(np.abs(r_arr), np.abs(_rows(r, *r_arr.shape)))
+        assert np.array_equal(np.abs(q_arr), np.abs(_rows(q, *q_arr.shape)))
+        out.append((q, q_arr))
+    return out
+
+
+@given(st.sampled_from([4, 5, 6]), st.data())
+def test_division_kernel_is_divmod_monic_bitwise(n, data):
+    xi = data.draw(_draws(n))
+    P = closed_form_poly(xi).poly
+    arr = _rows(P, n // 2 + 1, n // 2 + 1)
+    c2s = minor_axis_candidates(xi, 1e-6) + [data.draw(st.floats(0.0, 5.0))]
+    spec = exact_spectrum(n).eigenvalues
+    pos = [v for v in spec if v > 1e-15]
+    for x in pos:  # two levels of concentric factors
+        for q, q_arr in _assert_same_division(P, arr, linear_factor, (x * x,), c2s):
+            for x2 in pos:
+                _assert_same_division(q, q_arr, linear_factor, (x2 * x2,), c2s)
+    for i, zi in enumerate(spec):  # displaced pairs, then a central factor
+        for zj in spec[i + 1 :]:
+            p, X = abs(zi + zj) / 2, (zi - zj) / 2
+            for q, q_arr in _assert_same_division(P, arr, quadratic_factor, (X * X + p * p, X * X - p * p), c2s):
+                if n == 6:
+                    for x in pos:
+                        _assert_same_division(q, q_arr, linear_factor, (x * x,), c2s)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("mode", ["float", "exact", "extended"])
+def test_classify_rejects_bad_tolerance(mode, tol):
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        classify([1.0, 1.0, 1.0], mode=mode, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_oracle_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        brute_force_decompositions([1.0, 1.0, 1.0], tol=tol)
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        brute_force_batch([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]], tol=tol)
+
+
+def test_zero_tolerance_stays_exact():
+    assert classify([1.0, 0.0, 1.0], tol=0).verdict == DISPLACED_PAIR
+    assert classify([1.0, 0.0, 1.0 + 1e-9], tol=0).verdict == MIXED_NONE
+
+
+def test_batch_takes_one_dimension():
+    assert brute_force_batch([]) == []
+    with pytest.raises(InvalidInputError):
+        brute_force_batch([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(UnsupportedDimensionError):
+        brute_force_batch([[1.0, 1.0]])
 
 
 def test_report_json_schema():
