@@ -258,6 +258,16 @@ def _division_poly(be, x, snapped):
     return build_poly_from_scalars(list(x if be.exact else snapped), be.convert(1))
 
 
+def _sub_unit(x, be):
+    """max |xi| capped at 1, in the backend's numbers (1 in exact mode).
+
+    A residual of degree d in xi, divided by its (d - 1)th power, measures the
+    defect in xi's own units below unit scale, as the oracle does; at scale 1
+    and above the division is by 1.
+    """
+    return be.convert(1) if be.exact else be.convert(min(1.0, max(abs(float(v)) for v in x)))
+
+
 def _classify4(x, be, scale, report):
     phi = be.phi
     inv_phi = 1 / phi
@@ -333,7 +343,7 @@ def _classify5(x, be, scale, report):
     s3 = be.sqrt3
     pair_sum = x[1] + x[2]
     if (
-        be.is_zero(x[1] * x[2], scale * scale)
+        be.is_zero(x[1] * x[2] / _sub_unit(x, be), scale * scale)
         and not be.is_zero(pair_sum, scale)
         and be.eq(x[0], s3 / 2 * pair_sum + x[2], scale)
         and be.eq(x[3], s3 / 2 * pair_sum + x[1], scale)
@@ -363,7 +373,9 @@ def _classify5(x, be, scale, report):
 def _classify6(x, be, scale, report):
     # three concentric ellipses: solve the linear system for the axes
     t, residuals = concentric6.candidate_axes(x, exact=be.exact, mpm=be.mpm)
-    res_ok = all(be.is_zero(r, scale**3 + scale) for r in residuals)
+    u = _sub_unit(x, be)
+    # e2 and the weighted pair sum have degree 2 in xi, the product degree 3
+    res_ok = all(be.is_zero(r / u ** (d - 1), scale**3 + scale) for r, d in zip(residuals, (2, 2, 3)))
     if res_ok and all(float(v) >= -be.tol * scale for v in t):
         tc = [v if float(v) > 0 else be.convert(0) for v in t]
         q = _division_poly(be, x, x)
@@ -474,10 +486,18 @@ def _minor_axis_candidates(x: np.ndarray, tol) -> np.ndarray:
 
     The nonnegative eigenvalues of Im A (the horizontal-tangent ordinates) are
     the only possible minor half-axes of elliptical components.  Their
-    squares and 0 are sorted per draw and near-identical ones merged.
+    squares and 0 are sorted per draw and near-identical ones merged.  An xi
+    entry within tol * max(1, max xi) of 0 moves them by about its square
+    root, so a draw with such entries also takes the eigenvalues of Im A with
+    those entries set to 0.
     """
+    near = (x > 0) & (x <= tol * np.maximum(1.0, np.max(x, axis=1, keepdims=True)))
+    spectra = [list(s) for s in imag_part_spectrum(x)]
+    snap = np.nonzero(near.any(axis=1))[0]
+    for b, spectrum in zip(snap.tolist(), imag_part_spectrum(np.where(near, 0.0, x)[snap])):
+        spectra[b] += spectrum.tolist()
     rows = []
-    for spectrum in imag_part_spectrum(x):
+    for spectrum in spectra:
         uniq = []
         for v in sorted({0.0} | {float(max(0.0, v)) ** 2 for v in spectrum if v >= -tol}):
             if not uniq or v - uniq[-1] > 1e-12 * max(1.0, v):
@@ -571,12 +591,11 @@ def _divide_monic(P, low):
 @dataclass(frozen=True)
 class _Level:
     """One division step of the search: ``factor(*focus, c^2)`` for every focus
-    parameter tuple in ``foci`` and every minor-axis candidate c^2.  Candidates
-    run focus by focus, or c^2 by c^2 when ``c2_major``."""
+    parameter tuple in ``foci`` and every minor-axis candidate c^2, run focus by
+    focus."""
 
     factor: object  # linear_factor or quadratic_factor
     foci: tuple
-    c2_major: bool = False
 
     def low_rows(self, c2):
         """(S, K, d, W_d): the divisor rows below the leading 1 of every candidate,
@@ -588,13 +607,11 @@ class _Level:
         for j, row in enumerate(rows):
             for m, v in enumerate(row):
                 low[..., j, m] = v
-        if self.c2_major:
-            low = low.swapaxes(1, 2)
         return low.reshape(shape[0], shape[1] * shape[2], *low.shape[3:])
 
     def candidate(self, k, c2):
         """The (build, c^2) factor of candidate ``k`` for one draw's candidates ``c2``."""
-        f, c = divmod(k, len(c2)) if not self.c2_major else divmod(k, len(self.foci))[::-1]
+        f, c = divmod(k, len(c2))
         return functools.partial(self.factor, *self.foci[f]), float(c2[c])
 
 
@@ -670,7 +687,7 @@ def brute_force_batch(xis, tol=DEFAULT_TOL):
                 pairs.add((abs(p), X))
     # one displaced pair, then origin-centered factors at any foci
     displaced = [_Level(quadratic_factor, tuple((X * X + p * p, X * X - p * p) for p, X in sorted(pairs)))]
-    displaced += [_Level(linear_factor, tuple((v * v,) for v in pos), c2_major=True)] * (n // 2 - 2)
+    displaced += [_Level(linear_factor, tuple((v * v,) for v in pos))] * (n // 2 - 2)
 
     found = [set() for _ in xis]
     for kind, levels in (("concentric", concentric), ("displaced", displaced)):

@@ -60,10 +60,17 @@ def minor_axis_candidates(xi, tol=1e-9):
 
     These are the only possible squared minor half-axes of elliptical
     components.  Computed from the symmetric tridiagonal with off-diagonals
-    sqrt(xi_j), which is well conditioned even at repeated eigenvalues.
+    sqrt(xi_j), which is well conditioned even at repeated eigenvalues.  An
+    xi entry within tol * max(1, max xi) of 0 moves the eigenvalues by about
+    its square root, so the spectrum with such entries set to 0 joins in.
     """
+    xi = list(as_xi(xi))
+    near = [0 < v <= tol * max([1.0] + xi) for v in xi]
+    spectrum = list(imag_part_spectrum(xi))
+    if any(near):
+        spectrum += list(imag_part_spectrum([0.0 if z else v for v, z in zip(xi, near)]))
     out = {0.0}
-    for v in imag_part_spectrum(list(as_xi(xi))):
+    for v in spectrum:
         if v >= -tol:
             out.add(float(max(0.0, v)) ** 2)
     # dedupe near-identical candidates

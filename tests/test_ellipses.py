@@ -295,6 +295,40 @@ def test_3conel_homogeneity():
             assert e.minor_half_axis == pytest.approx(math.sqrt(t) * e0.minor_half_axis, rel=1e-7)
 
 
+@pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2])
+def test_degree_two_and_three_tests_measure_xi_units_below_unit_scale(t):
+    # the 3conel residuals and the noncon5 product xi2 xi3 have degree 2 or 3:
+    # below unit scale they are compared in xi's units, as the oracle measures
+    from reciprange.concentric6 import find_concentric_instance
+
+    off = [t, 0.0, t, t, t]  # (1, 0, 1, 1, 1) is MIXED_NONE, residual 0.14
+    assert classify(off).verdict == MIXED_NONE
+    assert brute_force_decompositions(off) == set()
+    a, b = t, 2 * t  # xi2 xi3 = 2 t^2, neither is 0
+    off = [SQRT3 / 2 * (a + b) + b, a, b, SQRT3 / 2 * (a + b) + a]
+    assert classify(off).verdict == MIXED_NONE
+    assert brute_force_decompositions(off) == set()
+    xi, _ = find_concentric_instance(seed=11)
+    on = [t * v for v in xi]
+    assert classify(on).criterion == classify(on, mode="extended").criterion == "3conel"
+    assert brute_force_decompositions(on) == {"concentric"}
+    on = [SQRT3 / 2 * t + t, 0.0, t, SQRT3 / 2 * t]
+    assert classify(on).criterion == classify(on, mode="extended").criterion == "noncon5"
+    assert brute_force_decompositions(on) == {"displaced"}
+
+
+@pytest.mark.parametrize("xi, tol, criterion", [
+    ((1.0, 1e-12, 1.0), 1e-9, "noncon4"),
+    ((SQRT3 / 2 * 0.7 + 0.7, 1e-12, 0.7, SQRT3 / 2 * 0.7), 1e-9, "noncon5"),
+    ((0.801938, 1.0, 1e-9, 1.0, 0.801938), 1e-6, "de1"),
+])
+def test_oracle_finds_pairs_past_an_entry_within_tol_of_zero(xi, tol, criterion):
+    # sqrt(xi_j) is an off-diagonal of Im A, so an entry eps off 0 splits the
+    # pair's double eigenvalue by about sqrt(eps): far more than tol allows
+    assert classify(xi, tol=tol).criterion == criterion
+    assert brute_force_decompositions(xi, tol) == oracle_brute_force(xi, tol) == {"displaced"}
+
+
 # --- the Xp solution table ---
 
 def test_xp_table_rows():
