@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -56,21 +57,19 @@ def candidate_axes(xi, exact=False, mpm=None):
     if len(vals) != 5:
         raise ValueError("candidate_axes needs n = 6")
     if exact:
-        x = [Fraction(v) for v in vals]
-        s = _SX
-        one = COS7(1)
-        conv = lambda v: COS7(v) if isinstance(v, (int, Fraction)) else v
-    elif mpm is not None:
+        return _matching_system([Fraction(v) for v in vals], _SX, COS7(1), COS7)
+    if mpm is not None:
         conv = lambda v: v if hasattr(v, "_mpf_") else mpm.mpf(v)
-        x = [conv(v) for v in vals]
         s = [4 * mpm.cos(j * mpm.pi / 7) ** 2 for j in (1, 2, 3)]
-        one = mpm.mpf(1)
-    else:
-        x = [float(v) for v in vals]
-        s = S_FLOAT
-        one = 1.0
-        conv = float
+        return _matching_system([conv(v) for v in vals], s, mpm.mpf(1), conv)
+    return _matching_system([float(v) for v in vals], S_FLOAT, 1.0, float)
 
+
+def _matching_system(x, s, one, conv):
+    """``candidate_axes`` for xi values ``x`` in any ring holding the s_j and ``one``.
+
+    ``conv`` lifts the sums and products of xi into that ring.
+    """
     total = sum(x)
     q1 = 3 * (x[0] + x[4]) + 2 * (x[1] + x[2] + x[3])
     odd = x[0] + x[2] + x[4]
@@ -95,109 +94,74 @@ def candidate_axes(xi, exact=False, mpm=None):
 # exact elimination of t: the criterion as rational polynomials in xi
 # ---------------------------------------------------------------------------
 
-def _padd(p, q):
-    r = dict(p)
-    for m, c in q.items():
-        nc = r.get(m, COS7(0)) + c
-        if nc == COS7(0):
-            r.pop(m, None)
-        else:
-            r[m] = nc
-    return r
+class _Poly:
+    """Polynomial in xi_1..xi_5 over Q(2cos(2pi/7)): exponent tuple -> nonzero coefficient.
 
+    Enough of a ring (with int and field-element scalars) for ``_matching_system``.
+    """
 
-def _pneg(p):
-    return {m: -c for m, c in p.items()}
+    __slots__ = ("terms",)
 
+    def __init__(self, terms):
+        self.terms = terms
 
-def _pmul(p, q):
-    r = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            nc = r.get(m, COS7(0)) + c1 * c2
-            if nc == COS7(0):
-                r.pop(m, None)
-            else:
-                r[m] = nc
-    return r
+    @classmethod
+    def var(cls, i):
+        return cls({tuple(int(j == i) for j in range(5)): COS7(1)})
 
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            if m in terms:
+                c = terms[m] + c
+                if not c:
+                    del terms[m]
+                    continue
+            terms[m] = c
+        return _Poly(terms)
 
-def _pscale(p, c):
-    return {m: cc * c for m, cc in p.items() if cc * c != COS7(0)}
+    def __radd__(self, other):  # the 0 that sum() starts from
+        return self if other == 0 else NotImplemented
 
+    def __neg__(self):
+        return _Poly({m: -c for m, c in self.terms.items()})
 
-def _pvar(i):
-    m = [0] * 5
-    m[i] = 1
-    return {tuple(m): COS7(1)}
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly({m: p for m, c in self.terms.items() if (p := c * other)})
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(map(add, m1, m2))
+                p = c1 * c2
+                terms[m] = terms[m] + p if m in terms else p
+        return _Poly({m: c for m, c in terms.items() if c})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * other.inverse()
 
 
 def derive_rational_criterion():
     """Eliminate t exactly; returns three monomial->Fraction dicts (G2a, G2b, G3).
 
-    The first two are quadratic, the third cubic in xi; each has rational
-    coefficients because the construction is stable under permuting the s_j.
+    Runs ``candidate_axes``' matching system on symbolic xi, so its residuals
+    are the criterion.  The first two are quadratic, the third cubic in xi;
+    each has rational coefficients because the construction is stable under
+    permuting the s_j.
     """
-    X = [_pvar(i) for i in range(5)]
-    s = _SX
-    total = X[0]
-    for i in range(1, 5):
-        total = _padd(total, X[i])
-    q1 = _padd(_pscale(_padd(X[0], X[4]), COS7(3)), _pscale(_padd(_padd(X[1], X[2]), X[3]), COS7(2)))
-    odd = _padd(_padd(X[0], X[2]), X[4])
-    b = [total, q1, odd]
-    M = [[COS7(1), COS7(1), COS7(1)],
-         [COS7(5) - s[0], COS7(5) - s[1], COS7(5) - s[2]],
-         [s[0].inverse(), s[1].inverse(), s[2].inverse()]]
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    D = det3(M)
-    Dinv = D.inverse()
-    T = []
-    for k in range(3):
-        tk = {}
-        for i in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != k]
-            minor = M[rows[0]][cols[0]] * M[rows[1]][cols[1]] - M[rows[0]][cols[1]] * M[rows[1]][cols[0]]
-            sign = COS7(1 if (i + k) % 2 == 0 else -1)
-            tk = _padd(tk, _pscale(b[i], minor * sign))
-        T.append(_pscale(tk, Dinv))
-
-    e2xi = {}
-    for (i, j) in [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]:
-        e2xi = _padd(e2xi, _pmul(X[i], X[j]))
-    oddpair = _padd(_padd(_pmul(X[0], X[2]), _pmul(X[0], X[4])), _pmul(X[2], X[4]))
-    oddprod = _pmul(_pmul(X[0], X[2]), X[4])
-
-    G2a = _padd(_padd(_padd(_pmul(T[0], T[1]), _pmul(T[0], T[2])), _pmul(T[1], T[2])), _pneg(e2xi))
-    G2b = _padd(
-        _padd(
-            _padd(_pscale(_pmul(T[0], T[1]), s[2]), _pscale(_pmul(T[0], T[2]), s[1])),
-            _pscale(_pmul(T[1], T[2]), s[0]),
-        ),
-        _pneg(oddpair),
-    )
-    G3 = _padd(_pmul(_pmul(T[0], T[1]), T[2]), _pneg(oddprod))
-
-    def rationalize(p, name):
-        out = {}
-        for m, c in p.items():
+    _, residuals = _matching_system([_Poly.var(i) for i in range(5)], _SX, COS7(1), lambda p: p)
+    out = []
+    for name, g in zip(("G2a", "G2b", "G3"), residuals):
+        for m, c in g.terms.items():
             if not c.is_rational():
                 raise ArithmeticError(f"{name}: non-rational coefficient {c} at {m}")
-            q = c.rational_part()
-            if q:
-                out[m] = q
-        return out
-
-    return rationalize(G2a, "G2a"), rationalize(G2b, "G2b"), rationalize(G3, "G3")
+        out.append({m: c.rational_part() for m, c in g.terms.items()})
+    return tuple(out)
 
 
 def _mono(*exps):

@@ -93,9 +93,6 @@ class ReciprocalMatrix:
             out.append((m - 1 / m) ** 2 / 4)
         return XiParameters(tuple(out))
 
-    def frobenius_norm_sq(self):
-        return sum(abs(a) ** 2 + 1 / abs(a) ** 2 for a in self.superdiag)
-
 
 def build_from_superdiagonal(entries) -> ReciprocalMatrix:
     """Construct from the superdiagonal; the subdiagonal is the entrywise reciprocal."""

@@ -1,8 +1,10 @@
 """Exact arithmetic in small real algebraic number fields.
 
-Elements of Q(alpha) are stored as coefficient tuples over Fraction and reduced
-modulo the (monic) minimal polynomial of alpha.  Three fields cover every
-irrational constant appearing in the ellipse criteria:
+An element of Q(alpha) is stored as integer numerators of 1, alpha, alpha^2, ...
+over one positive common denominator, divided by their gcd so that every
+element has exactly one form.  Products are reduced modulo the monic integer
+minimal polynomial of alpha, which keeps the numerators integral.  Three
+fields cover every irrational constant appearing in the ellipse criteria:
 
 * ``SQRT5``  -- Q(sqrt 5), home of the golden ratio,
 * ``SQRT3``  -- Q(sqrt 3),
@@ -14,46 +16,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    m = max(len(a), len(b))
-    out = [Fraction(0)] * m
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of Fraction polynomials (ascending coefficients)."""
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _trim(a):
-        k = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[k] = c
-        for j, bc in enumerate(b):
-            a[j + k] -= c * bc
-        a.pop()
-        _trim(a)
-    return _trim(q), _trim(a)
+def _det(m):
+    """Determinant of a small square matrix by cofactor expansion along its first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in m[1:]]) for j, c in enumerate(m[0]) if c)
 
 
 class NumberField:
@@ -64,15 +34,19 @@ class NumberField:
     """
 
     def __init__(self, minpoly, root_value, name="alpha"):
-        self.minpoly = tuple(Fraction(c) for c in minpoly)
-        self.degree = len(minpoly)
+        self.minpoly = tuple(index(c) for c in minpoly)
+        self.degree = len(self.minpoly)
         self.root_value = float(root_value)
         self.name = name
 
     def __call__(self, *coeffs):
-        c = [Fraction(x) for x in coeffs]
-        c += [Fraction(0)] * (self.degree - len(c))
-        return FieldElement(self, tuple(c[: self.degree]))
+        """sum_i coeffs[i] alpha^i for rational coeffs (anything ``Fraction`` takes); missing ones are 0."""
+        coeffs = coeffs[: self.degree]
+        if all(type(c) is int for c in coeffs):
+            return FieldElement(self, coeffs + (0,) * (self.degree - len(coeffs)), 1)
+        q = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in q))
+        return self._element([c.numerator * (den // c.denominator) for c in q], den)
 
     def zero(self):
         return self()
@@ -84,23 +58,42 @@ class NumberField:
         return self(0, 1)
 
     def _reduce(self, raw):
-        raw = list(raw) + [Fraction(0)] * max(0, self.degree - len(raw))
-        for i in range(len(raw) - 1, self.degree - 1, -1):
+        """The ``degree`` coefficients of integer ``raw`` (a list, consumed) modulo the minimal polynomial."""
+        d = self.degree
+        for i in range(len(raw) - 1, d - 1, -1):
             c = raw[i]
             if c:
-                raw[i] = Fraction(0)
                 # alpha^degree = -sum_j minpoly[j] alpha^j
                 for j, m in enumerate(self.minpoly):
-                    raw[i - self.degree + j] -= c * m
-        return tuple(raw[: self.degree])
+                    raw[i - d + j] -= c * m
+        return raw[:d] + [0] * (d - len(raw))
+
+    def _element(self, raw, den):
+        """The element (sum_i raw[i] alpha^i) / den for integers raw and den != 0, in canonical form."""
+        num = self._reduce(raw)
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        return FieldElement(self, tuple(num), den)
 
 
 class FieldElement:
-    __slots__ = ("field", "coeffs")
+    """(num[0] + num[1] alpha + ...) / den with integer num, den > 0 and gcd(den, *num) = 1."""
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The rational coefficients of 1, alpha, alpha^2, ... as a tuple of Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -115,12 +108,13 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        num = [a * o.den + b * self.den for a, b in zip(self.num, o.num)]
+        return self.field._element(num, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -135,33 +129,31 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self.field.degree
-        raw = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        raw = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o.num):
                     if b:
                         raw[i + j] += a * b
-        return FieldElement(self.field, self.field._reduce(raw))
+        return self.field._element(raw, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse via the extended Euclidean algorithm against the minimal polynomial."""
-        if not any(self.coeffs):
+        """Inverse by Cramer's rule on the integer matrix of multiplication by the numerator."""
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero field element")
-        m = list(self.field.minpoly) + [Fraction(1)]
-        r0, r1 = m, _trim(list(self.coeffs))
-        # track s with r = s*self mod minpoly
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem if rem else [Fraction(0)]
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            if not any(r1):
-                raise ZeroDivisionError("non-invertible element")
-        inv = [c / r1[0] for c in s1]
-        return FieldElement(self.field, self.field._reduce(inv))
+        f = self.field
+        cols = [list(self.num)]  # column j: num * alpha^j
+        for _ in range(f.degree - 1):
+            cols.append(f._reduce([0] + cols[-1]))
+        rows = list(zip(*cols))
+        # rows @ y = e_0 gives y = (C_00, ..., C_0k, ...) / det, C_0k the cofactors along row 0
+        cof = [(-1) ** k * _det([r[:k] + r[k + 1:] for r in rows[1:]]) for k in range(f.degree)]
+        det = sum(a * c for a, c in zip(rows[0], cof))
+        if not det:
+            raise ZeroDivisionError("non-invertible element")
+        return f._element([self.den * c for c in cof], det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -179,24 +171,28 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        # a rational element equals its Fraction (or int), so it hashes like one
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((id(self.field), self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_part(self):
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __float__(self):
-        return float(sum(float(c) * self.field.root_value**i for i, c in enumerate(self.coeffs)))
+        # c / den is float(Fraction(c, den)): int true division rounds correctly
+        return float(sum(c / self.den * self.field.root_value**i for i, c in enumerate(self.num)))
 
     def __abs__(self):
         return abs(float(self))

@@ -15,6 +15,7 @@ from reciprange.concentric6 import (
     find_concentric_instance,
     quoted_criterion,
 )
+from numberfield_oracle import oracle_derive_rational_criterion
 from reciprange.ellipses import classify
 from reciprange.kippenhahn import closed_form_poly
 from reciprange.bipoly import linear_factor
@@ -35,6 +36,16 @@ def test_derived_system_is_rational_and_proportional_to_quoted():
     assert {m: c * 7 for m, c in G2a.items()} == q1
     assert {m: c * 7 for m, c in G2b.items()} == q2
     assert {m: c * 49 for m, c in G3.items()} == q3
+
+
+def test_derived_system_matches_the_dict_helper_oracle():
+    derived = derive_rational_criterion()
+    assert derived == oracle_derive_rational_criterion()
+    assert all(type(c) is Fraction for g in derived for c in g.values())
+    # rebuilt on every call: a caller mutating one result leaves the next intact
+    derived[2].clear()
+    assert derive_rational_criterion() == oracle_derive_rational_criterion()
+    assert audit_concentric_criterion()["derived_system"] == oracle_derive_rational_criterion()
 
 
 def test_audit_confirms_printed_coefficient():
