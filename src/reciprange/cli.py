@@ -213,7 +213,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             if rep.verdict in ("ALL_CONCENTRIC", "DISPLACED_PAIR"):
                 m = matrix_from_xi(xi)
                 for k in range(1, (n + 1) // 2 + 1):
-                    ra = rank_k_analytic(rep, k)
+                    ra = rank_k_analytic(rep, k, cfg.grid)
                     rn = rank_k_numeric(m, k, cfg.grid)
                     distances.append((region_distance(ra, rn), xi, k))
     _check(checks, "corpus_criterion_vs_divisibility", all_ok, "; ".join(detail))

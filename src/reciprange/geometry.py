@@ -460,32 +460,9 @@ def hausdorff_distance(a: ConvexRegion, b: ConvexRegion) -> float:
     return _largest_gap(a, b, symmetric=True)
 
 
-def hausdorff_point_sets(P, Q) -> float:
-    """Symmetric Hausdorff distance between finite point sets (arrays of complex)."""
-    P = np.asarray(P, dtype=complex).ravel()
-    Q = np.asarray(Q, dtype=complex).ravel()
-    d = np.abs(P[:, None] - Q[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 def region_contains_region(outer: ConvexRegion, inner: ConvexRegion, tol=1e-8) -> bool:
     """Is the directed Hausdorff distance max over u of h_inner - h_outer <= tol?"""
     if EMPTY in (inner.kind, outer.kind):
         return inner.kind == EMPTY
     return _largest_gap(inner, outer, symmetric=False) <= tol
 
-
-def ellipse_boundary(center: float, half_focal: float, minor: float, m: int = 1024):
-    """CCW boundary points of the ellipse with real center, foci center +- X."""
-    a = math.sqrt(minor * minor + half_focal * half_focal)
-    ts = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
-    return center + a * np.cos(ts) + 1j * minor * np.sin(ts)
-
-
-def ellipse_region(center: float, half_focal: float, minor: float, m: int = 1024) -> ConvexRegion:
-    if minor <= 0:
-        lo, hi = center - half_focal, center + half_focal
-        if half_focal <= 0:
-            return ConvexRegion(POINT, (complex(center),))
-        return ConvexRegion(SEGMENT, (complex(lo), complex(hi)))
-    return ConvexRegion(POLYGON, tuple(complex(z) for z in ellipse_boundary(center, half_focal, minor, m)))

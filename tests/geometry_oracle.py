@@ -7,6 +7,10 @@ N x E scan of every vertex against every edge.  All are slow but independent
 of the sorted-angle deque, the rotating calipers and the support functions
 the package uses, so the tests compare the two.
 
+``ellipse_region`` samples an ellipse into a polygon and
+``hausdorff_point_sets`` compares finite point sets; the package describes
+ellipses by their support functions and needs neither.
+
 ``oracle_deque_vertices`` and ``oracle_convex_loop`` are not independent:
 they are the package's sorted-angle deque and convex-loop stack with one
 Python step per line and per vertex.  The package skips the steps that
@@ -258,3 +262,29 @@ def oracle_convex_loop(z):
             hull.pop()
         hull.append(p)
     return np.array(hull[:-1])
+
+
+def ellipse_boundary(center: float, half_focal: float, minor: float, m: int = 1024):
+    """CCW boundary points of the ellipse with real center, foci center +- X."""
+    a = math.sqrt(minor * minor + half_focal * half_focal)
+    ts = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
+    return center + a * np.cos(ts) + 1j * minor * np.sin(ts)
+
+
+def ellipse_region(center: float, half_focal: float, minor: float, m: int = 1024) -> ConvexRegion:
+    """The ellipse as an inscribed m-gon, a SEGMENT between the foci when
+    minor is 0, or a POINT when half_focal is 0 as well."""
+    if minor <= 0:
+        lo, hi = center - half_focal, center + half_focal
+        if half_focal <= 0:
+            return ConvexRegion(POINT, (complex(center),))
+        return ConvexRegion(SEGMENT, (complex(lo), complex(hi)))
+    return ConvexRegion(POLYGON, tuple(complex(z) for z in ellipse_boundary(center, half_focal, minor, m)))
+
+
+def hausdorff_point_sets(P, Q) -> float:
+    """Symmetric Hausdorff distance between finite point sets (arrays of complex)."""
+    P = np.asarray(P, dtype=complex).ravel()
+    Q = np.asarray(Q, dtype=complex).ravel()
+    d = np.abs(P[:, None] - Q[None, :])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
+from geometry_oracle import hausdorff_point_sets
 from reciprange.concentric6 import (
     audit_concentric_criterion,
     evaluate_criterion,
@@ -29,7 +30,7 @@ from reciprange.ellipses import (
     solve_Xp_table,
     verdict_matches_oracle,
 )
-from reciprange.geometry import EMPTY, POINT, hausdorff_point_sets, region_contains_region
+from reciprange.geometry import EMPTY, POINT, region_contains_region
 from reciprange.kippenhahn import (
     closed_form_poly,
     curve_components,

@@ -24,10 +24,11 @@ from reciprange.ellipses import (
     solve_Xp_table,
     verdict_matches_oracle,
 )
+from geometry_oracle import ellipse_region
 from poly_oracle import minor_axis_candidates, oracle_brute_force
 from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor
 from reciprange.errors import InvalidInputError, UnsupportedDimensionError
-from reciprange.geometry import intersect_regions, ellipse_region, region_contains_region
+from reciprange.geometry import intersect_regions, region_contains_region
 from reciprange.kippenhahn import closed_form_poly
 from reciprange.matrices import exact_spectrum
 

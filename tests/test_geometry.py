@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import FIG3
 from geometry_oracle import (
     HalfPlane,
+    ellipse_region,
     oracle_contains,
     oracle_convex_loop,
     oracle_deque_vertices,
@@ -36,7 +37,6 @@ from reciprange.geometry import (
     _edge_halfplanes,
     _intersect_sorted,
     convex_hull,
-    ellipse_region,
     halfplane_intersection,
     hausdorff_distance,
     intersect_regions,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
 from geometry_oracle import HalfPlane, oracle_convex_loop, oracle_deque_vertices, oracle_halfplane_intersection
 from reciprange import geometry, ranges
+from reciprange.cli import SEED_CORPUS
 from reciprange.ellipses import classify
 from reciprange.errors import InvalidInputError
 from reciprange.geometry import (
@@ -172,13 +173,52 @@ def test_region_distance_conventions():
     assert math.isinf(region_distance(e, rank_k_analytic(rep, 1)))
 
 
-def test_refinement_decreases_distance():
-    xi = list(FIG2)
-    rep = classify(xi)
-    m = matrix_from_xi(xi)
-    d_coarse = region_distance(rank_k_analytic(rep, 2, 256), rank_k_numeric(m, 2, 256))
-    d_fine = region_distance(rank_k_analytic(rep, 2, 2048), rank_k_numeric(m, 2, 2048))
-    assert d_fine < d_coarse
+def _positive_reports():
+    """The positive verdicts on the verify corpus, which holds the paper's
+    sets, at the CLI's tolerance for caption-grade inputs."""
+    reps = [classify(xi, tol=1e-6) for n in (4, 5, 6) for xi in SEED_CORPUS[n]]
+    return [rep for rep in reps if rep.verdict in ("ALL_CONCENTRIC", "DISPLACED_PAIR")]
+
+
+def test_analytic_matches_numeric_on_snapped_xi():
+    # on the criterion-exact parameters and one shared theta grid, the support
+    # functions of the ellipses are the eigenvalue curves, so the two ranges
+    # agree to rounding whatever the grid
+    reps = _positive_reports()
+    assert len(reps) == 8
+    for rep in reps:
+        for k in range(1, (rep.n + 1) // 2 + 1):
+            for grid in (256, 2048):
+                d = region_distance(rank_k_analytic(rep, k, grid), rank_k_numeric(rep.snapped_xi, k, grid))
+                assert d <= 1e-10, (rep.xi, k, grid, d)
+
+
+def _pencil_oracle(rep, k, grid):
+    """Lambda_k by Li-Sze with no case analysis: the box clipped one half-plane
+    at a time by the k-th largest of the closed-form pencil values
+    p cos(theta) +- sqrt(a^2 cos^2(theta) + c^2 sin^2(theta)) of every
+    component, and 0 for odd n."""
+    thetas = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    values = [np.zeros(grid)] if rep.n % 2 else []
+    for e in rep.ellipses:
+        a, c = math.hypot(e.half_focal, e.minor_half_axis), e.minor_half_axis
+        root = np.sqrt(a * a * cos * cos + c * c * sin * sin)
+        values += [e.center * cos + root, e.center * cos - root]
+    assert len(values) == rep.n
+    bounds = -np.sort(-np.array(values), axis=0)[k - 1]
+    box = 1 + float(np.max(np.abs(bounds)))
+    return oracle_halfplane_intersection([HalfPlane(float(t), float(b)) for t, b in zip(thetas, bounds)], box)
+
+
+def test_analytic_matches_pencil_oracle():
+    # the disk / hull / lens / central-slot choice against the k-th largest
+    # pencil value, which needs none of it
+    for rep in _positive_reports():
+        for k in range(1, (rep.n + 1) // 2 + 1):
+            got, want = rank_k_analytic(rep, k, 256), _pencil_oracle(rep, k, 256)
+            assert got.kind == want.kind, (rep.xi, k)
+            assert region_distance(got, want) <= 1e-10, (rep.xi, k)
 
 
 @pytest.mark.parametrize("xi", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, PHI, 0.0), (0.0, 0.0, 0.0),
@@ -268,14 +308,21 @@ def test_region_distance_memory():
 
 
 def test_analytic_builds_only_requested_region(monkeypatch):
-    # FIG4 (de3, k = 2cos(3pi/7)) orders hull, lens, central disk
+    # FIG4 (de3, k = 2cos(3pi/7)) orders hull, lens, central disk; FIG2 (n = 5)
+    # ends in the origin and then nothing
+    results = []
+    kernel = ranges.halfplane_intersection
+
+    def spy(*args):
+        results.append(kernel(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ranges, "halfplane_intersection", spy)
     rep = classify(list(FIG4), tol=1e-6)
-    built = []
-    monkeypatch.setattr(ranges, "_hull_two", lambda *a: built.append("hull"))
-    monkeypatch.setattr(ranges, "intersect_regions", lambda *a: built.append("lens"))
-    rank_k_analytic(rep, 3)
-    assert built == []
-    rank_k_analytic(rep, 2)
-    assert built == ["lens"]
-    rank_k_analytic(rep, 1)
-    assert built == ["lens", "hull"]
+    for k in (3, 2, 1):
+        got = rank_k_analytic(rep, k)
+        assert len(results) == 1 and got is results.pop(), k
+    rep = classify(list(FIG2))
+    for k in (3, 4):
+        rank_k_analytic(rep, k)
+    assert results == []
