@@ -17,7 +17,6 @@ from .ellipses import (
     EllipseComponent,
     classify,
     divides_linear,
-    divides_quadratic,
     solve_Xp_table,
 )
 from .errors import InvalidInputError, UnsupportedDimensionError
@@ -65,7 +64,6 @@ __all__ = [
     "detect_multiple_tangents",
     "determinant_poly_eval",
     "divides_linear",
-    "divides_quadratic",
     "eigencurves",
     "envelope_points",
     "exact_spectrum",

@@ -107,14 +107,6 @@ def divides_linear(P, x_sq, c_sq, tol=DEFAULT_TOL, scale=None):
     return q if _remainder_small(r, scale or poly.max_abs_coeff(), tol) else None
 
 
-def divides_quadratic(P, p, x_half, c, tol=DEFAULT_TOL, scale=None):
-    """Divide by the displaced-pair quadratic of the congruent ellipses centered
-    at +-p with half focal distance X and minor half-axis c; quotient on
-    success, None otherwise."""
-    return divides_quadratic_from_squares(P, x_half * x_half + p * p, x_half * x_half - p * p,
-                                          c * c, tol=tol, scale=scale)
-
-
 def divides_quadratic_from_squares(P, sum_sq, diff_sq, c_sq, tol=DEFAULT_TOL, scale=None):
     """Divide by zeta^2 - 2 zeta (sum_sq rho + c^2) + (diff_sq rho + c^2)^2, the
     displaced-pair quadratic parameterized by X^2+p^2, X^2-p^2 and c^2, so

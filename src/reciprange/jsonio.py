@@ -1,4 +1,9 @@
-"""Deterministic JSON emission: floats at 17 significant digits, stable order."""
+"""Deterministic JSON emission: floats at 17 significant digits, stable order.
+
+A numpy structured array is written as a list of flat records, one per row,
+formatted column by column: the bytes are those of the same rows given as
+dicts.
+"""
 
 from __future__ import annotations
 
@@ -16,67 +21,45 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def _float_column(col):
-    """The placeholder and values for one all-float column of a table.
+def _column(a) -> list:
+    """The printed cells of one scalar int or float field of a structured array.
 
-    Runs of one value (theta repeats once per branch) are formatted once each
-    by _fmt_float and filled in as strings.  Otherwise the column is filled in
-    by "%.17g", which prints what _fmt_float prints except on integer-valued
-    floats below 1e15, nan and inf; the mask marks the rows holding those.
+    Float runs of one value (theta repeats once per branch) are formatted
+    once each, all of them by one "%.17g" call; that prints what _fmt_float
+    prints except on integer-valued floats below 1e15, nan and inf, which are
+    formatted again by _fmt_float.
     """
-    a = np.array(col, dtype=float)
+    # a sub-array field has more dimensions; a long double would round
+    if a.ndim != 1 or a.dtype.kind not in "iuf" or a.dtype.itemsize > 8:
+        raise TypeError(f"cannot serialize field of dtype {a.dtype}")
+    if a.dtype.kind != "f":
+        return list(map(str, a.tolist()))
+    a = np.ascontiguousarray(a, dtype=float)
     bits = a.view(np.int64)  # tells -0.0 from 0.0
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if 2 * starts.size <= a.size:
-        strs = np.array([_fmt_float(v) for v in a[starts].tolist()], dtype=object)
-        return "%s", np.repeat(strs, np.diff(np.append(starts, a.size))).tolist(), None
-    plain = np.isfinite(a) & ((np.trunc(a) != a) | (np.abs(a) >= 1e15))
-    return "%.17g", col, ~plain
+    values = a[starts]
+    cells = ("%.17g\0" * values.size % tuple(values.tolist())).split("\0")[:-1]
+    plain = np.isfinite(values) & ((np.trunc(values) != values) | (np.abs(values) >= 1e15))
+    for i in np.flatnonzero(~plain).tolist():
+        cells[i] = _fmt_float(values[i])
+    if values.size == a.size:
+        return cells
+    return np.repeat(np.array(cells, dtype=object), np.diff(np.append(starts, a.size))).tolist()
 
 
-def _table(rows, lead, inner, close, nl):
-    """The encoded items of a list of flat records, or None if ``rows`` is not one.
-
-    A flat record is a dict; all of them must have the same keys in the same
-    order, and each key all-``int`` or all-``float`` values (``bool`` and
-    numpy scalars are neither).  One row template is filled per record, and
-    rows holding a float that "%.17g" would print otherwise than _fmt_float
-    are filled with _fmt_float strings, so the bytes are those of the
-    recursive encoder.
-    """
-    first = rows[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = tuple(first)
-    if not all(type(r) is dict and tuple(r) == keys for r in rows):
-        return None
-    cols = list(zip(*(r.values() for r in rows)))
-    fmts, special = [], np.zeros(len(rows), dtype=bool)
-    for j, col in enumerate(cols):
-        types = set(map(type, col))
-        if types == {int}:
-            fmts.append("%d")
-        elif types == {float}:
-            fmt, cols[j], mask = _float_column(col)
-            fmts.append(fmt)
-            if mask is not None:
-                special |= mask
-        else:
-            return None
-
-    def template(placeholders):
-        fields = (f"{inner}{json.dumps(str(k))}: ".replace("%", "%%") + p
-                  for k, p in zip(keys, placeholders))
-        return lead + "{" + nl + ("," + nl).join(fields) + nl + close + "}"
-
-    values = list(zip(*cols))
-    fast = template(fmts)
-    out = [fast % v for v in values]
-    if special.any():
-        slow = template(["%s"] * len(keys))
-        for i in np.flatnonzero(special).tolist():
-            out[i] = slow % tuple(_fmt_float(v) if type(v) is float else v for v in values[i])
-    return out
+def _records(arr, lead, inner, nl) -> str:
+    """The encoded rows of a 1-d structured array, joined by commas."""
+    if arr.ndim != 1:
+        raise TypeError(f"cannot serialize a {arr.ndim}-d structured array")
+    names = arr.dtype.names
+    if not (names and arr.size):  # rows of no fields print as {}; no rows as nothing
+        return ("," + nl).join([lead + "{}"] * arr.size)
+    fields = (f"{inner}{json.dumps(str(k))}: ".replace("%", "%%") + "%s" for k in names)
+    row = lead + "{" + nl + ("," + nl).join(fields) + nl + lead + "}"
+    cells = [None] * (arr.size * len(names))
+    for j, k in enumerate(names):
+        cells[j::len(names)] = _column(arr[k])
+    return ("," + nl).join([row] * arr.size) % tuple(cells)
 
 
 def dumps(obj, indent=0) -> str:
@@ -98,6 +81,9 @@ def dumps(obj, indent=0) -> str:
             return str(o)
         if isinstance(o, float):
             return _fmt_float(float(o))
+        if isinstance(o, np.ndarray) and o.dtype.names is not None:
+            rows = _records(o, lead, pad * (depth + 2), nl)
+            return "[" + nl + rows + nl + close + "]" if rows else "[]"
         if hasattr(o, "item") and not isinstance(o, (list, tuple, dict)):
             return enc(o.item(), depth)
         if isinstance(o, dict):
@@ -108,9 +94,7 @@ def dumps(obj, indent=0) -> str:
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            items = _table(o, lead, pad * (depth + 2), lead, nl)
-            if items is None:
-                items = [f"{lead}{enc(v, depth + 1)}" for v in o]
+            items = [f"{lead}{enc(v, depth + 1)}" for v in o]
             return "[" + nl + ("," + nl).join(items) + nl + close + "]"
         if isinstance(o, complex):
             return enc([o.real, o.imag], depth)

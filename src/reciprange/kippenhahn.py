@@ -419,9 +419,10 @@ def _covered(probe, sorted_re, sorted_pts, radius):
     return bool(hit.all())
 
 
-def samples_to_json(samples) -> list:
-    columns = (samples.theta, samples.branch, samples.point.real, samples.point.imag)
-    return [
-        {"theta": t, "branch": b, "re": re, "im": im}
-        for t, b, re, im in zip(*(c.tolist() for c in columns))
-    ]
+def samples_to_json(samples) -> np.ndarray:
+    """The envelope samples as ``jsonio.dumps`` writes them: a structured
+    array with fields theta, branch, re and im, one row per sample."""
+    out = np.empty(samples.size, dtype=[("theta", "f8"), ("branch", int), ("re", "f8"), ("im", "f8")])
+    out["theta"], out["branch"] = samples.theta, samples.branch
+    out["re"], out["im"] = samples.point.real, samples.point.imag
+    return out

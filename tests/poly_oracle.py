@@ -55,6 +55,13 @@ def hand_written_poly(x, one) -> ZetaPoly:
     return poly
 
 
+def divides_quadratic(P, p, x_half, c):
+    """Divide by the displaced-pair quadratic of the congruent ellipses centered
+    at +-p with half focal distance X and minor half-axis c, in the (p, X, c)
+    terms of the paper; quotient on success, None otherwise."""
+    return divides_quadratic_from_squares(P, x_half * x_half + p * p, x_half * x_half - p * p, c * c)
+
+
 def minor_axis_candidates(xi, tol=1e-9):
     """Nonnegative squared eigenvalues of Im A (the horizontal-tangent ordinates).
 

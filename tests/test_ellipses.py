@@ -20,12 +20,11 @@ from reciprange.ellipses import (
     brute_force_decompositions,
     classify,
     divides_linear,
-    divides_quadratic,
     solve_Xp_table,
     verdict_matches_oracle,
 )
 from geometry_oracle import ellipse_region
-from poly_oracle import minor_axis_candidates, oracle_brute_force
+from poly_oracle import divides_quadratic, minor_axis_candidates, oracle_brute_force
 from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor
 from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.geometry import intersect_regions, region_contains_region

@@ -1,7 +1,8 @@
 """``jsonio.dumps`` against the recursive reference encoder, byte for byte.
 
-Lists of flat records take the table path of ``dumps``; everything else, and
-any list the table path declines, the recursive one.
+Numpy structured arrays take the table path of ``dumps``, formatted column by
+column; the reference gets the same rows as dicts.  Everything else, lists of
+dicts included, takes the recursive path, which mirrors the reference.
 """
 
 import math
@@ -24,50 +25,59 @@ _edge_floats = st.sampled_from([
 ])
 _floats = (_edge_floats | st.floats(allow_nan=True, allow_infinity=True)
            | st.integers(-10**17, 10**17).map(float))
-_ints = st.integers(-2**70, 2**70)
-_other = st.booleans() | _floats.map(np.float64) | st.integers(-2**31, 2**31).map(np.int64) | st.none()
 _keys = st.text(alphabet=st.sampled_from('ab"\\%s\n\t/é{}'), max_size=4)
+_DTYPES = ("f8", "f8", "f4", "i8", "u8", "i2")
+
+
+def _cells(dtype):
+    if dtype.kind == "f":
+        return _floats if dtype.itemsize == 8 else _edge_floats | st.floats(width=32)
+    info = np.iinfo(dtype)
+    return st.integers(int(info.min), int(info.max)) | st.sampled_from([0, int(info.max)])
 
 
 @st.composite
 def _tables(draw):
-    """Records with one key list; columns of floats, ints or (sometimes) other
-    scalars, each value repeated in runs as theta is; sometimes made ragged."""
-    keys = draw(st.lists(_keys, max_size=4, unique=True))
+    """Structured arrays of int and float fields, each value repeated in runs
+    as theta is; sometimes no rows, sometimes no fields."""
+    keys = draw(st.lists(_keys.filter(bool), max_size=4, unique=True))
     rows, run = draw(st.integers(0, 10)), draw(st.integers(1, 4))
-    cols = []
-    for _ in keys:
-        values = draw(st.lists(draw(st.sampled_from([_floats, _floats, _ints, _other])),
-                               min_size=rows, max_size=rows))
-        cols.append([v for v in values for _ in range(run)])
-    table = [dict(zip(keys, vals)) for vals in zip(*cols)] if keys else [{} for _ in range(rows * run)]
-    if table and draw(st.booleans()):
-        i = draw(st.integers(0, len(table) - 1))
-        ragged = draw(st.sampled_from(["drop", "reverse", "extra"]))
-        rec = table[i]
-        if ragged == "drop" and rec:
-            rec.pop(next(iter(rec)))
-        elif ragged == "reverse":
-            table[i] = dict(reversed(list(rec.items())))
-        else:
-            rec["extra"] = 1.0
+    dtype = np.dtype([(k, draw(st.sampled_from(_DTYPES))) for k in keys])
+    table = np.empty(rows * run, dtype=dtype)
+    for k in keys:
+        values = draw(st.lists(_cells(dtype[k]), min_size=rows, max_size=rows))
+        table[k] = np.repeat(np.array(values, dtype=dtype[k]), run)
     return table
+
+
+def _as_dicts(table):
+    return [dict(zip(table.dtype.names, row)) for row in table.tolist()]
 
 
 @given(_tables())
 def test_table_path_matches_recursive_encoder(table):
+    rows = _as_dicts(table)
     for indent in INDENTS:
-        for obj in (table, {"samples": table, "n": 3}, [table]):
-            assert jsonio.dumps(obj, indent=indent) == recursive_dumps(obj, indent=indent)
+        for obj, ref in ((table, rows), ({"samples": table, "n": 3}, {"samples": rows, "n": 3}),
+                         ([table], [rows])):
+            assert jsonio.dumps(obj, indent=indent) == recursive_dumps(ref, indent=indent)
 
 
 @pytest.mark.parametrize("xi", [FIG1, (1.0, 1.0, 1.0)])
 def test_curve_samples_take_the_table_path(xi):
     # FIG1 has odd n: its middle branch prints 0.0, which "%.17g" would print as 0
-    rows = samples_to_json(envelope_points(xi, 64))
-    assert jsonio._table(rows, "  ", "    ", "  ", "\n") is not None
+    table = samples_to_json(envelope_points(xi, 64))
+    assert isinstance(table, np.ndarray) and table.dtype.names == ("theta", "branch", "re", "im")
     for indent in INDENTS:
-        assert jsonio.dumps(rows, indent=indent) == recursive_dumps(rows, indent=indent)
+        assert jsonio.dumps(table, indent=indent) == recursive_dumps(_as_dicts(table), indent=indent)
+
+
+@pytest.mark.parametrize("dtype", ["?", "c16", "O", "2i8", pytest.param("g", marks=pytest.mark.skipif(
+    np.dtype("g").itemsize <= 8, reason="long double is double on this platform"))])
+def test_other_field_kinds_are_refused(dtype):
+    table = np.zeros(2, dtype=[("a", "f8"), ("b", dtype)])
+    with pytest.raises(TypeError):
+        jsonio.dumps({"samples": table})
 
 
 def test_empty_and_non_table_lists():

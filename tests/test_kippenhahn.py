@@ -366,6 +366,11 @@ def test_components_counts():
 
 def test_samples_json_schema():
     m = matrix_from_xi([1.0, 0.0, 1.0])
-    out = samples_to_json(envelope_points(m, 16))
+    samples = envelope_points(m, 16)
+    out = samples_to_json(samples)
     assert len(out) == 16 * 4
-    assert set(out[0]) == {"theta", "branch", "re", "im"}
+    assert out.dtype.names == ("theta", "branch", "re", "im")
+    assert out.dtype["branch"].kind == "i"
+    for got, want in ((out["theta"], samples.theta), (out["branch"], samples.branch),
+                      (out["re"], samples.point.real), (out["im"], samples.point.imag)):
+        assert np.array_equal(got, want)
