@@ -1,12 +1,14 @@
 """Elliptical decomposition of the curve for n = 4, 5, 6.
 
 Criteria on the xi-parameters decide when the boundary generating curve is a
-union of ellipses (all origin-centered, or one central plus a displaced pair);
-every positive verdict is confirmed by explicit polynomial division before it
-is reported.  A brute-force decomposition search over candidate foci
-(from the exact spectrum) and minor half-axes (from Im A) serves as an
-independent oracle for the criteria; it divides many draws at once with its
-own stacked synthetic division, not with the ``ZetaPoly`` division above.
+union of ellipses (all origin-centered, or one central plus a displaced pair).
+Each criterion family is stated once: its match, the snapped xi, the factors
+of P_n it implies and the ellipses it reports; one division loop in
+``classify`` confirms every positive verdict before it is reported.  A
+brute-force decomposition search over candidate foci (from the exact
+spectrum) and minor half-axes (from Im A) serves as an independent oracle for
+the criteria; it divides many draws at once with its own stacked synthetic
+division, not with the ``ZetaPoly`` division above.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,13 +88,15 @@ def _as_zeta_poly(P):
     return P.poly if isinstance(P, KippenhahnPolynomial) else P
 
 
-def _remainder_small(rem: ZetaPoly, scale, tol):
-    """tol == 0 asks for an exactly zero remainder; otherwise its largest
-    coefficient must stay within tol * max(1, scale)."""
+def _divide(poly: ZetaPoly, factor: ZetaPoly, scale, tol):
+    """The quotient of ``poly`` by the monic ``factor``, or None if the remainder
+    is not small: tol == 0 asks for an exactly zero remainder; otherwise its
+    largest coefficient must stay within tol * max(1, scale)."""
+    q, rem = poly.divmod_monic(factor)
     if tol == 0:
-        return all(not c for cs in rem.coeffs for c in cs)
+        return None if any(c for cs in rem.coeffs for c in cs) else q
     m = max((abs(float(c)) for cs in rem.coeffs for c in cs), default=0.0)
-    return m <= tol * max(1.0, float(scale))
+    return q if m <= tol * max(1.0, float(scale)) else None
 
 
 def divides_linear(P, x_sq, c_sq, tol=DEFAULT_TOL, scale=None):
@@ -102,9 +107,8 @@ def divides_linear(P, x_sq, c_sq, tol=DEFAULT_TOL, scale=None):
     original polynomial's norm.  ``tol=0`` asks for an exact zero remainder.
     """
     poly = _as_zeta_poly(P)
-    one = poly.coeffs[-1][0]
-    q, r = poly.divmod_monic(linear_factor(x_sq, c_sq, one=one))
-    return q if _remainder_small(r, scale or poly.max_abs_coeff(), tol) else None
+    factor = linear_factor(x_sq, c_sq, one=poly.coeffs[-1][0])
+    return _divide(poly, factor, scale or poly.max_abs_coeff(), tol)
 
 
 def divides_quadratic_from_squares(P, sum_sq, diff_sq, c_sq, tol=DEFAULT_TOL, scale=None):
@@ -112,8 +116,8 @@ def divides_quadratic_from_squares(P, sum_sq, diff_sq, c_sq, tol=DEFAULT_TOL, sc
     displaced-pair quadratic parameterized by X^2+p^2, X^2-p^2 and c^2, so
     exact backends can stay inside their number field."""
     poly = _as_zeta_poly(P)
-    q, r = poly.divmod_monic(quadratic_factor(sum_sq, diff_sq, c_sq, one=poly.coeffs[-1][0]))
-    return q if _remainder_small(r, scale or poly.max_abs_coeff(), tol) else None
+    factor = quadratic_factor(sum_sq, diff_sq, c_sq, one=poly.coeffs[-1][0])
+    return _divide(poly, factor, scale or poly.max_abs_coeff(), tol)
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,6 @@ class _Backend:
     phi: object
     sqrt3: object
     cosp: tuple  # cos(j pi/7) for j = 1, 2, 3
-    k_values: tuple  # the de2/de3 ratios 2cos(pi/7) (row ii) and 2cos(3pi/7) (row vi)
     mpm: object = None  # the private 50-digit mpmath context in extended mode
     tol: float = 0
 
@@ -180,11 +183,9 @@ class _Backend:
 def _mode_backend(mode):
     """The backend of one mode at tol = 0; ``_backend`` sets the caller's tol."""
     if mode == "float":
-        return _Backend(False, ABS_FLOOR, float, PHI_F, math.sqrt(3), (COS_PI7, COS_2PI7, COS_3PI7),
-                        (2 * COS_PI7, 2 * COS_3PI7))
+        return _Backend(False, ABS_FLOOR, float, PHI_F, math.sqrt(3), (COS_PI7, COS_2PI7, COS_3PI7))
     if mode == "exact":
-        return _Backend(True, 0, Fraction, PHI, ROOT3, tuple(TWO_COS_PI7[j] / 2 for j in (1, 2, 3)),
-                        (TWO_COS_PI7[1], TWO_COS_PI7[3]))
+        return _Backend(True, 0, Fraction, PHI, ROOT3, tuple(TWO_COS_PI7[j] / 2 for j in (1, 2, 3)))
     # extended: 50-digit arithmetic in a private context, so the caller's
     # mpmath.mp precision neither leaks in nor is changed; the tolerance stays
     # the caller's, so double-rounded inputs still verify at 1e-9
@@ -193,8 +194,7 @@ def _mode_backend(mode):
     mp = mpmath.MPContext()
     mp.dps = 50
     cosp = tuple(mp.cos(j * mp.pi / 7) for j in (1, 2, 3))
-    return _Backend(False, 0, mp.mpf, (mp.sqrt(5) + 1) / 2, mp.sqrt(3), cosp,
-                    (2 * cosp[0], 2 * cosp[2]), mp)
+    return _Backend(False, 0, mp.mpf, (mp.sqrt(5) + 1) / 2, mp.sqrt(3), cosp, mp)
 
 
 def _backend(mode, tol):
@@ -204,13 +204,31 @@ def _backend(mode, tol):
     return be if be.exact else replace(be, tol=tol)
 
 
+class _Candidate(NamedTuple):
+    """A criterion family's match: the report ``classify`` makes once P_n of
+    ``snapped`` divides through ``factors`` in turn."""
+
+    verdict: str
+    criterion: str
+    k: object
+    table_row: str | None
+    snapped: list  # the criterion-exact xi
+    factors: tuple  # monic divisors of P_n in division order
+    ellipses: tuple
+    scale: object = None  # remainder threshold reference; None: P_n's largest coefficient
+
+
 def classify(xi, mode="float", tol=DEFAULT_TOL):
     """Classify the curve of a reciprocal matrix with n in {4, 5, 6}.
 
     Verdicts: ALL_CONCENTRIC, DISPLACED_PAIR, MIXED_NONE (not a pure union of
     ellipses), DEGENERATE_SPECTRUM (all xi vanish; the curve is the spectrum).
-    Positive verdicts are only reported after the corresponding polynomial
-    division succeeds at the same tolerance (exactly, in exact mode).
+    Each criterion family matches xi and names the factors of P_n it implies;
+    the first match whose divisions all succeed at the same tolerance
+    (exactly, in exact mode) is reported.  The tolerant modes divide P_n of
+    the criterion-exact (snapped) values, so the remainder measures only
+    roundoff, not the match distance; exact matching already required
+    equality, so there P_n of xi itself keeps the arithmetic in Q.
     """
     check_tolerance(tol)
     xi = as_xi(xi)
@@ -220,34 +238,39 @@ def classify(xi, mode="float", tol=DEFAULT_TOL):
     be = _backend(mode, tol)
     x = [be.convert(v) for v in xi]
     scale = max([1.0] + [abs(float(v)) for v in x])
-    odd = n % 2 == 1
 
     def report(**kw):
         return ClassificationReport(n=n, xi=tuple(float(v) for v in xi), mode=mode,
-                                    origin_component=odd, **kw)
+                                    origin_component=n % 2 == 1, **kw)
 
     if all(be.is_zero(v, scale) for v in x):
         return report(verdict=DEGENERATE_SPECTRUM)
-    if n == 4:
-        return _classify4(x, be, scale, report)
-    if n == 5:
-        return _classify5(x, be, scale, report)
-    return _classify6(x, be, scale, report)
+    for cand in _FAMILIES[n](x, be, scale):
+        q = build_poly_from_scalars(list(x if be.exact else cand.snapped), be.convert(1))
+        thr = q.max_abs_coeff() if cand.scale is None else cand.scale
+        for factor in cand.factors:
+            q = _divide(q, factor, thr, be.tol)
+            if q is None:
+                break
+        else:
+            return report(verdict=cand.verdict, criterion=cand.criterion, k=cand.k,
+                          table_row=cand.table_row, ellipses=cand.ellipses,
+                          snapped_xi=tuple(float(v) for v in cand.snapped))
+    return report(verdict=MIXED_NONE)
 
 
 def _sqrt_float(v):
     return math.sqrt(max(0.0, float(v)))
 
 
-def _division_poly(be, x, snapped):
-    """P_n of the values the confirming division runs on.
+def _centered(half_focal, c):
+    """An origin-centered component, degenerate (a focal segment) when c <= 1e-9."""
+    return EllipseComponent(0.0, half_focal, c, degenerate=c <= 1e-9)
 
-    The tolerant modes build it from the criterion-exact (snapped) values, so
-    the division measures only roundoff, not the match distance.  Exact
-    detection already required equality, so x itself serves and keeps the
-    arithmetic in Q.
-    """
-    return build_poly_from_scalars(list(x if be.exact else snapped), be.convert(1))
+
+def _branch_k(branches):
+    """The k of a two-branch family: the matching branch, or both where they cross."""
+    return branches if len(branches) == 2 else branches[0]
 
 
 def _sub_unit(x, be):
@@ -260,55 +283,33 @@ def _sub_unit(x, be):
     return be.convert(1) if be.exact else be.convert(min(1.0, max(abs(float(v)) for v in x)))
 
 
-def _classify4(x, be, scale, report):
-    phi = be.phi
+def _families4(x, be, scale):
+    """con4 (branch 1, then 2), then noncon4."""
+    phi, one = be.phi, be.convert(1)
     inv_phi = 1 / phi
-    branches = []
-    if be.eq(x[1], phi * x[0] - inv_phi * x[2], scale):
-        branches.append(1)
-    if be.eq(x[1], phi * x[2] - inv_phi * x[0], scale):
-        branches.append(2)
+    branches = [br for br, big, small in ((1, x[0], x[2]), (2, x[2], x[0]))
+                if be.eq(x[1], phi * big - inv_phi * small, scale)]
     for br in branches:
         big, small = (x[0], x[2]) if br == 1 else (x[2], x[0])
-        snapped = [x[0], phi * big - inv_phi * small, x[2]]
-        Ps = _division_poly(be, x, snapped)
-        q = divides_linear(Ps, phi * phi, phi * phi * big, tol=be.tol)
-        if q is None:
-            continue
-        q2 = divides_linear(q, inv_phi * inv_phi, inv_phi * inv_phi * small, tol=be.tol,
-                            scale=Ps.max_abs_coeff())
-        if q2 is None:
-            continue
-        c1 = _sqrt_float(big) * float(phi)
-        c2 = _sqrt_float(small) / float(phi)
-        ells = (
-            EllipseComponent(0.0, PHI_F, c1, degenerate=c1 <= 1e-9),
-            EllipseComponent(0.0, 1 / PHI_F, c2, degenerate=c2 <= 1e-9),
-        )
-        k = branches if len(branches) == 2 else branches[0]
-        return report(verdict=ALL_CONCENTRIC, criterion="con4", k=k, ellipses=ells,
-                      snapped_xi=tuple(float(v) for v in snapped))
+        factors = (linear_factor(phi * phi, phi * phi * big, one),
+                   linear_factor(inv_phi * inv_phi, inv_phi * inv_phi * small, one))
+        ells = (_centered(PHI_F, _sqrt_float(big) * float(phi)),
+                _centered(1 / PHI_F, _sqrt_float(small) / float(phi)))
+        yield _Candidate(ALL_CONCENTRIC, "con4", _branch_k(branches), None,
+                         [x[0], phi * big - inv_phi * small, x[2]], factors, ells)
     if be.is_zero(x[1], scale) and be.eq(x[0], x[2], scale) and not be.is_zero(x[0], scale):
         c_sq = (x[0] + x[2]) / 2
-        Ps = _division_poly(be, x, [c_sq, x[1] * 0, c_sq])
-        q = divides_quadratic_from_squares(Ps, be.convert(3) / 2, be.convert(1), c_sq, tol=be.tol)
-        if q is not None:
-            c = _sqrt_float(c_sq)
-            ells = (
-                EllipseComponent(0.5, math.sqrt(5) / 2, c),
-                EllipseComponent(-0.5, math.sqrt(5) / 2, c),
-            )
-            return report(verdict=DISPLACED_PAIR, criterion="noncon4", ellipses=ells,
-                          snapped_xi=(float(c_sq), 0.0, float(c_sq)))
-    return report(verdict=MIXED_NONE)
+        c = _sqrt_float(c_sq)
+        ells = (EllipseComponent(0.5, math.sqrt(5) / 2, c), EllipseComponent(-0.5, math.sqrt(5) / 2, c))
+        yield _Candidate(DISPLACED_PAIR, "noncon4", None, None, [c_sq, c_sq * 0, c_sq],
+                         (quadratic_factor(be.convert(3) / 2, one, c_sq, one),), ells)
 
 
-def _classify5(x, be, scale, report):
-    branches = []
-    if be.eq(x[0], x[3], scale):
-        branches.append(1)
-    if be.eq(x[0] - x[3], 2 * (x[2] - x[1]), scale):
-        branches.append(2)
+def _families5(x, be, scale):
+    """con5 (branch 1, then 2), then noncon5."""
+    one = be.convert(1)
+    hits = (be.eq(x[0], x[3], scale), be.eq(x[0] - x[3], 2 * (x[2] - x[1]), scale))
+    branches = [br for br, hit in zip((1, 2), hits) if hit]
     for br in branches:
         if br == 1:
             m = (x[0] + x[3]) / 2
@@ -317,21 +318,9 @@ def _classify5(x, be, scale, report):
             snapped = [x[0], x[1], x[1] + (x[0] - x[3]) / 2, x[3]]
         c_in_sq = (snapped[0] + snapped[3]) / 2
         c_out_sq = snapped[1] + snapped[2] + c_in_sq
-        Ps = _division_poly(be, x, snapped)
-        q = divides_linear(Ps, be.convert(3), c_out_sq, tol=be.tol)
-        if q is None:
-            continue
-        q2 = divides_linear(q, be.convert(1), c_in_sq, tol=be.tol, scale=Ps.max_abs_coeff())
-        if q2 is None:
-            continue
-        c_in, c_out = _sqrt_float(c_in_sq), _sqrt_float(c_out_sq)
-        ells = (
-            EllipseComponent(0.0, math.sqrt(3), c_out, degenerate=c_out <= 1e-9),
-            EllipseComponent(0.0, 1.0, c_in, degenerate=c_in <= 1e-9),
-        )
-        k = branches if len(branches) == 2 else branches[0]
-        return report(verdict=ALL_CONCENTRIC, criterion="con5", k=k, ellipses=ells,
-                      snapped_xi=tuple(float(v) for v in snapped))
+        factors = (linear_factor(be.convert(3), c_out_sq, one), linear_factor(one, c_in_sq, one))
+        ells = (_centered(math.sqrt(3), _sqrt_float(c_out_sq)), _centered(1.0, _sqrt_float(c_in_sq)))
+        yield _Candidate(ALL_CONCENTRIC, "con5", _branch_k(branches), None, snapped, factors, ells)
     s3 = be.sqrt3
     pair_sum = x[1] + x[2]
     if (
@@ -345,24 +334,18 @@ def _classify5(x, be, scale, report):
         xi2 = x[1] * 0 if zero2 else x[1]
         xi3 = x[2] if zero2 else x[2] * 0
         s = xi2 + xi3
-        snapped = [s3 / 2 * s + xi3, xi2, xi3, s3 / 2 * s + xi2]
         c_sq = (2 + s3) / 2 * s
-        Ps = _division_poly(be, x, snapped)
-        q = divides_quadratic_from_squares(Ps, be.convert(2), s3, c_sq, tol=be.tol)
-        if q is not None:
-            c = _sqrt_float(c_sq)
-            p = (math.sqrt(3) - 1) / 2
-            X = (math.sqrt(3) + 1) / 2
-            ells = (
-                EllipseComponent(p, X, c),
-                EllipseComponent(-p, X, c),
-            )
-            return report(verdict=DISPLACED_PAIR, criterion="noncon5", ellipses=ells,
-                          snapped_xi=tuple(float(v) for v in snapped))
-    return report(verdict=MIXED_NONE)
+        c = _sqrt_float(c_sq)
+        p = (math.sqrt(3) - 1) / 2
+        X = (math.sqrt(3) + 1) / 2
+        snapped = [s3 / 2 * s + xi3, xi2, xi3, s3 / 2 * s + xi2]
+        yield _Candidate(DISPLACED_PAIR, "noncon5", None, None, snapped,
+                         (quadratic_factor(be.convert(2), s3, c_sq, one),),
+                         (EllipseComponent(p, X, c), EllipseComponent(-p, X, c)))
 
 
-def _classify6(x, be, scale, report):
+def _families6(x, be, scale):
+    """3conel, then the first of de1, de2/de3 at 2cos(pi/7), de2/de3 at 2cos(3pi/7) that matches."""
     # three concentric ellipses: solve the linear system for the axes
     t, residuals = concentric6.candidate_axes(x, exact=be.exact, mpm=be.mpm)
     u = _sub_unit(x, be)
@@ -370,68 +353,15 @@ def _classify6(x, be, scale, report):
     res_ok = all(be.is_zero(r / u ** (d - 1), scale**3 + scale) for r, d in zip(residuals, (2, 2, 3)))
     if res_ok and all(float(v) >= -be.tol * scale for v in t):
         tc = [v if float(v) > 0 else be.convert(0) for v in t]
-        q = _division_poly(be, x, x)
-        ok = True
         # the division remainder re-expresses the matching residuals, amplified
         # by coefficient magnitudes; keep its threshold consistent with res_ok
-        conf_scale = 4 * (scale**3 + scale)
-        s_vals = [4 * c * c for c in be.cosp]
-        for sj, tj in zip(s_vals, tc):
-            q = divides_linear(q, sj, tj, tol=be.tol, scale=conf_scale)
-            if q is None:
-                ok = False
-                break
-        if ok:
-            ells = tuple(
-                EllipseComponent(0.0, 2 * math.cos((j + 1) * math.pi / 7), _sqrt_float(tj),
-                                 degenerate=_sqrt_float(tj) <= 1e-9)
-                for j, tj in enumerate(tc)
-            )
-            return report(verdict=ALL_CONCENTRIC, criterion="3conel", ellipses=ells,
-                          snapped_xi=tuple(float(v) for v in x))
+        yield _Candidate(ALL_CONCENTRIC, "3conel", None, None, x,
+                         tuple(linear_factor(4 * c * c, tj, be.convert(1)) for c, tj in zip(be.cosp, tc)),
+                         tuple(_centered(2 * math.cos((j + 1) * math.pi / 7), _sqrt_float(tj))
+                               for j, tj in enumerate(tc)),
+                         4 * (scale**3 + scale))
 
     # displaced families
-    cand = _match_de_family(x, be, scale)
-    if cand is not None:
-        crit, kval, row, snapped = cand
-        X0, X, p = XP_TABLE[row]
-        # rows (ii)/(vi): X, p = cos(a pi/7) +- cos(b pi/7) with (a,b) below
-        a, b = (1, 2) if row == "ii" else (0, 1)
-        ca, cb = be.cosp[a], be.cosp[b]
-        c0x = be.cosp[0 if row == "ii" else 2]
-        x0_sq = 4 * c0x * c0x
-        sum_sq = 2 * (ca * ca + cb * cb)
-        diff_sq = 4 * ca * cb
-        if crit == "de1":
-            c_sq = (snapped[0] + snapped[1] + snapped[3] + snapped[4]) / 2
-            c0_sq = snapped[0] * 0
-        elif crit == "de2":
-            c_sq = snapped[0]
-            c0_sq = kval * kval * snapped[0]
-        else:
-            c_sq = snapped[4]
-            c0_sq = kval * kval * snapped[4]
-        Ps = _division_poly(be, x, snapped)
-        pnorm = Ps.max_abs_coeff()
-        q = divides_linear(Ps, x0_sq, c0_sq, tol=be.tol, scale=pnorm)
-        if q is not None:
-            q2 = divides_quadratic_from_squares(q, sum_sq, diff_sq, c_sq, tol=be.tol, scale=pnorm)
-            if q2 is not None:
-                c = _sqrt_float(c_sq)
-                c0 = _sqrt_float(c0_sq)
-                ells = (
-                    EllipseComponent(0.0, X0, c0, degenerate=c0 <= 1e-9),
-                    EllipseComponent(p, X, c),
-                    EllipseComponent(-p, X, c),
-                )
-                return report(verdict=DISPLACED_PAIR, criterion=crit,
-                              k=None if crit == "de1" else float(kval), table_row=row,
-                              ellipses=ells, snapped_xi=tuple(float(v) for v in snapped))
-    return report(verdict=MIXED_NONE)
-
-
-def _match_de_family(x, be, scale):
-    """Try de1/de2/de3; returns (criterion, k, table_row, snapped_xi) or None."""
     two_c2 = 2 * be.cosp[1]
     # de1: xi3 = 0, xi5 = xi1 != 0, xi2 = xi4 = 2 xi1 cos(2pi/7)
     if (
@@ -442,31 +372,46 @@ def _match_de_family(x, be, scale):
         and be.eq(x[3], two_c2 * x[4], scale)
     ):
         b = (x[0] + x[4]) / 2
-        snapped = [b, two_c2 * b, b * 0, two_c2 * b, b]
-        return "de1", None, "vi", snapped
-    for kv, row in zip(be.k_values, ("ii", "vi")):
+        yield _displaced6(be, "de1", None, "vi", [b, two_c2 * b, b * 0, two_c2 * b, b])
+        return
+    for kv, row in ((2 * be.cosp[0], "ii"), (2 * be.cosp[2], "vi")):
         km1_sq = (kv - 1) * (kv - 1)
-        # de2: xi2 = 0, xi3 = xi5 = k xi1, xi4 = (k-1)^2 xi1
-        if (
-            be.is_zero(x[1], scale)
-            and not be.is_zero(x[0], scale)
-            and be.eq(x[2], kv * x[0], scale)
-            and be.eq(x[4], kv * x[0], scale)
-            and be.eq(x[3], km1_sq * x[0], scale)
-        ):
-            snapped = [x[0], x[0] * 0, kv * x[0], km1_sq * x[0], kv * x[0]]
-            return "de2", kv, row, snapped
-        # de3: xi4 = 0, xi1 = xi3 = k xi5, xi2 = (k-1)^2 xi5
-        if (
-            be.is_zero(x[3], scale)
-            and not be.is_zero(x[4], scale)
-            and be.eq(x[0], kv * x[4], scale)
-            and be.eq(x[2], kv * x[4], scale)
-            and be.eq(x[1], km1_sq * x[4], scale)
-        ):
-            snapped = [kv * x[4], km1_sq * x[4], kv * x[4], x[4] * 0, x[4]]
-            return "de3", kv, row, snapped
-    return None
+        # de2: xi2 = 0, xi3 = xi5 = k xi1, xi4 = (k-1)^2 xi1; de3 is de2 of the reversed xi
+        for crit, y in (("de2", x), ("de3", x[::-1])):
+            if (
+                be.is_zero(y[1], scale)
+                and not be.is_zero(y[0], scale)
+                and be.eq(y[2], kv * y[0], scale)
+                and be.eq(y[4], kv * y[0], scale)
+                and be.eq(y[3], km1_sq * y[0], scale)
+            ):
+                snapped = [y[0], y[0] * 0, kv * y[0], km1_sq * y[0], kv * y[0]]
+                yield _displaced6(be, crit, kv, row, snapped if crit == "de2" else snapped[::-1])
+                return
+
+
+def _displaced6(be, crit, kv, row, snapped):
+    """The candidate of a matching de family: a central ellipse and the pair of table row ``row``."""
+    X0, X, p = XP_TABLE[row]
+    # rows (ii)/(vi): X, p = cos(a pi/7) +- cos(b pi/7) with (a,b) below
+    a, b = (1, 2) if row == "ii" else (0, 1)
+    ca, cb = be.cosp[a], be.cosp[b]
+    c0x = be.cosp[0 if row == "ii" else 2]
+    if crit == "de1":
+        c_sq = (snapped[0] + snapped[1] + snapped[3] + snapped[4]) / 2
+        c0_sq = snapped[0] * 0
+    else:
+        c_sq = snapped[0 if crit == "de2" else 4]
+        c0_sq = kv * kv * c_sq
+    one = be.convert(1)
+    factors = (linear_factor(4 * c0x * c0x, c0_sq, one),
+               quadratic_factor(2 * (ca * ca + cb * cb), 4 * ca * cb, c_sq, one))
+    c = _sqrt_float(c_sq)
+    ells = (_centered(X0, _sqrt_float(c0_sq)), EllipseComponent(p, X, c), EllipseComponent(-p, X, c))
+    return _Candidate(DISPLACED_PAIR, crit, None if kv is None else float(kv), row, snapped, factors, ells)
+
+
+_FAMILIES = {4: _families4, 5: _families5, 6: _families6}
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,10 @@ def dumps(obj, indent=0) -> str:
             rows = _records(o, lead, pad * (depth + 2), nl)
             return "[" + nl + rows + nl + close + "]" if rows else "[]"
         if hasattr(o, "item") and not isinstance(o, (list, tuple, dict)):
-            return enc(o.item(), depth)
+            v = o.item()
+            if type(v) is type(o):  # a long double stays one
+                raise TypeError(f"cannot serialize {type(o)}")
+            return enc(v, depth)
         if isinstance(o, dict):
             if not o:
                 return "{}"

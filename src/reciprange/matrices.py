@@ -39,10 +39,6 @@ class XiParameters:
     def n(self):
         return len(self.xi) + 1
 
-    def a_params(self):
-        """A_j = (|a_{j,j+1}|^2 + |a_{j+1,j}|^2)/2 = 2 xi_j + 1."""
-        return tuple(2 * x + 1 for x in self.xi)
-
     def reversed(self):
         return XiParameters(tuple(reversed(self.xi)))
 

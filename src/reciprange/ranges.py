@@ -4,13 +4,12 @@ Lambda_k(A) is the intersection over theta of the half-planes
 {Re(e^{i theta} z) <= lambda_k(theta)}, lambda_k the k-th largest eigenvalue of
 Re(e^{i theta} A) (Li-Sze).  ``rank_k_numeric`` takes the bounds from the
 eigenvalues; ``rank_k_analytic`` takes them, for a positive classification,
-from the closed-form support functions of the ellipse components.  Both clip
-one theta grid through the one kernel ``halfplane_intersection``.
+from the closed-form support functions of the ellipse components, ordered by
+the verdict (and, for n = 6 displaced pairs, by the report's table row).
+Both clip one theta grid through the one kernel ``halfplane_intersection``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -65,11 +64,12 @@ def rank_k_analytic(report: ClassificationReport, k, theta_grid=DEFAULT_GRID) ->
 
     Concentric verdicts: the disk of the k-th nested ellipse.  Displaced pairs:
     the hull of E and -E for the widest set, their lens for the next, with the
-    central component (n = 6) slotted by the criterion's k-value; for odd n the
-    origin supplies Lambda_{(n+1)/2}.  Each disk, hull or lens is the
-    half-plane intersection of a closed-form support function on the theta
-    grid: h_E for a disk, max(h_E, h_-E) for the hull, min(h_E, h_-E) for the
-    lens, through the same kernel and grid as ``rank_k_numeric``.
+    central component (n = 6) slotted by the table row: first for row ii
+    (ratio 2cos(pi/7)), last for row vi.  For odd n the origin supplies
+    Lambda_{(n+1)/2}.  Each disk, hull or lens is the half-plane intersection
+    of a closed-form support function on the theta grid: h_E for a disk,
+    max(h_E, h_-E) for the hull, min(h_E, h_-E) for the lens, through the same
+    kernel and grid as ``rank_k_numeric``.
     """
     n = report.n
     if not 1 <= k <= n:
@@ -92,10 +92,10 @@ def rank_k_analytic(report: ClassificationReport, k, theta_grid=DEFAULT_GRID) ->
         return ConvexRegion.empty()
 
     # displaced pair: the hull of E and -E, then their lens.  For n = 6 the
-    # central component comes first or last by the criterion's k-value.
+    # central component comes first (table row ii) or last (row vi).
     e_plus, e_minus = report.displaced() if n == 6 else report.ellipses
     if n == 6:
-        central_outer = report.k is not None and abs(report.k - 2 * math.cos(math.pi / 7)) < 1e-6
+        central_outer = report.table_row == "ii"
         if k == (1 if central_outer else 3):
             return disk(report.central())
         if central_outer:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
+from dense_oracle import hermitian_parts
 from reciprange import ellipses
 from reciprange.ellipses import (
     ALL_CONCENTRIC,
@@ -29,7 +30,7 @@ from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor
 from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.geometry import intersect_regions, region_contains_region
 from reciprange.kippenhahn import closed_form_poly
-from reciprange.matrices import exact_spectrum
+from reciprange.matrices import exact_spectrum, matrix_from_xi
 
 K17 = 2 * math.cos(math.pi / 7)
 K37 = 2 * math.cos(3 * math.pi / 7)
@@ -443,6 +444,37 @@ FAMILIES = {
         *[lambda t, s, k=k: (k * t, (k - 1) ** 2 * t, k * t, 0.0, t) for k in (K17, K37)],  # de3
     ],
 }
+
+
+def _pencil_values(rep, thetas):
+    """The closed-form spectra of Re(e^{i theta} A) the report's ellipses imply,
+    p cos(theta) +- sqrt(a^2 cos^2(theta) + c^2 sin^2(theta)) plus 0 for odd n,
+    one ascending row per theta."""
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    cols = [np.zeros_like(cos)] * (rep.n % 2)
+    for e in rep.ellipses:
+        r = np.sqrt((e.major_half_axis * cos) ** 2 + (e.minor_half_axis * sin) ** 2)
+        cols += [e.center * cos + r, e.center * cos - r]
+    return np.sort(np.hstack(cols), axis=1)
+
+
+#: (n, member index, mode): every family in float and extended mode, and in exact
+#: mode the noncon4 and first-branch con5 members, whose relations hold exactly in binary
+PENCIL_CASES = [(n, i, mode) for mode in ("float", "extended") for n in FAMILIES for i in range(len(FAMILIES[n]))]
+PENCIL_CASES += [(4, 1, "exact"), (5, 0, "exact")]
+
+
+@pytest.mark.parametrize("n, i, mode", PENCIL_CASES)
+@given(st.floats(0.2, 2.0), st.floats(0.2, 2.0), st.booleans(), st.sampled_from([1e-9, 1e-6]))
+def test_pencil_identity_for_every_positive_report(n, i, mode, t, s, rev, tol):
+    # the reported ellipses must reproduce the dense spectrum of the snapped matrix:
+    # a swapped c, centre or slot misses by order 1
+    xi = FAMILIES[n][i](t, s)
+    rep = classify(xi[::-1] if rev else xi, mode=mode, tol=tol)
+    assert rep.verdict in (ALL_CONCENTRIC, DISPLACED_PAIR), rep
+    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    dense = np.linalg.eigvalsh(hermitian_parts(matrix_from_xi(rep.snapped_xi), thetas))
+    assert np.max(np.abs(_pencil_values(rep, thetas) - dense)) <= 1e-12, rep
 
 
 @st.composite

@@ -80,6 +80,14 @@ def test_other_field_kinds_are_refused(dtype):
         jsonio.dumps({"samples": table})
 
 
+@pytest.mark.skipif(np.dtype("g").itemsize <= 8, reason="long double is double on this platform")
+@pytest.mark.parametrize("scalar", [np.longdouble(1.5), np.clongdouble(1 + 2j)], ids=["g", "G"])
+def test_long_double_scalars_are_refused(scalar):
+    # .item() returns the long double itself, so unwrapping it again would never end
+    with pytest.raises(TypeError):
+        jsonio.dumps({"x": [scalar]})
+
+
 def test_empty_and_non_table_lists():
     for obj in ([], [{}], [{}, {}], [1.0, 2.0], [{"a": 1.0}, 2.0], [{"a": True}], [{"a": np.float64(1.0)}],
                 [{"a": 1}, {"a": 1.0}], [{"a": [1.0]}]):
