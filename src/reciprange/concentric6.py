@@ -2,13 +2,15 @@
 
 A 6x6 reciprocal matrix has curve components consisting of three origin-centered
 ellipses iff P_6 factors as prod_j (zeta - (s_j rho + t_j)) with
-s_j = 4 cos^2(j pi/7).  Matching coefficients gives three equations linear in
-the t_j (solved here by Cramer's rule, in floats or exactly over
-Q(2 cos(2 pi/7))) and three polynomial consistency conditions on xi.
-Eliminating t turns those conditions into polynomials in xi alone with rational
-coefficients; ``audit_concentric_criterion`` compares them with the commonly
-quoted integer form of the criterion, whose xi1*xi3*xi5 coefficient (-41) looks
-suspicious and is re-derived here from scratch.
+s_j = 4 cos^2(j pi/7).  ``candidate_axes`` builds P_6 with the determinant
+recurrence of ``kippenhahn`` in the caller's ring and matches its coefficients
+with those of the product: three are linear in the t_j (solved by Cramer's
+rule) and three are polynomial consistency conditions on xi.  Run on symbolic
+xi over Q(2 cos(2 pi/7)), the same code eliminates t and turns those
+conditions into polynomials in xi alone with rational coefficients;
+``audit_concentric_criterion`` compares them with the commonly quoted integer
+form of the criterion, whose xi1*xi3*xi5 coefficient (-41) looks suspicious
+and is re-derived here from scratch.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from operator import add
 
 import numpy as np
 
+from .kippenhahn import build_poly_from_scalars
 from .matrices import as_xi
 from .numberfield import COS7, TWO_COS_PI7
 
 S_FLOAT = tuple(4 * math.cos(j * math.pi / 7) ** 2 for j in (1, 2, 3))
-_SX = [TWO_COS_PI7[j] * TWO_COS_PI7[j] for j in (1, 2, 3)]  # s_j in Q(alpha)
 
 
-def _cramer3(M, b, one):
+def _cramer3(M, b):
     def det3(m):
         return (
             m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -34,58 +36,29 @@ def _cramer3(M, b, one):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
 
-    D = det3(M)
-    out = []
-    for k in range(3):
-        Mk = [row[:] for row in M]
-        for i in range(3):
-            Mk[i][k] = b[i]
-        out.append(det3(Mk) / D)
-    return out
+    D = det3(M)  # column k of M replaced by b, over D, is t_k
+    return [det3([[b[i] if j == k else M[i][j] for j in range(3)] for i in range(3)]) / D for k in range(3)]
 
 
-def candidate_axes(xi, exact=False, mpm=None):
-    """Solve the linear coefficient-matching system for t = (c_1^2, c_2^2, c_3^2).
+def candidate_axes(x, s, one):
+    """Match P_6 of xi ``x`` with prod_j (zeta - s_j rho - t_j); returns (t, residuals).
 
-    Returns (t, residuals) where residuals are the three remaining polynomial
-    matching conditions (all must vanish for the factorization to exist):
-    elementary-symmetric e2, the weighted pair sum, and the product.  Backends:
-    floats (default), exact over Q(2cos(2pi/7)) with ``exact``, or mpmath
-    arbitrary precision by passing the mpmath module as ``mpm``.
+    ``x``, ``s`` (the s_j = 4 cos^2(j pi/7)) and ``one`` share a ring: floats,
+    mpmath numbers, Fractions with s in Q(2cos(2pi/7)), or polynomials in xi.
+    The coefficients of zeta^2, zeta rho and rho^2 are linear in t (rows 1,
+    e1(s) - s_j, e3(s)/s_j); the residuals e2(t), sum s_k t_i t_j and e3(t),
+    against zeta, rho and 1, all vanish iff the factorization exists.
     """
-    vals = list(xi.xi) if hasattr(xi, "xi") else list(xi)
-    if len(vals) != 5:
+    if len(x) != 5:
         raise ValueError("candidate_axes needs n = 6")
-    if exact:
-        return _matching_system([Fraction(v) for v in vals], _SX, COS7(1), COS7)
-    if mpm is not None:
-        conv = lambda v: v if hasattr(v, "_mpf_") else mpm.mpf(v)
-        s = [4 * mpm.cos(j * mpm.pi / 7) ** 2 for j in (1, 2, 3)]
-        return _matching_system([conv(v) for v in vals], s, mpm.mpf(1), conv)
-    return _matching_system([float(v) for v in vals], S_FLOAT, 1.0, float)
-
-
-def _matching_system(x, s, one, conv):
-    """``candidate_axes`` for xi values ``x`` in any ring holding the s_j and ``one``.
-
-    ``conv`` lifts the sums and products of xi into that ring.
-    """
-    total = sum(x)
-    q1 = 3 * (x[0] + x[4]) + 2 * (x[1] + x[2] + x[3])
-    odd = x[0] + x[2] + x[4]
-    M = [[one, one, one],
-         [one * 5 - s[0], one * 5 - s[1], one * 5 - s[2]],
-         [one / s[0], one / s[1], one / s[2]]]
-    b = [conv(total), conv(q1), conv(odd)]
-    t = _cramer3(M, b, one)
-
-    e2xi = x[0] * x[2] + x[0] * x[3] + x[0] * x[4] + x[1] * x[3] + x[1] * x[4] + x[2] * x[4]
-    oddpair = x[0] * x[2] + x[0] * x[4] + x[2] * x[4]
-    oddprod = x[0] * x[2] * x[4]
+    P = build_poly_from_scalars(list(x), one).coeffs  # P[i][k]: coefficient of zeta^i rho^k
+    e1, e3 = s[0] + s[1] + s[2], s[0] * s[1] * s[2]
+    M = [[1, 1, 1], [e1 - sj for sj in s], [e3 / sj for sj in s]]  # in the ring of s
+    t = _cramer3(M, [-P[2][0], P[1][1], -P[0][2]])
     residuals = (
-        t[0] * t[1] + t[0] * t[2] + t[1] * t[2] - conv(e2xi),
-        s[2] * t[0] * t[1] + s[1] * t[0] * t[2] + s[0] * t[1] * t[2] - conv(oddpair),
-        t[0] * t[1] * t[2] - conv(oddprod),
+        t[0] * t[1] + t[0] * t[2] + t[1] * t[2] - P[1][0],
+        s[2] * t[0] * t[1] + s[1] * t[0] * t[2] + s[0] * t[1] * t[2] + P[0][1],
+        t[0] * t[1] * t[2] + P[0][0],
     )
     return t, residuals
 
@@ -97,7 +70,7 @@ def _matching_system(x, s, one, conv):
 class _Poly:
     """Polynomial in xi_1..xi_5 over Q(2cos(2pi/7)): exponent tuple -> nonzero coefficient.
 
-    Enough of a ring (with int and field-element scalars) for ``_matching_system``.
+    Enough of a ring (with int and field-element scalars) for ``candidate_axes``.
     """
 
     __slots__ = ("terms",)
@@ -109,6 +82,9 @@ class _Poly:
     def var(cls, i):
         return cls({tuple(int(j == i) for j in range(5)): COS7(1)})
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __add__(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -119,9 +95,6 @@ class _Poly:
                     continue
             terms[m] = c
         return _Poly(terms)
-
-    def __radd__(self, other):  # the 0 that sum() starts from
-        return self if other == 0 else NotImplemented
 
     def __neg__(self):
         return _Poly({m: -c for m, c in self.terms.items()})
@@ -149,12 +122,13 @@ class _Poly:
 def derive_rational_criterion():
     """Eliminate t exactly; returns three monomial->Fraction dicts (G2a, G2b, G3).
 
-    Runs ``candidate_axes``' matching system on symbolic xi, so its residuals
-    are the criterion.  The first two are quadratic, the third cubic in xi;
-    each has rational coefficients because the construction is stable under
-    permuting the s_j.
+    Runs ``candidate_axes`` on symbolic xi, so its residuals, read off P_6 as
+    the determinant recurrence builds it, are the criterion.  The first two
+    are quadratic, the third cubic in xi; each has rational coefficients
+    because the construction is stable under permuting the s_j.
     """
-    _, residuals = _matching_system([_Poly.var(i) for i in range(5)], _SX, COS7(1), lambda p: p)
+    s = [TWO_COS_PI7[j] * TWO_COS_PI7[j] for j in (1, 2, 3)]
+    _, residuals = candidate_axes([_Poly.var(i) for i in range(5)], s, _Poly({(0,) * 5: COS7(1)}))
     out = []
     for name, g in zip(("G2a", "G2b", "G3"), residuals):
         for m, c in g.terms.items():
@@ -252,40 +226,32 @@ def audit_concentric_criterion():
 def evaluate_criterion(xi, third_eq_coefficient=Fraction(-41)):
     """Evaluate the three quoted criterion polynomials at xi (floats)."""
     x = [float(v) for v in as_xi(xi)]
-    vals = []
-    for eq in quoted_criterion(third_eq_coefficient):
-        acc = 0.0
-        for m, c in eq.items():
-            term = float(c)
-            for v, e in zip(x, m):
-                term *= v**e
-            acc += term
-        vals.append(acc)
-    return tuple(vals)
+    return tuple(sum(math.prod((v**e for v, e in zip(x, m)), start=float(c)) for m, c in eq.items())
+                 for eq in quoted_criterion(third_eq_coefficient))
 
 
 # ---------------------------------------------------------------------------
 # numeric instances on the criterion variety
 # ---------------------------------------------------------------------------
 
-def _consistency(t1, t2, t3):
-    s = np.asarray(S_FLOAT)
-    t = np.array([t1, t2, t3])
-    xi3 = float(np.sum(t * (s - 1) * (s - 3)))
-    u = float(np.sum((3 - s) * t))
-    rhs5 = s[2] * t[0] * t[1] + s[1] * t[0] * t[2] + s[0] * t[1] * t[2]
-    v = rhs5 - xi3 * u
-    return v * xi3 - t[0] * t[1] * t[2]
-
-
-def _xi_candidates_from_t(t):
+def _from_t(t):
+    """(s, t, xi3, u, v) on the variety: u = xi1 + xi5 and v = xi1 xi5, given t."""
     s = np.asarray(S_FLOAT)
     t = np.asarray(t, float)
     xi3 = float(np.sum(t * (s - 1) * (s - 3)))
     u = float(np.sum((3 - s) * t))
-    w = float(np.sum((s - 2) * t)) - xi3
     rhs5 = s[2] * t[0] * t[1] + s[1] * t[0] * t[2] + s[0] * t[1] * t[2]
-    v = rhs5 - xi3 * u
+    return s, t, xi3, u, rhs5 - xi3 * u
+
+
+def _consistency(t1, t2, t3):
+    _, t, xi3, _, v = _from_t((t1, t2, t3))
+    return v * xi3 - t[0] * t[1] * t[2]
+
+
+def _xi_candidates_from_t(t):
+    s, t, xi3, u, v = _from_t(t)
+    w = float(np.sum((s - 2) * t)) - xi3
     if xi3 <= 0 or u < 0 or w < 0:
         return []
     disc = u * u - 4 * v

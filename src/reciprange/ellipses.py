@@ -154,8 +154,9 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class _Backend:
-    """Scalar arithmetic for one classify mode.
-
+    """One classify mode's scalar ring, chosen here alone: ``convert`` lifts into it
+    (float, Fraction with ``numberfield`` constants, or a private 50-digit mpmath
+    context) and ``phi``, ``sqrt3`` and ``cosp`` are its constants.
     ``eq``/``is_zero`` match criteria to ``tol`` relative to a scale (never
     below ``floor``), or exactly when ``exact``; ``tol`` is also the confirming
     divisions' remainder threshold, 0 (an exactly zero remainder) in exact mode.
@@ -167,7 +168,6 @@ class _Backend:
     phi: object
     sqrt3: object
     cosp: tuple  # cos(j pi/7) for j = 1, 2, 3
-    mpm: object = None  # the private 50-digit mpmath context in extended mode
     tol: float = 0
 
     def eq(self, a, b, scale=1.0):
@@ -194,7 +194,7 @@ def _mode_backend(mode):
     mp = mpmath.MPContext()
     mp.dps = 50
     cosp = tuple(mp.cos(j * mp.pi / 7) for j in (1, 2, 3))
-    return _Backend(False, 0, mp.mpf, (mp.sqrt(5) + 1) / 2, mp.sqrt(3), cosp, mp)
+    return _Backend(False, 0, mp.mpf, (mp.sqrt(5) + 1) / 2, mp.sqrt(3), cosp)
 
 
 def _backend(mode, tol):
@@ -346,8 +346,9 @@ def _families5(x, be, scale):
 
 def _families6(x, be, scale):
     """3conel, then the first of de1, de2/de3 at 2cos(pi/7), de2/de3 at 2cos(3pi/7) that matches."""
-    # three concentric ellipses: solve the linear system for the axes
-    t, residuals = concentric6.candidate_axes(x, exact=be.exact, mpm=be.mpm)
+    # three concentric ellipses: match P_6 for the axes
+    s, one = [4 * c * c for c in be.cosp], be.convert(1)
+    t, residuals = concentric6.candidate_axes(x, s, one)
     u = _sub_unit(x, be)
     # e2 and the weighted pair sum have degree 2 in xi, the product degree 3
     res_ok = all(be.is_zero(r / u ** (d - 1), scale**3 + scale) for r, d in zip(residuals, (2, 2, 3)))
@@ -356,7 +357,7 @@ def _families6(x, be, scale):
         # the division remainder re-expresses the matching residuals, amplified
         # by coefficient magnitudes; keep its threshold consistent with res_ok
         yield _Candidate(ALL_CONCENTRIC, "3conel", None, None, x,
-                         tuple(linear_factor(4 * c * c, tj, be.convert(1)) for c, tj in zip(be.cosp, tc)),
+                         tuple(linear_factor(sj, tj, one) for sj, tj in zip(s, tc)),
                          tuple(_centered(2 * math.cos((j + 1) * math.pi / 7), _sqrt_float(tj))
                                for j, tj in enumerate(tc)),
                          4 * (scale**3 + scale))

@@ -67,13 +67,8 @@ def closed_form_poly(xi, exact=False) -> KippenhahnPolynomial:
     With ``exact`` the coefficients are Fractions (xi must then be rational-valued).
     """
     xi = as_xi(xi)
-    if exact:
-        x = [Fraction(v) if not isinstance(v, Fraction) else v for v in xi]
-        one = Fraction(1)
-    else:
-        x = [float(v) for v in xi]
-        one = 1.0
-    return KippenhahnPolynomial(xi.n, build_poly_from_scalars(x, one))
+    ring = Fraction if exact else float
+    return KippenhahnPolynomial(xi.n, build_poly_from_scalars([ring(v) for v in xi], ring(1)))
 
 
 def build_poly_from_scalars(x, one) -> ZetaPoly:

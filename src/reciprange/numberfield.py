@@ -3,8 +3,9 @@
 An element of Q(alpha) is stored as integer numerators of 1, alpha, alpha^2, ...
 over one positive common denominator, divided by their gcd so that every
 element has exactly one form.  Products are reduced modulo the monic integer
-minimal polynomial of alpha, which keeps the numerators integral.  Three
-fields cover every irrational constant appearing in the ellipse criteria:
+minimal polynomial of alpha, which keeps the numerators integral, and
+``float()`` rounds once, from an integer bracket of alpha.  Three fields
+cover every irrational constant appearing in the ellipse criteria:
 
 * ``SQRT5``  -- Q(sqrt 5), home of the golden ratio,
 * ``SQRT3``  -- Q(sqrt 3),
@@ -14,6 +15,7 @@ fields cover every irrational constant appearing in the ellipse criteria:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import index
@@ -56,6 +58,24 @@ class NumberField:
 
     def gen(self):
         return self(0, 1)
+
+    @functools.cache
+    def _root_powers(self, bits):
+        """Integers P[i] = a^i and E[i] = (|a| + 1)^i - |a|^i >= |alpha^i 2**(bits i) - a^i|
+        for a = floor(alpha 2**bits), bisected from root_value -+ 2**-30, which must isolate alpha."""
+        d = self.degree
+
+        def up(k):  # the sign of 2**(bits d) f(k / 2**bits)
+            return k**d + sum(m * k**j << bits * (d - j) for j, m in enumerate(self.minpoly)) > 0
+
+        lo, hi = (math.floor(Fraction(self.root_value + e) * 2**bits) for e in (-2**-30, 2**-30))
+        sign = up(hi)
+        if up(lo) == sign:
+            raise ValueError(f"root_value {self.root_value} does not isolate a root of {self.name}")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if up(mid) == sign else (mid, hi)
+        return tuple(lo**i for i in range(d)), tuple((abs(lo) + 1) ** i - abs(lo) ** i for i in range(d))
 
     def _reduce(self, raw):
         """The ``degree`` coefficients of integer ``raw`` (a list, consumed) modulo the minimal polynomial."""
@@ -126,6 +146,8 @@ class FieldElement:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a rational scalar needs no reduction
+            return self.field._element([a * other.numerator for a in self.num], self.den * other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -191,8 +213,19 @@ class FieldElement:
         return Fraction(self.num[0], self.den)
 
     def __float__(self):
-        # c / den is float(Fraction(c, den)): int true division rounds correctly
-        return float(sum(c / self.den * self.field.root_value**i for i, c in enumerate(self.num)))
+        """Correctly rounded: alpha bracketed to ``bits`` binary places brackets the value
+        (exactly if rational), and ``bits`` doubles until both ends round alike."""
+        num, den = self.num, self.den
+        bits = 64
+        while True:
+            v = e = 0  # the value and its error bound, times den 2**(bits (degree - 1))
+            for c, p, q in zip(num, *self.field._root_powers(bits)):
+                v = (v << bits) + c * p
+                e = (e << bits) + abs(c) * q
+            scale = den << bits * (len(num) - 1)
+            if (v - e) / scale == (v + e) / scale:
+                return (v - e) / scale
+            bits *= 2
 
     def __abs__(self):
         return abs(float(self))

@@ -2,20 +2,29 @@
 
 ``OracleField`` and ``OracleElement`` store an element of Q(alpha) as a tuple
 of Fractions and reduce products modulo the minimal polynomial; inverses come
-from the extended Euclidean algorithm.  The package stores integer numerators
-over one common denominator and inverts by Cramer's rule, so the tests ask for
-exactly equal results from the two.
+from the extended Euclidean algorithm, and ``float`` rounds a 40-digit mpmath
+evaluation once.  The package stores integer numerators over one common
+denominator, inverts by Cramer's rule and rounds from an integer bracket of
+alpha, so the tests ask for exactly equal results from the two.
 
 ``oracle_derive_rational_criterion`` eliminates t from the n = 6 matching
-equations with dict polynomials over ``ORACLE_COS7``, written out
-independently of ``concentric6.candidate_axes``; the audit's derived system
-must equal it.
+equations with dict polynomials over ``ORACLE_COS7``.  Its six coefficient
+equations (sum, weighted sum and odd sum of xi against t; e2, weighted pair
+sum and odd product against the residuals) are derived by hand from the
+expansion of P_6.  ``concentric6.candidate_axes`` reads the same coefficients
+off P_6 as the determinant recurrence builds it, so this hand derivation is
+the independent side: the audit's derived system must equal it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import mpmath
+
+_MP = mpmath.MPContext()  # private, so the caller's mpmath.mp precision is left alone
+_MP.dps = 40
 
 
 def _trim(p):
@@ -66,6 +75,9 @@ class OracleField:
         self.degree = len(minpoly)
         self.root_value = float(root_value)
         self.name = name
+        # alpha to 40 digits: Newton on the minimal polynomial from the float root
+        coeffs = [1] + [int(c) for c in reversed(self.minpoly)]  # descending, as polyval wants
+        self.root_mp = _MP.findroot(lambda z: _MP.polyval(coeffs, z), _MP.mpf(root_value))
 
     def __call__(self, *coeffs):
         c = [Fraction(x) for x in coeffs]
@@ -188,7 +200,10 @@ class OracleElement:
         return self.coeffs[0]
 
     def __float__(self):
-        return float(sum(float(c) * self.field.root_value**i for i, c in enumerate(self.coeffs)))
+        """Rounded once from a 40-digit evaluation, so correctly rounded unless
+        the value cancels to below ~1e-24 of its terms."""
+        root = self.field.root_mp
+        return float(_MP.fsum(_MP.mpf(c.numerator) / c.denominator * root**i for i, c in enumerate(self.coeffs)))
 
     def __repr__(self):
         terms = [f"{c}*{self.field.name}^{i}" if i else f"{c}" for i, c in enumerate(self.coeffs) if c]

@@ -1,10 +1,19 @@
-"""The n = 6 concentric-triple criterion: exact derivation and audit."""
+"""The n = 6 concentric-triple criterion: exact derivation and audit.
+
+``candidate_axes`` reads its matching equations off P_6 as the determinant
+recurrence builds it, in whatever ring it is given, and the audit runs it on
+symbolic xi.  The hand derivation in ``numberfield_oracle`` types the same six
+coefficient equations from the expansion of P_6, so it is the independent
+side that the derived system must equal.
+"""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from reciprange.concentric6 import (
@@ -16,13 +25,28 @@ from reciprange.concentric6 import (
     quoted_criterion,
 )
 from numberfield_oracle import oracle_derive_rational_criterion
-from reciprange.ellipses import classify
+from reciprange.ellipses import _mode_backend, classify
 from reciprange.kippenhahn import closed_form_poly
 from reciprange.bipoly import linear_factor
 
 
+def _axes(mode, xi):
+    """``candidate_axes`` in one classify mode's ring: xi converted, s = 4 cos^2(j pi/7)."""
+    be = _mode_backend(mode)
+    x = [be.convert(v if mode == "exact" else float(v)) for v in xi]
+    return candidate_axes(x, [4 * c * c for c in be.cosp], be.convert(1))
+
+
+ORACLE_CRITERION = oracle_derive_rational_criterion()
+
+
+def _evaluate(g, xi):
+    """A monomial -> Fraction dict at rational xi."""
+    return sum(c * math.prod(v**e for v, e in zip(xi, m)) for m, c in g.items())
+
+
 def test_exact_axes_for_all_ones():
-    t, residuals = candidate_axes([Fraction(1)] * 5, exact=True)
+    t, residuals = _axes("exact", [Fraction(1)] * 5)
     for j, tj in enumerate(t):
         # the squared axes are exactly 4 cos^2((j+1) pi/7)
         assert abs(float(tj) - 4 * math.cos((j + 1) * math.pi / 7) ** 2) < 1e-14
@@ -87,7 +111,20 @@ def test_instance_classification_and_scaling():
 
 def test_float_axes_match_exact():
     xi = [0.9, 1.3, 0.4, 2.0, 0.7]
-    tf, rf = candidate_axes(xi)
-    te, re_ = candidate_axes([Fraction(v).limit_denominator(10**9) for v in xi], exact=True)
+    tf, rf = _axes("float", xi)
+    te, re_ = _axes("exact", [Fraction(v).limit_denominator(10**9) for v in xi])
     assert_allclose(tf, [float(v) for v in te], rtol=1e-9)
     assert_allclose(rf, [float(v) for v in re_], rtol=1e-6, atol=1e-12)
+
+
+@given(st.lists(st.integers(0, 320), min_size=5, max_size=5))
+def test_axes_agree_across_rings(numerators):
+    xi = [Fraction(k, 64) for k in numerators]  # dyadic: exact in every ring
+    te, re_ = _axes("exact", xi)
+    scale = max(1, max(xi))
+    for mode in ("float", "extended"):
+        t, residuals = _axes(mode, xi)
+        assert_allclose([float(v) for v in t], [float(v) for v in te], rtol=1e-12, atol=1e-12 * scale)
+        assert_allclose([float(v) for v in residuals], [float(v) for v in re_], rtol=0, atol=1e-12 * scale**3)
+    # the exact residuals are the oracle's hand-derived criterion at xi
+    assert list(re_) == [_evaluate(g, xi) for g in ORACLE_CRITERION]

@@ -4,12 +4,13 @@ import math
 import operator
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from numberfield_oracle import ORACLE_COS7, ORACLE_SQRT3, ORACLE_SQRT5
-from reciprange.numberfield import COS7, PHI, SQRT3, SQRT5, TWO_COS_PI7
+from reciprange.numberfield import COS7, PHI, ROOT3, SQRT3, SQRT5, TWO_COS_PI7
 
 FIELDS = {"sqrt5": (SQRT5, ORACLE_SQRT5), "sqrt3": (SQRT3, ORACLE_SQRT3), "cos7": (COS7, ORACLE_COS7)}
 OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
@@ -36,7 +37,8 @@ def both(name, coeffs):
 
 
 def same(a, oa):
-    """``a`` equals the oracle element ``oa``: coefficients, repr and float bit for bit."""
+    """``a`` equals the oracle element ``oa``: coefficients, repr and float bit for bit
+    (the oracle's float is rounded once from 40 digits, so both are correctly rounded)."""
     assert a.coeffs == oa.coeffs
     assert all(type(c) is Fraction for c in a.coeffs)
     assert repr(a) == repr(oa)
@@ -127,6 +129,19 @@ def test_mixing_fields_is_a_type_error(op):
         op(SQRT5(1, 1), SQRT3(1, 1))
     with pytest.raises(TypeError):
         op(COS7(2), SQRT5(2))
+
+
+def test_float_of_constants_is_correctly_rounded():
+    mp = mpmath.MPContext()
+    mp.dps = 40
+    want = {"PHI": (1 + mp.sqrt(5)) / 2, "ROOT3": mp.sqrt(3)}
+    want.update({f"2cos({k}pi/7)": 2 * mp.cos(k * mp.pi / 7) for k in (1, 2, 3)})
+    got = {"PHI": PHI, "ROOT3": ROOT3}
+    got.update({f"2cos({k}pi/7)": TWO_COS_PI7[k] for k in (1, 2, 3)})
+    for name, value in want.items():
+        assert float(got[name]).hex() == float(value).hex(), name
+    # the naive sum of c_i alpha^i in floats gave 0.44504186791262845 here
+    assert float(TWO_COS_PI7[3]) == 0.4450418679126288
 
 
 def test_constants():
