@@ -145,12 +145,6 @@ class ClassificationReport:
             "origin_component": self.origin_component,
         }
 
-    def central(self):
-        return next((e for e in self.ellipses if e.center == 0), None)
-
-    def displaced(self):
-        return tuple(e for e in self.ellipses if e.center != 0)
-
 
 @dataclass(frozen=True)
 class _Backend:

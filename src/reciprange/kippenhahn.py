@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .bipoly import ZetaPoly, rho_trim
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .matrices import ReciprocalMatrix, as_xi, imag_part_spectrum
+from .matrices import ReciprocalMatrix, as_xi, imag_part_spectrum, symmetric_tridiagonal
 
 DEFAULT_GRID = 2048
 DEGENERATE_GAP = 1e-9
@@ -111,14 +112,24 @@ def determinant_poly_eval(matrix: ReciprocalMatrix, theta: float, lam: float) ->
 
 
 def _theta_array(theta_grid):
+    """The theta grid: a size m gives m equispaced points on [0, 2 pi); an
+    explicit grid must be a finite, non-empty 1-D array."""
     if np.isscalar(theta_grid):
-        m = int(theta_grid)
+        try:
+            m = operator.index(theta_grid)
+        except TypeError:
+            raise InvalidInputError(f"theta grid size must be an integer, got {theta_grid!r}") from None
         if m < 1:
             raise InvalidInputError("theta grid must be non-empty")
         return np.linspace(0.0, 2 * math.pi, m, endpoint=False)
-    arr = np.asarray(theta_grid, dtype=float)
-    if arr.size == 0:
-        raise InvalidInputError("theta grid must be non-empty")
+    try:
+        arr = np.asarray(theta_grid, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("theta grid must be an integer size or an array of angles") from None
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidInputError(f"theta grid must be a non-empty 1-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("theta grid holds a non-finite angle")
     return arr
 
 
@@ -142,16 +153,6 @@ def _tridiagonal(xi, thetas):
     return t, s
 
 
-def _symmetric(off):
-    """Stack of zero-diagonal symmetric tridiagonals, shape (T, n, n)."""
-    m = off.shape[1]
-    M = np.zeros((off.shape[0], m + 1, m + 1))
-    i = np.arange(m)
-    M[:, i, i + 1] = off
-    M[:, i + 1, i] = off
-    return M
-
-
 def eigencurves(xi, theta_grid=DEFAULT_GRID) -> tuple:
     """Eigenvalues of Re(e^{i theta} A), each row sorted non-increasing.
 
@@ -170,7 +171,7 @@ def eigencurves(xi, theta_grid=DEFAULT_GRID) -> tuple:
         if thetas.size % 2 == 0:
             rep = np.minimum(rep, thetas.size // 2 - rep)
     t, _ = _tridiagonal(xi, thetas[: rep.max() + 1])
-    return thetas, np.linalg.eigvalsh(_symmetric(t))[rep, ::-1]
+    return thetas, np.linalg.eigvalsh(symmetric_tridiagonal(t))[rep, ::-1]
 
 
 def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
@@ -189,7 +190,7 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     thetas = _theta_array(theta_grid)
     t, s = _tridiagonal(xi, thetas)
     n = t.shape[1] + 1
-    w, U = np.linalg.eigh(_symmetric(t))  # ascending
+    w, U = np.linalg.eigh(symmetric_tridiagonal(t))  # ascending
     w, U = w[:, ::-1], U[:, :, ::-1]
     # u real: u* T u = lambda and u* S u = u.Re(S)u
     phase = np.exp(-1j * thetas)[:, None]

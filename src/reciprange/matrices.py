@@ -121,11 +121,16 @@ def imag_part_spectrum(xi) -> np.ndarray:
     eigenvalues; an empty xi gives the 1x1 block [0].  A stack of xi
     (shape (..., n - 1)) is solved by one stacked ``eigvalsh``.
     """
-    off = np.sqrt(np.asarray(xi, dtype=float))
+    return np.linalg.eigvalsh(symmetric_tridiagonal(np.sqrt(np.asarray(xi, dtype=float))))
+
+
+def symmetric_tridiagonal(off) -> np.ndarray:
+    """The stack of zero-diagonal symmetric tridiagonals with off-diagonals
+    ``off``: shape (..., n - 1) in, shape (..., n, n) out."""
     j = np.arange(off.shape[-1])
     T = np.zeros(off.shape[:-1] + (len(j) + 1, len(j) + 1))
     T[..., j, j + 1] = T[..., j + 1, j] = off
-    return np.linalg.eigvalsh(T)
+    return T
 
 
 def flip(matrix: ReciprocalMatrix) -> ReciprocalMatrix:

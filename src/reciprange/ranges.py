@@ -4,9 +4,9 @@ Lambda_k(A) is the intersection over theta of the half-planes
 {Re(e^{i theta} z) <= lambda_k(theta)}, lambda_k the k-th largest eigenvalue of
 Re(e^{i theta} A) (Li-Sze).  ``rank_k_numeric`` takes the bounds from the
 eigenvalues; ``rank_k_analytic`` takes them, for a positive classification,
-from the closed-form support functions of the ellipse components, ordered by
-the verdict (and, for n = 6 displaced pairs, by the report's table row).
-Both clip one theta grid through the one kernel ``halfplane_intersection``.
+from ``pencil_values``, the closed-form eigenvalues its ellipse components
+imply.  Both clip the k-th largest bound on one theta grid through the one
+kernel ``halfplane_intersection``, so neither needs the criterion table.
 """
 
 from __future__ import annotations
@@ -52,58 +52,39 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     return _clip(xi, thetas, lam[:, k - 1])
 
 
-def _support(e, thetas):
-    """h_E(theta) = p cos theta + sqrt(a^2 cos^2 theta + c^2 sin^2 theta), the
-    largest Re(e^{i theta} z) over the ellipse E (center p, half-axes a, c)."""
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    return e.center * cos + np.sqrt((e.major_half_axis * cos) ** 2 + (e.minor_half_axis * sin) ** 2)
+def pencil_values(report: ClassificationReport, thetas) -> np.ndarray:
+    """The eigenvalues of Re(e^{i theta} A) that a positive report's ellipses
+    imply: p cos theta +- sqrt(a^2 cos^2 theta + c^2 sin^2 theta) for each
+    component (center p, half-axes a, c), plus 0 for odd n.  Returns shape
+    (T, n), each row largest first, as ``eigencurves`` orders its rows."""
+    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    cols = [np.zeros_like(cos)] * (report.n % 2)
+    for e in report.ellipses:
+        root = np.sqrt((e.major_half_axis * cos) ** 2 + (e.minor_half_axis * sin) ** 2)
+        cols += [e.center * cos + root, e.center * cos - root]
+    return np.sort(np.hstack(cols), axis=1)[:, ::-1]
 
 
 def rank_k_analytic(report: ClassificationReport, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
-    """Lambda_k assembled from a positive classification verdict.
+    """Lambda_k of a positive classification verdict, by the same Li-Sze rule
+    as ``rank_k_numeric``: the half-planes bounded by the k-th largest pencil
+    value (see ``pencil_values``), through the same kernel and grid.
 
-    Concentric verdicts: the disk of the k-th nested ellipse.  Displaced pairs:
-    the hull of E and -E for the widest set, their lens for the next, with the
-    central component (n = 6) slotted by the table row: first for row ii
-    (ratio 2cos(pi/7)), last for row vi.  For odd n the origin supplies
-    Lambda_{(n+1)/2}.  Each disk, hull or lens is the half-plane intersection
-    of a closed-form support function on the theta grid: h_E for a disk,
-    max(h_E, h_-E) for the hull, min(h_E, h_-E) for the lens, through the same
-    kernel and grid as ``rank_k_numeric``.
+    The spectrum of Re(e^{i theta} A) is symmetric about 0, so whatever the
+    verdict, odd n gives Lambda_{(n+1)/2} = {0} and 2k > n + 1 gives EMPTY;
+    both are returned without clipping.
     """
     n = report.n
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in 1..{n}, got {k}")
     if report.verdict not in (ALL_CONCENTRIC, DISPLACED_PAIR):
         raise InvalidInputError(f"no analytic range for verdict {report.verdict}")
-    if k > (n + 1) / 2:
-        return ConvexRegion.empty()
     thetas = _theta_array(theta_grid)
-
-    def disk(e):
-        return _clip(report.xi, thetas, _support(e, thetas))
-
-    if report.verdict == ALL_CONCENTRIC:
-        ells = report.ellipses  # outermost first
-        if k <= len(ells):
-            return disk(ells[k - 1])
-        if n % 2 == 1 and k == (n + 1) // 2:
-            return ConvexRegion(POINT, (0j,))
+    if 2 * k == n + 1:
+        return ConvexRegion(POINT, (0j,))
+    if 2 * k > n + 1:
         return ConvexRegion.empty()
-
-    # displaced pair: the hull of E and -E, then their lens.  For n = 6 the
-    # central component comes first (table row ii) or last (row vi).
-    e_plus, e_minus = report.displaced() if n == 6 else report.ellipses
-    if n == 6:
-        central_outer = report.table_row == "ii"
-        if k == (1 if central_outer else 3):
-            return disk(report.central())
-        if central_outer:
-            k -= 1
-    if k in (1, 2):
-        pair = (_support(e_plus, thetas), _support(e_minus, thetas))
-        return _clip(report.xi, thetas, np.maximum(*pair) if k == 1 else np.minimum(*pair))
-    return ConvexRegion(POINT, (0j,))  # n = 5, k = 3
+    return _clip(report.xi, thetas, pencil_values(report, thetas)[:, k - 1])
 
 
 def region_distance(a: ConvexRegion, b: ConvexRegion) -> float:

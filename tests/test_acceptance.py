@@ -129,8 +129,8 @@ def test_criterion_5_n6_figures():
         assert rep.criterion == crit, name
         if kval is not None:
             assert abs(rep.k - kval) < 1e-5, name
-        central = rep.central()
-        plus = next(e for e in rep.displaced() if e.center > 0)
+        central = next(e for e in rep.ellipses if e.center == 0)
+        plus = next(e for e in rep.ellipses if e.center > 0)
         assert abs(central.half_focal - X0) < 1e-6, name
         assert abs(plus.half_focal - X) < 1e-6, name
         assert abs(plus.center - p) < 1e-6, name

@@ -31,6 +31,7 @@ from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.geometry import intersect_regions, region_contains_region
 from reciprange.kippenhahn import closed_form_poly
 from reciprange.matrices import exact_spectrum, matrix_from_xi
+from reciprange.ranges import pencil_values
 
 K17 = 2 * math.cos(math.pi / 7)
 K37 = 2 * math.cos(3 * math.pi / 7)
@@ -162,13 +163,18 @@ def test_classify_drop_is_mixed_none():
     assert classify(list(FIG1)).verdict == MIXED_NONE
 
 
+def _split(rep):
+    """The report's origin-centered components, then its displaced ones."""
+    return ([e for e in rep.ellipses if e.center == 0], [e for e in rep.ellipses if e.center != 0])
+
+
 def test_classify_de1_fig3():
     r = classify(list(FIG3), tol=1e-6)
     assert r.criterion == "de1" and r.table_row == "vi"
-    central = r.central()
+    (central,), pair = _split(r)
     assert central.degenerate
     assert central.half_focal == pytest.approx(K37, abs=1e-9)
-    assert r.displaced()[0].minor_half_axis == pytest.approx(math.sqrt(FIG3[0] + FIG3[1]), abs=1e-6)
+    assert pair[0].minor_half_axis == pytest.approx(math.sqrt(FIG3[0] + FIG3[1]), abs=1e-6)
 
 
 def test_classify_de3_fig4_fig5():
@@ -176,13 +182,15 @@ def test_classify_de3_fig4_fig5():
     assert r.criterion == "de3" and r.table_row == "vi"
     assert r.k == pytest.approx(K37, abs=1e-5)
     # displaced minor half-axis sqrt(xi5); central k*sqrt(xi5)
-    assert r.displaced()[0].minor_half_axis == pytest.approx(math.sqrt(FIG4[4]), abs=1e-6)
-    assert r.central().minor_half_axis == pytest.approx(K37 * math.sqrt(FIG4[4]), abs=1e-6)
+    (central,), pair = _split(r)
+    assert pair[0].minor_half_axis == pytest.approx(math.sqrt(FIG4[4]), abs=1e-6)
+    assert central.minor_half_axis == pytest.approx(K37 * math.sqrt(FIG4[4]), abs=1e-6)
 
     r = classify(list(FIG5), tol=1e-6)
     assert r.criterion == "de3" and r.table_row == "ii"
     assert r.k == pytest.approx(K17, abs=1e-5)
-    assert r.central().minor_half_axis > r.displaced()[0].minor_half_axis  # outer central
+    (central,), pair = _split(r)
+    assert central.minor_half_axis > pair[0].minor_half_axis  # outer central
 
 
 def test_classify_de2_is_flip_of_de3():
@@ -253,7 +261,7 @@ def test_displaced_pairs_overlap():
     for xi, tol in (([1.0, 0.0, 1.0], 1e-9), (list(FIG2), 1e-9), (list(FIG4), 1e-6)):
         r = classify(xi, tol=tol)
         assert r.verdict == DISPLACED_PAIR
-        plus, minus = r.displaced() if r.n == 6 else r.ellipses
+        plus, minus = _split(r)[1]
         lens = intersect_regions(
             ellipse_region(plus.center, plus.half_focal, plus.minor_half_axis, 512),
             ellipse_region(minus.center, minus.half_focal, minus.minor_half_axis, 512),
@@ -446,18 +454,6 @@ FAMILIES = {
 }
 
 
-def _pencil_values(rep, thetas):
-    """The closed-form spectra of Re(e^{i theta} A) the report's ellipses imply,
-    p cos(theta) +- sqrt(a^2 cos^2(theta) + c^2 sin^2(theta)) plus 0 for odd n,
-    one ascending row per theta."""
-    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
-    cols = [np.zeros_like(cos)] * (rep.n % 2)
-    for e in rep.ellipses:
-        r = np.sqrt((e.major_half_axis * cos) ** 2 + (e.minor_half_axis * sin) ** 2)
-        cols += [e.center * cos + r, e.center * cos - r]
-    return np.sort(np.hstack(cols), axis=1)
-
-
 #: (n, member index, mode): every family in float and extended mode, and in exact
 #: mode the noncon4 and first-branch con5 members, whose relations hold exactly in binary
 PENCIL_CASES = [(n, i, mode) for mode in ("float", "extended") for n in FAMILIES for i in range(len(FAMILIES[n]))]
@@ -474,7 +470,7 @@ def test_pencil_identity_for_every_positive_report(n, i, mode, t, s, rev, tol):
     assert rep.verdict in (ALL_CONCENTRIC, DISPLACED_PAIR), rep
     thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     dense = np.linalg.eigvalsh(hermitian_parts(matrix_from_xi(rep.snapped_xi), thetas))
-    assert np.max(np.abs(_pencil_values(rep, thetas) - dense)) <= 1e-12, rep
+    assert np.max(np.abs(pencil_values(rep, thetas) - dense[:, ::-1])) <= 1e-12, rep
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -11,7 +12,7 @@ from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
 from geometry_oracle import HalfPlane, oracle_convex_loop, oracle_deque_vertices, oracle_halfplane_intersection
 from reciprange import geometry, ranges
 from reciprange.cli import SEED_CORPUS
-from reciprange.ellipses import classify
+from reciprange.ellipses import ALL_CONCENTRIC, classify
 from reciprange.errors import InvalidInputError
 from reciprange.geometry import (
     EMPTY,
@@ -23,7 +24,9 @@ from reciprange.geometry import (
     region_contains_region,
 )
 from reciprange.matrices import matrix_from_xi
-from reciprange.ranges import rank_k_analytic, rank_k_numeric, region_distance
+from reciprange.kippenhahn import eigencurves, envelope_points
+from reciprange.ranges import pencil_values, rank_k_analytic, rank_k_numeric, region_distance
+from test_ellipses import FAMILIES
 
 
 def test_numeric_k1_degenerate_segment():
@@ -145,7 +148,7 @@ def test_de_family_lambda_tables():
 
     rep5 = classify(list(FIG5), tol=1e-6)
     l1 = rank_k_analytic(rep5, 1)  # outer central disk
-    central = rep5.central()
+    central = next(e for e in rep5.ellipses if e.center == 0)
     top = max(p.imag for p in l1.points)
     assert top == pytest.approx(central.minor_half_axis, rel=1e-3)
 
@@ -194,31 +197,98 @@ def test_analytic_matches_numeric_on_snapped_xi():
 
 
 def _pencil_oracle(rep, k, grid):
-    """Lambda_k by Li-Sze with no case analysis: the box clipped one half-plane
-    at a time by the k-th largest of the closed-form pencil values
-    p cos(theta) +- sqrt(a^2 cos^2(theta) + c^2 sin^2(theta)) of every
-    component, and 0 for odd n."""
+    """Lambda_k by Li-Sze: the box clipped one half-plane at a time by the k-th
+    largest pencil value."""
     thetas = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    values = [np.zeros(grid)] if rep.n % 2 else []
-    for e in rep.ellipses:
-        a, c = math.hypot(e.half_focal, e.minor_half_axis), e.minor_half_axis
-        root = np.sqrt(a * a * cos * cos + c * c * sin * sin)
-        values += [e.center * cos + root, e.center * cos - root]
-    assert len(values) == rep.n
-    bounds = -np.sort(-np.array(values), axis=0)[k - 1]
+    bounds = pencil_values(rep, thetas)[:, k - 1]
     box = 1 + float(np.max(np.abs(bounds)))
     return oracle_halfplane_intersection([HalfPlane(float(t), float(b)) for t, b in zip(thetas, bounds)], box)
 
 
 def test_analytic_matches_pencil_oracle():
-    # the disk / hull / lens / central-slot choice against the k-th largest
-    # pencil value, which needs none of it
+    # the kernel's clip against the one-step-per-line clip of the same bounds
     for rep in _positive_reports():
         for k in range(1, (rep.n + 1) // 2 + 1):
             got, want = rank_k_analytic(rep, k, 256), _pencil_oracle(rep, k, 256)
             assert got.kind == want.kind, (rep.xi, k)
             assert region_distance(got, want) <= 1e-10, (rep.xi, k)
+
+
+def _case_table_range(rep, k, grid):
+    """Lambda_k read off the paper's case table, through the same clip as
+    ``rank_k_analytic``.  Concentric verdicts: the disk of the k-th nested
+    ellipse.  Displaced pairs: the hull of E and -E, then their lens, with the
+    n = 6 central disk first for table row ii and last for row vi.  Odd n:
+    the origin at k = (n + 1)/2.  EMPTY past that.  A disk's bound is the
+    support function h_E(theta) = p cos theta + sqrt(a^2 cos^2 theta + c^2 sin^2 theta),
+    the hull's max(h_E, h_-E) and the lens's min(h_E, h_-E)."""
+    n = rep.n
+    if k > (n + 1) / 2:
+        return ConvexRegion.empty()
+    thetas = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+
+    def support(e):
+        return e.center * cos + np.sqrt((e.major_half_axis * cos) ** 2 + (e.minor_half_axis * sin) ** 2)
+
+    def clip(bounds):
+        return ranges._clip(rep.xi, thetas, bounds)
+
+    if rep.verdict == ALL_CONCENTRIC:
+        return clip(support(rep.ellipses[k - 1])) if k <= len(rep.ellipses) else ConvexRegion(POINT, (0j,))
+    central = [e for e in rep.ellipses if e.center == 0]
+    plus, minus = [e for e in rep.ellipses if e.center != 0]
+    if central:
+        slot = 1 if rep.table_row == "ii" else 3
+        if k == slot:
+            return clip(support(central[0]))
+        if k > slot:
+            k -= 1
+    if k == 3:  # n = 5
+        return ConvexRegion(POINT, (0j,))
+    h = support(plus), support(minus)
+    return clip(np.maximum(*h) if k == 1 else np.minimum(*h))
+
+
+@given(st.sampled_from([(n, i) for n in FAMILIES for i in range(len(FAMILIES[n]))]),
+       st.floats(0.2, 2.0), st.floats(0.2, 2.0), st.booleans())
+def test_analytic_is_the_case_table(member, t, s, rev):
+    # on every criterion family the k-th largest pencil value gives exactly
+    # the disk, hull, lens or central slot of the case table, and the report's
+    # table row is not read
+    n, i = member
+    xi = FAMILIES[n][i](t, s)
+    rep = classify(xi[::-1] if rev else xi)
+    assert rep.verdict in ("ALL_CONCENTRIC", "DISPLACED_PAIR"), rep
+    blind = dataclasses.replace(rep, table_row=None)
+    for k in range(1, n + 1):
+        for grid in (256, 2048):
+            want = _case_table_range(rep, k, grid)
+            assert rank_k_analytic(rep, k, grid) == want, (xi, rev, k, grid)
+            assert rank_k_analytic(blind, k, grid) == want, (xi, rev, k, grid)
+
+
+_rep = classify([1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("grid", [float("nan"), float("inf"), 8.9, 64.0, "64", np.full(16, np.nan),
+                                  np.append(np.zeros(15), np.inf), np.zeros((2, 16)), np.array(64), [], ["a"]])
+@pytest.mark.parametrize("call", [
+    lambda g: eigencurves((1.0, 1.0, 1.0), g),
+    lambda g: envelope_points((1.0, 1.0, 1.0), g),
+    lambda g: rank_k_numeric((1.0, 1.0, 1.0), 1, g),
+    lambda g: rank_k_analytic(_rep, 1, g),
+    lambda g: rank_k_analytic(_rep, 3, g),
+], ids=["eigencurves", "envelope_points", "rank_k_numeric", "rank_k_analytic", "rank_k_analytic_empty"])
+def test_bad_theta_grids_raise_invalid_input(call, grid):
+    with pytest.raises(InvalidInputError, match="theta grid"):
+        call(grid)
+
+
+def test_numpy_integer_grid_sizes_pass():
+    for size in (np.int64(64), np.uint16(64)):
+        assert rank_k_numeric((1.0, 1.0, 1.0), 1, size) == rank_k_numeric((1.0, 1.0, 1.0), 1, 64)
+        assert rank_k_analytic(_rep, 1, size) == rank_k_analytic(_rep, 1, 64)
 
 
 @pytest.mark.parametrize("xi", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, PHI, 0.0), (0.0, 0.0, 0.0),
