@@ -10,6 +10,14 @@ case's arguments (and matrix file contents) with the two digests, and
 ``tests/test_curve_golden.py`` reruns every case and compares.  The digests
 hold for the numpy build and machine type recorded with them.
 
+The digests pin the last digits of every sample, so any change in how a
+sample is computed moves them even where the curve agrees to a few ulps.
+They were last recorded when ``envelope_points`` began to solve one quarter
+of the grid and copy its mirror images (conjugated or branch-reversed) to
+the other three: a mirrored sample now prints the digits of the sample it
+mirrors instead of those of its own solve, 3e-15 off at most, except at
+the near-degenerate theta = 3 pi/2 row of FIG4 (2e-11) and FIG5 (5e-10).
+
     PYTHONPATH=src python scripts/make_curve_golden.py [--out tests/data/curve_golden.json]
 """
 

@@ -1,8 +1,8 @@
 """Deterministic JSON emission: floats at 17 significant digits, stable order.
 
 A numpy structured array is written as a list of flat records, one per row,
-formatted column by column: the bytes are those of the same rows given as
-dicts.
+formatted column by column, each distinct float magnitude of a column once:
+the bytes are those of the same rows given as dicts.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ def _fmt_float(v: float) -> str:
 def _column(a) -> list:
     """The printed cells of one scalar int or float field of a structured array.
 
-    Float runs of one value (theta repeats once per branch) are formatted
-    once each, all of them by one "%.17g" call; that prints what _fmt_float
-    prints except on integer-valued floats below 1e15, nan and inf, which are
-    formatted again by _fmt_float.
+    Each distinct magnitude (by bit pattern) is formatted once, all of them
+    by one "%.17g" call, and a negative value (-0.0 too) prints as "-" and
+    its magnitude's cell: theta repeats once per branch, and the curve's
+    mirror images repeat re and im up to sign.  "%.17g" prints what
+    _fmt_float prints except on integer-valued floats below 1e15, nan and
+    inf, which are formatted again by _fmt_float, signed for inf and nan.
     """
     # a sub-array field has more dimensions; a long double would round
     if a.ndim != 1 or a.dtype.kind not in "iuf" or a.dtype.itemsize > 8:
@@ -35,16 +37,16 @@ def _column(a) -> list:
     if a.dtype.kind != "f":
         return list(map(str, a.tolist()))
     a = np.ascontiguousarray(a, dtype=float)
-    bits = a.view(np.int64)  # tells -0.0 from 0.0
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    values = a[starts]
+    bits, index = np.unique(np.abs(a).view(np.int64), return_inverse=True)
+    values = bits.view(float)
     cells = ("%.17g\0" * values.size % tuple(values.tolist())).split("\0")[:-1]
-    plain = np.isfinite(values) & ((np.trunc(values) != values) | (np.abs(values) >= 1e15))
+    plain = np.isfinite(values) & ((np.trunc(values) != values) | (values >= 1e15))
     for i in np.flatnonzero(~plain).tolist():
         cells[i] = _fmt_float(values[i])
-    if values.size == a.size:
-        return cells
-    return np.repeat(np.array(cells, dtype=object), np.diff(np.append(starts, a.size))).tolist()
+    cells += ["-" + c for c in cells]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[values.size + i] = _fmt_float(-values[i])
+    return np.array(cells, dtype=object)[index + values.size * np.signbit(a)].tolist()
 
 
 def _records(arr, lead, inner, nl) -> str:

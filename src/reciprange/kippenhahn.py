@@ -153,25 +153,33 @@ def _tridiagonal(xi, thetas):
     return t, s
 
 
+def _fold(theta_grid, m):
+    """The solved row each of m grid rows copies: an integer grid folds row i
+    onto min(i, m - i), and for even m once more onto min(r, m/2 - r), all of
+    the same cos^2 theta; an explicit theta array maps every row to itself."""
+    row = np.arange(m)
+    if np.isscalar(theta_grid):
+        row = np.minimum(row, m - row)
+        if m % 2 == 0:
+            row = np.minimum(row, m // 2 - row)
+    return row
+
+
 def eigencurves(xi, theta_grid=DEFAULT_GRID) -> tuple:
     """Eigenvalues of Re(e^{i theta} A), each row sorted non-increasing.
 
     ``xi`` is an XiParameters, a sequence of xi values or a ReciprocalMatrix.
     Returns (thetas, lambdas) with lambdas of shape (T, n); column j-1 is the
     j-th largest eigenvalue curve.  The rows depend on theta only through
-    rho = cos^2 theta, so an integer grid of m points solves T(rho) at grid
-    indices 0..floor(m/4) (0..floor(m/2) for odd m) and copies row j from
-    min(j, m - j), folded once more onto min(q, m/2 - q) for even m: mirrored
-    rows are bitwise equal.  An explicit theta array is solved row by row.
+    rho = cos^2 theta, so an integer grid solves T(rho) on theta in [0, pi/2]
+    only ([0, pi] for odd m) and copies each row to its mirrors (see
+    ``_fold``), which are then bitwise equal.  An explicit theta array is
+    solved row by row.
     """
     thetas = _theta_array(theta_grid)
-    rep = np.arange(thetas.size)
-    if np.isscalar(theta_grid):
-        rep = np.minimum(rep, thetas.size - rep)
-        if thetas.size % 2 == 0:
-            rep = np.minimum(rep, thetas.size // 2 - rep)
-    t, _ = _tridiagonal(xi, thetas[: rep.max() + 1])
-    return thetas, np.linalg.eigvalsh(symmetric_tridiagonal(t))[rep, ::-1]
+    row = _fold(theta_grid, thetas.size)
+    t, _ = _tridiagonal(xi, thetas[: row.max() + 1])
+    return thetas, np.linalg.eigvalsh(symmetric_tridiagonal(t))[row, ::-1]
 
 
 def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
@@ -184,16 +192,33 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     the point lies on its own tangent line.  For odd n the middle branch is
     pinned to the origin.  At (numerically) repeated eigenvalues the
     compression of Im(e^{i theta} A) onto the eigenspace yields the genuine
-    tangency points; they are flagged degenerate and carry the cluster's mean
-    eigenvalue.
+    tangency points, ordered by the compression's eigenvalue mu ascending;
+    they are flagged degenerate and carry the cluster's mean eigenvalue.
+
+    An integer grid is solved on theta in [0, pi/2] only ([0, pi] for odd m)
+    and the other rows are mirrored from it (see ``_fold``), by
+    z(-theta, j) = conj z(theta, j) and z(pi - theta, j) = conj z(theta, n + 1 - j):
+    eigenvalues copy their row, points and degenerate flags follow the branch
+    reversal, and a conjugated row lists each degenerate cluster in reverse,
+    as conjugation negates mu.  Mirrored samples are bitwise equal.  The
+    float signs of cos and sin at the two grid angles pick the symmetry, so
+    the grid's 3 pi/2 is the image of its pi/2 under theta -> theta + pi when
+    their cos differ in sign.  An explicit theta array is solved row by row.
     """
     thetas = _theta_array(theta_grid)
-    t, s = _tridiagonal(xi, thetas)
+    row = _fold(theta_grid, thetas.size)
+    # row i is its solved row under the symmetry that carries the float signs
+    # of cos and sin: rev where cos changes sign, conj where one of them does
+    cos, sin = np.signbit(np.cos(thetas)), np.signbit(np.sin(thetas))
+    rev = cos != cos[row]
+    conj = rev ^ (sin != sin[row])
+    base = thetas[: row.max() + 1]  # the solved rows
+    t, s = _tridiagonal(xi, base)
     n = t.shape[1] + 1
     w, U = np.linalg.eigh(symmetric_tridiagonal(t))  # ascending
     w, U = w[:, ::-1], U[:, :, ::-1]
     # u real: u* T u = lambda and u* S u = u.Re(S)u
-    phase = np.exp(-1j * thetas)[:, None]
+    phase = np.exp(-1j * base)[:, None]
     z = phase * (w + 2j * np.einsum("tj,tjk->tk", s.real, U[:, :-1, :] * U[:, 1:, :]))
     scale = np.maximum(1.0, np.max(np.abs(w), axis=1, keepdims=True))
     close = np.abs(np.diff(w, axis=1)) <= DEGENERATE_GAP * scale
@@ -201,9 +226,9 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     if mid is not None:
         # the middle branch is pinned to the origin; never cluster across it
         close[:, max(mid - 2, 0):mid] = False
-        z[:, mid - 1] = 0
         w[:, mid - 1] = 0.0
     degenerate = np.zeros(w.shape, dtype=bool)
+    flip = np.tile(np.arange(n), (base.size, 1))  # column order of a conjugated row
     for ti in np.flatnonzero(close.any(axis=1)):
         # a run of close gaps a..b-1 is the cluster of columns a..b
         edges = np.flatnonzero(np.diff(np.concatenate(([0], close[ti], [0]))))
@@ -215,9 +240,15 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
             z[ti, cols] = phase[ti] * (np.abs(kv.T) ** 2 @ w[ti, cols] + 1j * mu)
             w[ti, cols] = np.mean(w[ti, cols])
             degenerate[ti, cols] = True
+            flip[ti, cols] = flip[ti, cols][::-1]
+    col = np.where(rev[:, None], np.arange(n)[::-1], np.arange(n))
+    z = z[row[:, None], np.where(conj[:, None], np.take_along_axis(flip[row], col, axis=1), col)]
+    z[conj] = np.conj(z[conj])
+    if mid is not None:
+        z[:, mid - 1] = 0
     samples = np.rec.fromarrays(
-        [np.repeat(thetas, n), np.tile(np.arange(1, n + 1), thetas.size), z.ravel(), w.ravel(),
-         degenerate.ravel()],
+        [np.repeat(thetas, n), np.tile(np.arange(1, n + 1), thetas.size), z.ravel(), w[row].ravel(),
+         degenerate[row[:, None], col].ravel()],
         names="theta,branch,point,eigenvalue,degenerate",
     )
     return samples[np.lexsort((samples.branch, samples.theta))]

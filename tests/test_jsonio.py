@@ -20,8 +20,8 @@ from reciprange.kippenhahn import envelope_points, samples_to_json
 INDENTS = (0, 2, -1)
 
 _edge_floats = st.sampled_from([
-    0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.0, 5e-324,
-    1e15 - 1, 1e15, -1e15, 2.0 ** 53, 1e16, -1e17, 1.2345678901234567e20,
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.5, -2.0, 5e-324,
+    1e15 - 1, -(1e15 - 1), 1e15, -1e15, 2.0 ** 53, 1e16, -1e17, 1.2345678901234567e20,
 ])
 _floats = (_edge_floats | st.floats(allow_nan=True, allow_infinity=True)
            | st.integers(-10**17, 10**17).map(float))
@@ -39,14 +39,19 @@ def _cells(dtype):
 @st.composite
 def _tables(draw):
     """Structured arrays of int and float fields, each value repeated in runs
-    as theta is; sometimes no rows, sometimes no fields."""
+    as theta is, and for floats sometimes followed by the same magnitudes
+    negated, as a curve's mirror images are; sometimes no rows, sometimes no
+    fields."""
     keys = draw(st.lists(_keys.filter(bool), max_size=4, unique=True))
-    rows, run = draw(st.integers(0, 10)), draw(st.integers(1, 4))
+    rows, run, mirror = draw(st.integers(0, 10)), draw(st.integers(1, 4)), draw(st.booleans())
     dtype = np.dtype([(k, draw(st.sampled_from(_DTYPES))) for k in keys])
-    table = np.empty(rows * run, dtype=dtype)
+    table = np.empty(rows * run * (1 + mirror), dtype=dtype)
     for k in keys:
-        values = draw(st.lists(_cells(dtype[k]), min_size=rows, max_size=rows))
-        table[k] = np.repeat(np.array(values, dtype=dtype[k]), run)
+        values = np.repeat(np.array(draw(st.lists(_cells(dtype[k]), min_size=rows, max_size=rows)),
+                                    dtype=dtype[k]), run)
+        if mirror:  # ints are redrawn: negating would overflow the unsigned kinds
+            values = np.concatenate((values, -values if dtype[k].kind == "f" else values[::-1]))
+        table[k] = values
     return table
 
 
@@ -61,6 +66,23 @@ def test_table_path_matches_recursive_encoder(table):
         for obj, ref in ((table, rows), ({"samples": table, "n": 3}, {"samples": rows, "n": 3}),
                          ([table], [rows])):
             assert jsonio.dumps(obj, indent=indent) == recursive_dumps(ref, indent=indent)
+
+
+_SIGNED = np.array([0.0, -0.0, 1.5, -1.5, math.inf, -math.inf, math.nan, -math.nan, -2.0, 2.0,
+                    -1e15, 1e15, -(1e15 - 1), 0.1, -0.1, 5e-324, -5e-324])
+
+
+@pytest.mark.parametrize("values", [
+    np.tile(_SIGNED, 3),  # every value repeats
+    np.concatenate((_SIGNED, _SIGNED[::-1], -_SIGNED)),  # every magnitude repeats with both signs
+    np.linspace(-3.0, 7.0, 257) ** 3 + 0.1,  # no value or magnitude repeats
+    np.array([0.0, 1.0, -2.0, 3.5, math.nan, -math.inf]),  # no value repeats
+], ids=["all-repeat", "signed-pairs", "none-repeat", "none-repeat-edges"])
+def test_repeated_and_distinct_floats(values):
+    table = np.zeros(values.size, dtype=[("re", "f8"), ("n", "i8")])
+    table["re"], table["n"] = values, np.arange(values.size)
+    for indent in INDENTS:
+        assert jsonio.dumps(table, indent=indent) == recursive_dumps(_as_dicts(table), indent=indent)
 
 
 @pytest.mark.parametrize("xi", [FIG1, (1.0, 1.0, 1.0)])

@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import FIG5
 from dense_oracle import oracle_eigencurves, oracle_envelope_points
 from poly_oracle import hand_written_poly
 from reciprange.errors import UnsupportedDimensionError
@@ -179,23 +180,23 @@ def _pinned_kernel(xi):
     return len(xi) % 2 == 0 and np.sum(np.abs(imag_part_spectrum(xi)) < 1e-9) >= 3
 
 
+def _close(got, want, tol=1e-12):
+    want = np.asarray(want)
+    return np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
 def _assert_matches_dense(matrix, grid=64):
     """Same (theta, branch) rows and degenerate flags; every value within
-    1e-12 max(1, |value|) of the oracle's."""
-    thetas = np.linspace(0, 2 * np.pi, grid, endpoint=False)
-
-    def close(got, want):
-        want = np.asarray(want)
-        return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-
+    1e-12 max(1, |value|) of the oracle's.  ``grid`` is a size or an array."""
+    thetas = np.linspace(0, 2 * np.pi, grid, endpoint=False) if np.isscalar(grid) else grid
     _, lam = eigencurves(matrix, grid)
-    assert close(lam, oracle_eigencurves(matrix, thetas))
+    assert _close(lam, oracle_eigencurves(matrix, thetas))
     got = envelope_points(matrix, grid)
     want = oracle_envelope_points(matrix, thetas)
     assert list(zip(got.theta.tolist(), got.branch.tolist())) == [s[:2] for s in want]
     assert got.degenerate.tolist() == [s[4] for s in want]
-    assert close(got.point, [s[2] for s in want])
-    assert close(got.eigenvalue, [s[3] for s in want])
+    assert _close(got.point, [s[2] for s in want])
+    assert _close(got.eigenvalue, [s[3] for s in want])
 
 
 xi_or_zero = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
@@ -228,6 +229,98 @@ def test_zero_xi_matches_dense_oracle(n, rng):
             # 1 + 2^-52 gives xi = 5e-32, more than rho = 4e-33 at theta = pi/2
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
             _assert_matches_dense(build_from_superdiagonal(modulus * phases))
+
+
+def _mirrored_clusters(point, eigenvalue, degenerate):
+    """Each row of the (m, n) sample arrays with the columns of every
+    degenerate cluster (a run of degenerate samples of one eigenvalue)
+    reversed: conjugation negates the compression's eigenvalues, which order
+    a cluster's points."""
+    out = point.copy()
+    for i in np.flatnonzero(degenerate.any(axis=1)):
+        d, ev = degenerate[i], eigenvalue[i]
+        starts = np.concatenate(([True], ~d[1:] | ~d[:-1] | (ev[1:] != ev[:-1])))
+        edges = np.append(np.flatnonzero(starts), d.size)
+        for a, b in zip(edges[:-1], edges[1:]):
+            out[i, a:b] = point[i, a:b][::-1]
+    return out
+
+
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(xi_or_zero, min_size=n - 1, max_size=n - 1),
+    st.lists(phase, min_size=n - 1, max_size=n - 1),
+    st.lists(st.booleans(), min_size=n - 1, max_size=n - 1),
+)), st.sampled_from([64, 2048, 2050, 2049, 100]))
+def test_envelope_points_exact_symmetry(args, m):
+    # z(-theta, j) = conj z(theta, j) and z(theta + pi, j) = z(theta, n + 1 - j),
+    # bitwise; eigenvalues repeat unreversed, degenerate flags as the points.
+    # The grid's 3 pi/2 mirrors its pi/2 under only one of the two, the one
+    # that keeps the float sign of cos theta: where an xi vanishes, the
+    # samples at rho = 0 follow that sign
+    xi, phases, inverted = args
+    s = envelope_points(build_from_superdiagonal(_entries(xi, phases, inverted)), m)
+    n = len(xi) + 1
+    P, L, D = (f.reshape(m, n) for f in (s.point, s.eigenvalue, s.degenerate))
+    side = np.signbit(np.cos(s.theta[::n]))
+    rows = np.arange(m)
+    neg = (m - rows) % m
+    keep = side[neg] == side
+    assert np.array_equal(P[neg][keep], np.conj(_mirrored_clusters(P, L, D))[keep])
+    assert np.array_equal(L[neg], L) and np.array_equal(D[neg], D)
+    if m % 2:
+        assert keep.all()
+        return
+    half = (rows + m // 2) % m
+    flips = side[half] != side
+    assert (keep | flips).all() and (keep & flips).sum() >= m - 2
+    assert np.array_equal(P[half][flips], P[:, ::-1][flips])
+    assert np.array_equal(L[half], L) and np.array_equal(D[half], D[:, ::-1])
+
+
+def test_explicit_theta_arrays_match_dense_oracle(rng):
+    # an explicit grid is solved row by row: unsorted angles, repeats, both
+    # signs, and the float pi/2 and 3 pi/2 of a folded grid
+    grid = np.concatenate((rng.uniform(-7.0, 7.0, 24), [1.0, 1.0, -1.0, 2 * np.pi - 1.0],
+                           np.linspace(0, 2 * np.pi, 64, endpoint=False)[[16, 48]]))
+    for xi in (FIG5, (0.5, 0.0, 0.5, 0.0), (0.0, 1.2, 0.7), (0.3,)):
+        _assert_matches_dense(matrix_from_xi(xi), grid)
+    _assert_matches_dense(build_from_superdiagonal(_entries((0.0, 0.8, 2.0), (0.3, 2.0, 4.0), (0, 1, 0))), grid)
+
+
+@pytest.mark.parametrize("grid", [64, 256, 2048])
+def test_near_degenerate_fig5_matches_dense_oracle(grid):
+    # FIG5's caption xi: at theta = pi/2 two eigenvalues are 1e-7 apart with
+    # xi_4 = 0, so the samples change by ~5e-10 between the float grid's
+    # 3 pi/2 and the exact mirror image of its pi/2 (theta + pi: cos changes
+    # sign between the two), which is what the fold copies there.  Every
+    # other row matches the oracle to 1e-12
+    m = matrix_from_xi(FIG5)
+    thetas = np.linspace(0, 2 * np.pi, grid, endpoint=False)
+    got = envelope_points(m, grid)
+    want = oracle_envelope_points(m, thetas)
+    assert got.degenerate.tolist() == [s[4] for s in want]
+    assert _close(got.eigenvalue, [s[3] for s in want])
+    point, want_point = got.point.reshape(grid, 6), np.array([s[2] for s in want]).reshape(grid, 6)
+    mirror = 3 * grid // 4
+    assert _close(np.delete(point, mirror, axis=0), np.delete(want_point, mirror, axis=0))
+    assert _close(point[mirror], want_point[mirror], 1e-9)
+    assert np.array_equal(point[mirror], point[grid // 4, ::-1])
+    assert np.all(np.abs((np.exp(1j * got.theta) * got.point).real - got.eigenvalue) < 1e-12)
+
+
+@pytest.mark.parametrize("grid", [100, 164])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_conjugated_clusters_match_dense_oracle(n, grid, rng):
+    # at these grid sizes cos has one sign at the grid's pi/2 and 3 pi/2, so
+    # 3 pi/2 is the conjugated image of pi/2, whose degenerate clusters it
+    # must list in reverse (at 64 or 2048 it is the theta + pi image)
+    thetas = np.linspace(0, 2 * np.pi, grid, endpoint=False)
+    assert np.signbit(np.cos(thetas[grid // 4])) == np.signbit(np.cos(thetas[3 * grid // 4]))
+    _assert_matches_dense(matrix_from_xi([0.0] * (n - 1)), grid)
+    if n % 2 == 0:
+        for xi in ([0.5, 0.0] * n)[: n - 1], [1.0] + [0.0] * (n - 2):
+            _assert_matches_dense(build_from_superdiagonal(
+                _entries(xi, rng.uniform(0, 2 * np.pi, n - 1), rng.integers(0, 2, n - 1))), grid)
 
 
 def test_envelope_tangency_invariant(rng):
