@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .kippenhahn import (
     samples_to_json,
 )
 from .matrices import (
+    XiParameters,
     as_xi,
     exact_spectrum,
     matrix_from_json_dict,
@@ -48,6 +48,9 @@ MIN_GRID = 8
 #: tridiagonals T(rho) and their eigenvectors) and the envelope samples
 #: grid * n records, so larger grids only exhaust memory
 MAX_GRID = 65536
+#: largest xi curve and range take: the curve core forms xi (xi + 1), which
+#: overflows a float above about 1.3e154
+MAX_XI = 1e150
 
 #: parameter sets used throughout the verification corpus
 SEED_CORPUS = {
@@ -69,88 +72,87 @@ SEED_CORPUS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    xi: tuple | None = None
-    matrix_path: str | None = None
-    n: int | None = None
-    k: int | None = None
-    grid: int = 2048
-    mode: str = "float"
-    svg: str | None = None
-    out: str | None = None
-    tolerance: float = CLI_DEFAULT_TOL
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.command in ("classify", "curve", "range"):
-            if (self.xi is None) == (self.matrix_path is None):
-                raise InvalidInputError("exactly one of --xi or --matrix is required")
-        if not MIN_GRID <= self.grid <= MAX_GRID:
-            raise InvalidInputError(f"--grid must be in {MIN_GRID}..{MAX_GRID}, got {self.grid}")
-        check_tolerance(self.tolerance)
+def _check_grid(ns):
+    if not MIN_GRID <= ns.grid <= MAX_GRID:
+        raise InvalidInputError(f"--grid must be in {MIN_GRID}..{MAX_GRID}, got {ns.grid}")
 
 
-def _load_matrix(cfg: RunConfig):
-    if cfg.xi is not None:
-        m = matrix_from_xi(cfg.xi)
+def _load_xi(ns, curve=True) -> XiParameters:
+    """The xi of ``--xi`` or ``--matrix``, checked against ``--n`` before any
+    computation starts.  For curve and range (``curve``) every xi must also be
+    at most MAX_XI, and ``--xi`` is read back from its canonical matrix
+    (``matrix_from_xi``), as a matrix file's ``"xi"`` is, so both inputs
+    give the same bytes; the round trip moves xi by rounding only."""
+    if (ns.xi is None) == (ns.matrix_path is None):
+        raise InvalidInputError("exactly one of --xi or --matrix is required")
+    if ns.xi is not None:
+        try:
+            values = [float(v) for v in ns.xi.split(",")]
+        except ValueError:
+            raise InvalidInputError(f"cannot parse --xi {ns.xi!r}") from None
+        xi = as_xi(values)
     else:
         try:
-            with open(cfg.matrix_path) as fh:
+            with open(ns.matrix_path) as fh:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise InvalidInputError(f"cannot read matrix file: {e}") from e
-        m = matrix_from_json_dict(obj)
-    if cfg.n is not None and m.n != cfg.n:
-        raise InvalidInputError(f"--n {cfg.n} does not match input dimension {m.n}")
-    return m
+        xi = matrix_from_json_dict(obj).xi()
+    if ns.n is not None and xi.n != ns.n:
+        raise InvalidInputError(f"--n {ns.n} does not match input dimension {xi.n}")
+    if curve:
+        for j, x in enumerate(xi):
+            if x > MAX_XI:
+                raise InvalidInputError(
+                    f"xi[{j}] = {x:g} exceeds {MAX_XI:g}, the largest xi curve and range take")
+        if ns.xi is not None:
+            xi = matrix_from_xi(xi).xi()
+    return xi
 
 
-def _emit(cfg: RunConfig, obj):
+def _emit(ns, obj):
     text = jsonio.dumps(obj, indent=2)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _write_svg(cfg, text):
-    if cfg.svg:
-        with open(cfg.svg, "w") as fh:
+def _write_svg(ns, text):
+    if ns.svg:
+        with open(ns.svg, "w") as fh:
             fh.write(text)
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    xi = as_xi(cfg.xi) if cfg.xi is not None else _load_matrix(cfg).xi()
-    if cfg.n is not None and xi.n != cfg.n:
-        raise InvalidInputError(f"--n {cfg.n} does not match input dimension {xi.n}")
-    rep = classify(xi, mode=cfg.mode, tol=cfg.tolerance)
-    _emit(cfg, rep.to_json_dict())
+def cmd_classify(ns) -> int:
+    rep = classify(_load_xi(ns, curve=False), mode=ns.mode, tol=ns.tolerance)
+    _emit(ns, rep.to_json_dict())
     return 0
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    m = _load_matrix(cfg)
-    samples = envelope_points(m, cfg.grid)
+def cmd_curve(ns) -> int:
+    _check_grid(ns)
+    xi = _load_xi(ns)
+    samples = envelope_points(xi, ns.grid)
     comps = curve_components(samples)
-    _emit(cfg, samples_to_json(samples))
-    _write_svg(cfg, render_curve(comps, foci=exact_spectrum(m.n).eigenvalues))
+    _emit(ns, samples_to_json(samples))
+    _write_svg(ns, render_curve(comps, foci=exact_spectrum(xi.n).eigenvalues))
     return 0
 
 
-def cmd_range(cfg: RunConfig) -> int:
-    m = _load_matrix(cfg)
-    if cfg.k is None:
+def cmd_range(ns) -> int:
+    _check_grid(ns)
+    xi = _load_xi(ns)
+    if ns.k is None:
         raise InvalidInputError("--k is required for range")
-    region = rank_k_numeric(m, cfg.k, cfg.grid)
-    _emit(cfg, region.to_json_dict())
-    if cfg.svg:
-        samples = envelope_points(m, min(cfg.grid, 1024))
+    region = rank_k_numeric(xi, ns.k, ns.grid)
+    _emit(ns, region.to_json_dict())
+    if ns.svg:
+        samples = envelope_points(xi, min(ns.grid, 1024))
         comps = curve_components(samples)
-        _write_svg(cfg, render_curve(comps, foci=exact_spectrum(m.n).eigenvalues,
-                                     region=region if region.kind != EMPTY else None))
+        _write_svg(ns, render_curve(comps, foci=exact_spectrum(xi.n).eigenvalues,
+                                    region=region if region.kind != EMPTY else None))
     return 0
 
 
@@ -159,13 +161,15 @@ def _check(checks, name, ok, detail=""):
     return ok
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(ns) -> int:
     """Run the oracle battery on the seed corpus plus random draws."""
-    if cfg.n is not None and cfg.n not in (4, 5, 6):
-        raise UnsupportedDimensionError(f"verify covers n in 4..6, got {cfg.n}")
-    rng = np.random.default_rng(cfg.seed)
+    if ns.n is not None and ns.n not in (4, 5, 6):
+        raise UnsupportedDimensionError(f"verify covers n in 4..6, got {ns.n}")
+    _check_grid(ns)
+    check_tolerance(ns.tolerance)
+    rng = np.random.default_rng(ns.seed)
     checks = []
-    dims = [4, 5, 6] if cfg.n is None else [cfg.n]
+    dims = [4, 5, 6] if ns.n is None else [ns.n]
 
     # closed form vs determinant recurrence
     worst = 0.0
@@ -204,7 +208,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # parameters, so caption-grade roundings do not leak into the divisibility.
     all_ok, detail, distances = True, [], []
     for n in dims:
-        reps = [classify(xi, tol=cfg.tolerance) for xi in SEED_CORPUS[n]]
+        reps = [classify(xi, tol=ns.tolerance) for xi in SEED_CORPUS[n]]
         bases = [xi if rep.snapped_xi is None else rep.snapped_xi for xi, rep in zip(SEED_CORPUS[n], reps)]
         for xi, rep, found in zip(SEED_CORPUS[n], reps, brute_force_batch(bases, tol=1e-9)):
             agree = verdict_matches_oracle(rep, found)
@@ -213,8 +217,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             if rep.verdict in ("ALL_CONCENTRIC", "DISPLACED_PAIR"):
                 m = matrix_from_xi(xi)
                 for k in range(1, (n + 1) // 2 + 1):
-                    ra = rank_k_analytic(rep, k, cfg.grid)
-                    rn = rank_k_numeric(m, k, cfg.grid)
+                    ra = rank_k_analytic(rep, k, ns.grid)
+                    rn = rank_k_numeric(m, k, ns.grid)
                     distances.append((region_distance(ra, rn), xi, k))
     _check(checks, "corpus_criterion_vs_divisibility", all_ok, "; ".join(detail))
     worst = max(distances, key=lambda t: t[0], default=(0.0, None, None))
@@ -223,8 +227,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     # perturbed instance: classification and divisibility must fail together
     xi = (1.0, 0.0, 1.0 + 1e-3)
-    rep = classify(xi, tol=cfg.tolerance)
-    found = brute_force_decompositions(xi, tol=cfg.tolerance)
+    rep = classify(xi, tol=ns.tolerance)
+    found = brute_force_decompositions(xi, tol=ns.tolerance)
     _check(checks, "perturbed_consistency", verdict_matches_oracle(rep, found),
            f"verdict {rep.verdict}, decompositions {sorted(found)}")
 
@@ -232,11 +236,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     disagree, flip_ok = [], True
     for n in dims:
         draws = [rng.uniform(0.0, 2.5, n - 1).tolist() for _ in range(100)]
-        for xi, found in zip(draws, brute_force_batch(draws, tol=cfg.tolerance)):
-            rep = classify(xi, tol=cfg.tolerance)
+        for xi, found in zip(draws, brute_force_batch(draws, tol=ns.tolerance)):
+            rep = classify(xi, tol=ns.tolerance)
             if not verdict_matches_oracle(rep, found):
                 disagree.append(f"{xi}: classify {rep.verdict}, divisibility {sorted(found)}")
-            rev = classify(list(reversed(xi)), tol=cfg.tolerance)
+            rev = classify(list(reversed(xi)), tol=ns.tolerance)
             if rev.verdict != rep.verdict:
                 flip_ok = False
     _check(checks, "random_criterion_vs_divisibility", not disagree,
@@ -248,7 +252,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     ords = sorted(e.ordinate for e in events)
     tangent_ok = len(events) == 2 and abs(ords[1] - math.sqrt(0.5)) < 1e-9
     m = matrix_from_xi((0.5, 0.0, 0.5, 0.0))
-    comps = [c for c in curve_components(envelope_points(m, cfg.grid)) if c["kind"] == "loop"]
+    comps = [c for c in curve_components(envelope_points(m, ns.grid)) if c["kind"] == "loop"]
     fit_ok = len(comps) == 2 and all(best_fit_ellipse_residual(c["points"]) > 1e-3 for c in comps)
     _check(checks, "drop_curve_tangents_and_fit", tangent_ok and fit_ok,
            f"ordinates {ords}, components {len(comps)}")
@@ -270,8 +274,34 @@ def cmd_verify(cfg: RunConfig) -> int:
             "confirmed": audit["confirmed"],
         },
     }
-    _emit(cfg, out)
+    _emit(ns, out)
     return 0 if failures == 0 else 4
+
+
+#: build_parser's arguments for each option
+ARGUMENTS = {
+    "xi": {"help": "comma-separated xi values"},
+    "matrix": {"dest": "matrix_path", "help": "JSON matrix file"},
+    "n": {"type": int, "help": "expected dimension"},
+    "k": {"type": int, "help": "rank index"},
+    "grid": {"type": int, "default": 2048, "help": f"theta grid size, {MIN_GRID}..{MAX_GRID}"},
+    "mode": {"choices": ("float", "exact", "extended"), "default": "float"},
+    "svg": {"help": "write an SVG figure here"},
+    "out": {"help": "write JSON output here (default stdout)"},
+    "tolerance": {"type": float, "default": CLI_DEFAULT_TOL, "help": "criterion match tolerance"},
+    "seed": {"type": int, "default": 0, "help": "rng seed"},
+}
+#: each command's handler, help line and options: exactly the options it reads
+COMMANDS = {
+    "classify": (cmd_classify, "classify the curve into elliptical components",
+                 ("xi", "matrix", "n", "mode", "tolerance", "out")),
+    "curve": (cmd_curve, "sample the curve and export JSON/SVG",
+              ("xi", "matrix", "n", "grid", "svg", "out")),
+    "range": (cmd_range, "compute a rank-k numerical range",
+              ("xi", "matrix", "n", "grid", "svg", "out", "k")),
+    "verify": (cmd_verify, "run the cross-validation battery",
+               ("n", "grid", "tolerance", "seed", "out")),
+}
 
 
 def build_parser():
@@ -280,58 +310,18 @@ def build_parser():
         description="Curves and rank-k numerical ranges of reciprocal tridiagonal matrices",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("classify", "classify the curve into elliptical components"),
-        ("curve", "sample the curve and export JSON/SVG"),
-        ("range", "compute a rank-k numerical range"),
-        ("verify", "run the cross-validation battery"),
-    ):
+    for name, (handler, help_, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--xi", help="comma-separated xi values")
-        p.add_argument("--matrix", dest="matrix_path", help="JSON matrix file")
-        p.add_argument("--n", type=int, help="expected dimension")
-        p.add_argument("--k", type=int, help="rank index")
-        p.add_argument("--grid", type=int, default=2048, help=f"theta grid size, {MIN_GRID}..{MAX_GRID}")
-        p.add_argument("--mode", choices=("float", "exact", "extended"), default="float")
-        p.add_argument("--svg", help="write an SVG figure here")
-        p.add_argument("--out", help="write JSON output here (default stdout)")
-        p.add_argument("--tolerance", type=float, default=CLI_DEFAULT_TOL,
-                       help="criterion match tolerance")
-        p.add_argument("--seed", type=int, default=0, help="rng seed (verify)")
+        p.set_defaults(handler=handler)
+        for option in options:
+            p.add_argument(f"--{option}", **ARGUMENTS[option])
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    xi = None
-    if ns.xi is not None:
-        try:
-            xi = tuple(float(v) for v in ns.xi.split(","))
-        except ValueError:
-            print(f"error: cannot parse --xi {ns.xi!r}", file=sys.stderr)
-            return 2
+    ns = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=ns.command,
-            xi=xi,
-            matrix_path=ns.matrix_path,
-            n=ns.n,
-            k=ns.k,
-            grid=ns.grid,
-            mode=ns.mode,
-            svg=ns.svg,
-            out=ns.out,
-            tolerance=ns.tolerance,
-            seed=ns.seed,
-        )
-        handler = {
-            "classify": cmd_classify,
-            "curve": cmd_curve,
-            "range": cmd_range,
-            "verify": cmd_verify,
-        }[cfg.command]
-        return handler(cfg)
+        return ns.handler(ns)
     except UnsupportedDimensionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

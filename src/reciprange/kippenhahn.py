@@ -16,13 +16,12 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .bipoly import ZetaPoly, rho_trim
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .matrices import ReciprocalMatrix, as_xi, imag_part_spectrum, symmetric_tridiagonal
+from .matrices import ReciprocalMatrix, as_xi, symmetric_tridiagonal
 
 DEFAULT_GRID = 2048
 DEGENERATE_GAP = 1e-9
@@ -52,24 +51,12 @@ class KippenhahnPolynomial:
         v = self.poly(lam * lam, rho)
         return -lam * v if self.odd_flag else v
 
-    def to_json_dict(self, exact=False):
-        def fmt(c):
-            if exact:
-                f = c if isinstance(c, Fraction) else Fraction(c)
-                return f"{f.numerator}/{f.denominator}"
-            return float(c)
 
-        return {"n": self.n, "coeffs": [[fmt(c) for c in cs] for cs in self.poly.coeffs]}
-
-
-def closed_form_poly(xi, exact=False) -> KippenhahnPolynomial:
-    """P_n(zeta, rho) for n in 2..6, from the xi-parameters.
-
-    With ``exact`` the coefficients are Fractions (xi must then be rational-valued).
-    """
+def closed_form_poly(xi) -> KippenhahnPolynomial:
+    """P_n(zeta, rho) in floats for n in 2..6, from the xi-parameters; other
+    rings go through ``build_poly_from_scalars``."""
     xi = as_xi(xi)
-    ring = Fraction if exact else float
-    return KippenhahnPolynomial(xi.n, build_poly_from_scalars([ring(v) for v in xi], ring(1)))
+    return KippenhahnPolynomial(xi.n, build_poly_from_scalars([float(v) for v in xi], 1.0))
 
 
 def build_poly_from_scalars(x, one) -> ZetaPoly:
@@ -264,18 +251,15 @@ class TangentLineEvent:
     shared_blocks: tuple  # ((0, k), (k, n)) for the zero-xi split index k, or ()
 
 
-def detect_multiple_tangents(xi, tol=1e-9, method="auto") -> list:
-    """Horizontal multiple tangent lines of the curve, from the xi-parameters.
-
-    Closed-form criteria cover n in {4, 5, 6}; the numeric path (any n) scans the
-    block splitting of Im A at vanishing xi entries for shared eigenvalues.  For
-    odd n the structurally repeated ordinate 0 reflects the origin component and
-    is not reported.
+def detect_multiple_tangents(xi, tol=1e-9) -> list:
+    """Horizontal multiple tangent lines of the curve, from the xi-parameters,
+    by the closed-form criteria for n in {4, 5, 6}.  For odd n the structurally
+    repeated ordinate 0 reflects the origin component and is not reported.
     """
     xi = as_xi(xi)
     n = xi.n
-    if method == "auto":
-        method = "closed_form" if n in (4, 5, 6) else "numeric"
+    if n not in (4, 5, 6):
+        raise UnsupportedDimensionError(f"tangent criteria cover n in 4..6, got {n}")
     x = list(xi)
     scale = max([1.0] + x)
 
@@ -289,61 +273,36 @@ def detect_multiple_tangents(xi, tol=1e-9, method="auto") -> list:
         for o in (ordinate, -ordinate) if ordinate > 0 else (0.0,):
             events.append(TangentLineEvent(math.pi / 2, o, mult, blocks))
 
-    if method == "closed_form":
-        if n == 4:
-            if close(x[1], 0) and close(x[0], x[2]) and not close(x[0], 0):
-                add(math.sqrt((x[0] + x[2]) / 2), 2, 2)
-            if close(x[0], 0) and (x[1] > tol or x[2] > tol):
-                add(0.0, 2, 1)
-            elif close(x[2], 0) and (x[0] > tol or x[1] > tol):
-                add(0.0, 2, 3)
-        elif n == 5:
-            if close(x[0] + x[1], x[2] + x[3]) and not close(x[0] + x[1], 0) and (
-                close(x[1], 0) or close(x[2], 0)
-            ):
-                add(math.sqrt((x[0] + x[1] + x[2] + x[3]) / 2), 2, 2 if close(x[1], 0) else 3)
-        elif n == 6:
-            odd_prod_zero = close(x[0], 0) or close(x[2], 0) or close(x[4], 0)
-            if odd_prod_zero:
-                split = 1 if close(x[0], 0) else (3 if close(x[2], 0) else 5)
-                add(0.0, 2, split)
-            elif close(x[1], 0) and close(x[3], 0):
-                pairs = [(x[0], x[2], 2), (x[0], x[4], 2), (x[2], x[4], 4)]
-                seen = []
-                for a, b, split in pairs:
-                    if close(a, b) and not any(close(a, s) for s in seen):
-                        seen.append(a)
-                        add(math.sqrt((a + b) / 2), 2, split)
-            elif close(x[1], 0):
-                if close(x[0] * x[3], (x[0] - x[4]) * (x[0] - x[2])):
-                    add(math.sqrt(x[0]), 2, 2)
-            elif close(x[3], 0):
-                if close(x[1] * x[4], (x[0] - x[4]) * (x[2] - x[4])):
-                    add(math.sqrt(x[4]), 2, 4)
-        else:
-            raise UnsupportedDimensionError(f"closed-form tangent criteria cover n in 4..6, got {n}")
-        return events
-
-    # numeric path: any dimension
-    atol = max(1e-12, tol * scale)
-    zthr = max(1e-10, math.sqrt(atol))
-    found = {}
-    for split in range(1, n):  # boundary splits only ever share the eigenvalue 0
-        if abs(x[split - 1]) > atol:
-            continue
-        # the diagonal blocks of Im A on either side of the vanishing xi
-        left, right = imag_part_spectrum(x[: split - 1]), imag_part_spectrum(x[split:])
-        for ev in left:
-            hits = np.sum(np.abs(right - ev) <= zthr)
-            if hits:
-                ev = 0.0 if abs(ev) <= zthr else float(ev)
-                if n % 2 == 1 and ev == 0.0:
-                    continue  # odd n: the zero ordinate reflects the origin component
-                key = round(ev, 9)
-                found[key] = (ev, 1 + int(hits), split)
-    for ev, mult, split in found.values():
-        if ev >= 0:
-            add(ev, mult, split)
+    if n == 4:
+        if close(x[1], 0) and close(x[0], x[2]) and not close(x[0], 0):
+            add(math.sqrt((x[0] + x[2]) / 2), 2, 2)
+        if close(x[0], 0) and (x[1] > tol or x[2] > tol):
+            add(0.0, 2, 1)
+        elif close(x[2], 0) and (x[0] > tol or x[1] > tol):
+            add(0.0, 2, 3)
+    elif n == 5:
+        if close(x[0] + x[1], x[2] + x[3]) and not close(x[0] + x[1], 0) and (
+            close(x[1], 0) or close(x[2], 0)
+        ):
+            add(math.sqrt((x[0] + x[1] + x[2] + x[3]) / 2), 2, 2 if close(x[1], 0) else 3)
+    elif n == 6:
+        odd_prod_zero = close(x[0], 0) or close(x[2], 0) or close(x[4], 0)
+        if odd_prod_zero:
+            split = 1 if close(x[0], 0) else (3 if close(x[2], 0) else 5)
+            add(0.0, 2, split)
+        elif close(x[1], 0) and close(x[3], 0):
+            pairs = [(x[0], x[2], 2), (x[0], x[4], 2), (x[2], x[4], 4)]
+            seen = []
+            for a, b, split in pairs:
+                if close(a, b) and not any(close(a, s) for s in seen):
+                    seen.append(a)
+                    add(math.sqrt((a + b) / 2), 2, split)
+        elif close(x[1], 0):
+            if close(x[0] * x[3], (x[0] - x[4]) * (x[0] - x[2])):
+                add(math.sqrt(x[0]), 2, 2)
+        elif close(x[3], 0):
+            if close(x[1] * x[4], (x[0] - x[4]) * (x[2] - x[4])):
+                add(math.sqrt(x[4]), 2, 4)
     return events
 
 

@@ -84,9 +84,13 @@ class ReciprocalMatrix:
 
     def xi(self) -> XiParameters:
         out = []
-        for a in self.superdiag:
+        for j, a in enumerate(self.superdiag):
             m = abs(a)
-            out.append((m - 1 / m) ** 2 / 4)
+            try:
+                out.append((m - 1 / m) ** 2 / 4)
+            except OverflowError:
+                raise InvalidInputError(
+                    f"superdiagonal entry {j} = {a} gives an xi beyond the float range") from None
         return XiParameters(tuple(out))
 
 
@@ -109,6 +113,8 @@ def matrix_from_xi(xi) -> ReciprocalMatrix:
     This inverts xi exactly: (|a| - 1/|a|)^2/4 = xi since 1/|a| = sqrt(xi+1) - sqrt(xi).
     """
     xi = as_xi(xi)
+    if not xi.xi:
+        raise InvalidInputError("need at least one xi value (n >= 2)")
     entries = tuple(math.sqrt(x) + math.sqrt(x + 1) for x in xi)
     return ReciprocalMatrix(entries)
 
@@ -167,6 +173,18 @@ def matrix_to_json_dict(matrix: ReciprocalMatrix) -> dict:
     }
 
 
+def _json_numbers(value, what) -> list:
+    """``value``, a JSON array of numbers, as floats."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise InvalidInputError(f"{what} must be an array of numbers")
+    try:
+        return [float(v) for v in value]
+    except OverflowError:
+        raise InvalidInputError(f"{what} holds a number beyond the float range") from None
+
+
 def matrix_from_json_dict(obj) -> ReciprocalMatrix:
     """Accept {"n", "superdiag": [[re, im], ...]} or {"xi": [...]}; the forms are exclusive."""
     if not isinstance(obj, dict):
@@ -176,8 +194,11 @@ def matrix_from_json_dict(obj) -> ReciprocalMatrix:
     if has_sd == has_xi:
         raise InvalidInputError('matrix JSON needs exactly one of "superdiag" or "xi"')
     if has_xi:
-        return matrix_from_xi([float(x) for x in obj["xi"]])
-    entries = [complex(float(re), float(im)) for re, im in obj["superdiag"]]
-    if "n" in obj and int(obj["n"]) != len(entries) + 1:
-        raise InvalidInputError(f'"n"={obj["n"]} inconsistent with {len(entries)} superdiagonal entries')
+        return matrix_from_xi(_json_numbers(obj["xi"], '"xi"'))
+    pairs = obj["superdiag"]
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise InvalidInputError('"superdiag" must be an array of [re, im] pairs')
+    entries = [complex(*_json_numbers(p, '"superdiag" entry')) for p in pairs]
+    if "n" in obj and obj["n"] != len(entries) + 1:
+        raise InvalidInputError(f'"n"={obj["n"]!r} inconsistent with {len(entries)} superdiagonal entries')
     return build_from_superdiagonal(entries)

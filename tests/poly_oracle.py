@@ -9,9 +9,16 @@ it against an independent derivation.
 candidate division at a time through ``ZetaPoly.divmod_monic``;
 ``ellipses.brute_force_batch`` stacks every draw's divisions into one
 synthetic division, and tests check that it decides the same.
+
+``block_split_tangent_ordinates`` finds the horizontal multiple tangents from
+the spectrum of Im A alone, an oracle for the closed-form criteria of
+``kippenhahn.detect_multiple_tangents``.
 """
 
 import functools
+import math
+
+import numpy as np
 
 from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor, rho_add, rho_mul, rho_trim
 from reciprange.ellipses import _sampson_distance, divides_linear, divides_quadratic_from_squares
@@ -156,3 +163,29 @@ def oracle_brute_force(xi, tol=1e-9):
                         if q2 is not None and q2.degree == 0 and accept([pair, central]):
                             found.add("displaced")
     return found
+
+
+def block_split_tangent_ordinates(xi, tol=1e-9):
+    """Ordinates of the horizontal multiple tangent lines, numerically, for any n.
+
+    Where an xi entry vanishes, Im A splits into two diagonal blocks, and an
+    eigenvalue the blocks share is the ordinate of a horizontal line tangent to
+    the curve at two points.  Each nonzero ordinate comes with its negative, as
+    ``detect_multiple_tangents`` reports them; for odd n the ordinate 0 reflects
+    the origin component and is left out.
+    """
+    x = list(as_xi(xi))
+    n = len(x) + 1
+    atol = max(1e-12, tol * max([1.0] + x))
+    zthr = max(1e-10, math.sqrt(atol))
+    found = {}
+    for split in range(1, n):  # boundary splits only ever share the eigenvalue 0
+        if abs(x[split - 1]) > atol:
+            continue
+        left, right = imag_part_spectrum(x[: split - 1]), imag_part_spectrum(x[split:])
+        for ev in left:
+            if np.any(np.abs(right - ev) <= zthr):
+                ev = 0.0 if abs(ev) <= zthr else float(ev)
+                if ev >= 0 and not (n % 2 == 1 and ev == 0.0):
+                    found[round(ev, 9)] = ev
+    return sorted({o for ev in found.values() for o in (ev, -ev)})

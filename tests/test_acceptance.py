@@ -32,6 +32,7 @@ from reciprange.ellipses import (
 )
 from reciprange.geometry import EMPTY, POINT, region_contains_region
 from reciprange.kippenhahn import (
+    build_poly_from_scalars,
     closed_form_poly,
     curve_components,
     detect_multiple_tangents,
@@ -54,7 +55,7 @@ def test_criterion_1_golden_ratio_concentric():
     assert abs(rep.ellipses[1].minor_half_axis - 1 / PHI) < 1e-9
 
     # exact-mode divisibility with identically zero remainder
-    P = closed_form_poly([Fraction(1)] * 3, exact=True)
+    P = build_poly_from_scalars([Fraction(1)] * 3, Fraction(1))
     q = divides_linear(P, PHI_X * PHI_X, PHI_X * PHI_X)
     assert q is not None
     inv = PHI_X - 1

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -8,6 +9,11 @@ import pytest
 
 from reciprange import cli
 from reciprange.cli import SEED_CORPUS, main
+
+
+def with_k(command, *args):
+    """argv for ``command``, with the --k that range requires."""
+    return [command, *args] + (["--k", "1"] if command == "range" else [])
 
 
 def run(capsys, *args):
@@ -81,15 +87,69 @@ def test_non_finite_matrix_file_rejected(capsys, tmp_path):
     assert "is not finite" in capsys.readouterr().err
 
 
-def test_grid_cap(capsys, monkeypatch):
+def no_computation(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("computation started")
 
     monkeypatch.setattr(cli, "rank_k_numeric", started)
     monkeypatch.setattr(cli, "envelope_points", started)
+
+
+def test_grid_cap(capsys, monkeypatch):
+    no_computation(monkeypatch)
     assert main(["range", "--xi", "1,0,1", "--k", "1", "--grid", str(10**9)]) == 2
     assert f"--grid must be in 8..{cli.MAX_GRID}" in capsys.readouterr().err
     assert main(["curve", "--xi", "1,0,1", "--grid", str(cli.MAX_GRID + 1)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("curve", "--xi", "1e200,1,1"),
+    ("curve", "--xi", "1,1,1.1e150"),
+    ("range", "--xi", "1e308,1,1", "--k", "1"),
+])
+def test_oversized_xi_rejected(capsys, monkeypatch, args):
+    # 1e200 printed every curve sample as "nan"; 1e308 raised OverflowError in range
+    no_computation(monkeypatch)
+    assert main(list(args)) == 2
+    assert "exceeds 1e+150, the largest xi curve and range take" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["curve", "range"])
+def test_oversized_matrix_file_rejected(capsys, monkeypatch, tmp_path, command):
+    no_computation(monkeypatch)
+    f = tmp_path / "m.json"
+    f.write_text('{"superdiag": [[1e100, 0], [2, 0]]}')
+    assert main(with_k(command, "--matrix", str(f))) == 2
+    assert "xi[0] = 2.5e+199 exceeds 1e+150" in capsys.readouterr().err
+
+
+def test_largest_xi_gives_a_finite_curve(capsys):
+    code, out = run(capsys, "curve", "--xi", f"{cli.MAX_XI!r},1,1", "--grid", "64")
+    assert code == 0
+    assert all(math.isfinite(s[f]) for s in json.loads(out) for f in ("re", "im"))
+
+
+@pytest.mark.parametrize("text", [
+    '{"xi": ["a", 1, 1]}',
+    '{"xi": 5}',
+    '{"xi": "101"}',
+    '{"xi": [1, null, 1]}',
+    '{"xi": [1, true, 1]}',
+    pytest.param('{"xi": [1%s, 1, 1]}' % ("0" * 400), id="xi-int-beyond-float"),
+    '{"xi": []}',
+    '{"superdiag": 5}',
+    '{"superdiag": [[1]]}',
+    '{"superdiag": [[2, "0"]]}',
+    '{"n": "x", "superdiag": [[2, 0]]}',
+    '{"superdiag": [[1e200, 0], [2, 0]]}',
+])
+@pytest.mark.parametrize("command", ["classify", "curve", "range"])
+def test_malformed_matrix_file_is_an_input_error(capsys, tmp_path, command, text):
+    f = tmp_path / "m.json"
+    f.write_text(text)
+    assert main(with_k(command, "--matrix", str(f))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_matrix_file_input(capsys, tmp_path):
@@ -235,3 +295,35 @@ def test_verify_unsupported_dimension(capsys, tmp_path, n):
     code = main(["verify", "--n", n, "--out", str(tmp_path / "v.json")])
     assert code == 3 and not (tmp_path / "v.json").exists()
     assert f"verify covers n in 4..6, got {n}" in capsys.readouterr().err
+
+
+#: the options each command reads
+COMMAND_OPTIONS = {
+    "classify": {"--xi", "--matrix", "--n", "--mode", "--tolerance", "--out"},
+    "curve": {"--xi", "--matrix", "--n", "--grid", "--svg", "--out"},
+    "range": {"--xi", "--matrix", "--n", "--grid", "--svg", "--out", "--k"},
+    "verify": {"--n", "--grid", "--tolerance", "--seed", "--out"},
+}
+OPTION_VALUES = {"--xi": "1,0,1", "--matrix": "m.json", "--n": "4", "--k": "1", "--grid": "64",
+                 "--mode": "exact", "--svg": "x.svg", "--out": "x.json", "--tolerance": "0",
+                 "--seed": "1"}
+UNREAD = [(command, option) for command, options in COMMAND_OPTIONS.items()
+          for option in sorted(OPTION_VALUES.keys() - options)]
+
+
+def test_each_command_takes_exactly_its_options():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == COMMAND_OPTIONS
+    assert sum(map(len, got.values())) == 24
+
+
+@pytest.mark.parametrize("command,option", UNREAD)
+def test_unread_option_is_refused(capsys, command, option):
+    assert len(UNREAD) == 16
+    source = ["--n", "4"] if command == "verify" else ["--xi", "1,0,1"]
+    with pytest.raises(SystemExit) as exc:
+        main(with_k(command, *source, option, OPTION_VALUES[option]))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err

@@ -29,7 +29,7 @@ from poly_oracle import divides_quadratic, minor_axis_candidates, oracle_brute_f
 from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor
 from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.geometry import intersect_regions, region_contains_region
-from reciprange.kippenhahn import closed_form_poly
+from reciprange.kippenhahn import build_poly_from_scalars, closed_form_poly
 from reciprange.matrices import exact_spectrum, matrix_from_xi
 from reciprange.ranges import pencil_values
 
@@ -77,7 +77,7 @@ def test_divides_quadratic_fails_for_drop():
 
 
 def test_exact_division_zero_remainder():
-    P = closed_form_poly([Fraction(1)] * 3, exact=True)
+    P = build_poly_from_scalars([Fraction(1)] * 3, Fraction(1))
     from reciprange.numberfield import PHI as PHI_EXACT
 
     q = divides_linear(P, PHI_EXACT * PHI_EXACT, PHI_EXACT * PHI_EXACT)

@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose
 
 from conftest import FIG5
 from dense_oracle import oracle_eigencurves, oracle_envelope_points
-from poly_oracle import hand_written_poly
+from poly_oracle import block_split_tangent_ordinates, hand_written_poly
 from reciprange.errors import UnsupportedDimensionError
 from reciprange.kippenhahn import (
+    build_poly_from_scalars,
     closed_form_poly,
     curve_components,
     detect_multiple_tangents,
@@ -62,18 +63,11 @@ def test_closed_form_unsupported_dimension():
 
 def test_rho_degree_bound_exact():
     for n in (2, 3, 4, 5, 6):
-        P = closed_form_poly([Fraction(j + 1, 3) for j in range(n - 1)], exact=True)
-        k = P.k
+        P = build_poly_from_scalars([Fraction(j + 1, 3) for j in range(n - 1)], Fraction(1))
+        k = n // 2
         for j in range(k + 1):
-            assert P.poly.rho_degree_of(j) <= k - j
-        assert P.poly.coeffs[-1] == [Fraction(1)]
-
-
-def test_exact_poly_json_fractions():
-    P = closed_form_poly([Fraction(1), Fraction(1, 2), Fraction(1)], exact=True)
-    d = P.to_json_dict(exact=True)
-    assert d["n"] == 4
-    assert all(isinstance(c, str) and "/" in c for row in d["coeffs"] for c in row)
+            assert P.rho_degree_of(j) <= k - j
+        assert P.coeffs[-1] == [Fraction(1)]
 
 
 def test_determinant_example_n2():
@@ -106,7 +100,7 @@ rational_xi = st.one_of(st.just(Fraction(0)), st.fractions(0, 5, max_denominator
 
 @given(st.integers(2, 6).flatmap(lambda n: st.lists(rational_xi, min_size=n - 1, max_size=n - 1)))
 def test_recurrence_matches_hand_written_forms(x):
-    P = closed_form_poly(x, exact=True).poly
+    P = build_poly_from_scalars(x, Fraction(1))
     assert P.coeffs == hand_written_poly(x, Fraction(1)).coeffs
     xf = [float(v) for v in x]
     Pf, Of = closed_form_poly(xf).poly, hand_written_poly(xf, 1.0)
@@ -406,8 +400,28 @@ def test_multiple_tangents_n6_cases():
     assert sorted(e.ordinate for e in ev) == pytest.approx([-math.sqrt(x1), math.sqrt(x1)])
 
 
+def assert_tangents_match_block_split(draws):
+    """Closed-form criterion iff Im A splits into blocks sharing an eigenvalue."""
+    for xi in draws:
+        closed = sorted(e.ordinate for e in detect_multiple_tangents(tuple(xi)))
+        numeric = block_split_tangent_ordinates(tuple(xi))
+        assert len(closed) == len(numeric), xi
+        assert_allclose(closed, numeric, atol=1e-8, err_msg=str(xi))
+
+
+def test_multiple_tangent_equivalence_n4(rng):
+    draws = [rng.uniform(0, 2, 3) for _ in range(100)]
+    for _ in range(150):
+        xi = rng.uniform(0, 2, 3)
+        xi[rng.integers(0, 3)] = 0.0
+        draws.append(xi)
+    for _ in range(150):
+        x1 = rng.uniform(0.05, 2)
+        draws.append(np.array([x1, 0.0, x1]))  # criterion holds
+    assert_tangents_match_block_split(draws)
+
+
 def test_multiple_tangent_equivalence_n5(rng):
-    """Closed-form criterion iff Im A has a repeated nonzero eigenvalue."""
     draws = []
     for _ in range(200):
         draws.append(rng.uniform(0, 2, 4))
@@ -418,26 +432,23 @@ def test_multiple_tangent_equivalence_n5(rng):
     for _ in range(150):
         x3, x4 = rng.uniform(0.05, 2, 2)
         draws.append(np.array([x3 + x4, 0.0, x3, x4]))  # criterion holds
-    for xi in draws:
-        closed = detect_multiple_tangents(tuple(xi), method="closed_form")
-        numeric = detect_multiple_tangents(tuple(xi), method="numeric")
-        assert bool(closed) == bool(numeric), xi
-        if closed:
-            assert_allclose(
-                sorted(e.ordinate for e in closed),
-                sorted(e.ordinate for e in numeric),
-                atol=1e-8,
-            )
+    assert_tangents_match_block_split(draws)
 
 
 def test_multiple_tangent_equivalence_n6(rng):
+    draws = []
     for _ in range(200):
         xi = rng.uniform(0, 2, 5)
         if rng.uniform() < 0.5:
             xi[rng.integers(0, 5)] = 0.0
-        closed = detect_multiple_tangents(tuple(xi), method="closed_form")
-        numeric = detect_multiple_tangents(tuple(xi), method="numeric")
-        assert bool(closed) == bool(numeric), xi
+        draws.append(xi)
+    assert_tangents_match_block_split(draws)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_multiple_tangents_unsupported_dimension(n):
+    with pytest.raises(UnsupportedDimensionError, match=f"cover n in 4..6, got {n}"):
+        detect_multiple_tangents([1.0] * (n - 1))
 
 
 def test_components_counts():

@@ -95,6 +95,12 @@ def test_matrix_from_xi_rejects_negative():
         matrix_from_xi([-0.1, 1.0])
 
 
+def test_matrix_from_xi_rejects_empty():
+    # n = 1: build_from_superdiagonal refuses the empty superdiagonal alike
+    with pytest.raises(InvalidInputError, match="n >= 2"):
+        matrix_from_xi([])
+
+
 @given(xi_lists)
 def test_xi_round_trip(xi):
     m = matrix_from_xi(xi)
