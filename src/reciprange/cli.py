@@ -35,6 +35,7 @@ from .kippenhahn import (
 from .matrices import (
     XiParameters,
     as_xi,
+    check_xi_bound,
     exact_spectrum,
     matrix_from_json_dict,
     matrix_from_xi,
@@ -48,9 +49,6 @@ MIN_GRID = 8
 #: tridiagonals T(rho) and their eigenvectors) and the envelope samples
 #: grid * n records, so larger grids only exhaust memory
 MAX_GRID = 65536
-#: largest xi curve and range take: the curve core forms xi (xi + 1), which
-#: overflows a float above about 1.3e154
-MAX_XI = 1e150
 
 #: parameter sets used throughout the verification corpus
 SEED_CORPUS = {
@@ -101,10 +99,7 @@ def _load_xi(ns, curve=True) -> XiParameters:
     if ns.n is not None and xi.n != ns.n:
         raise InvalidInputError(f"--n {ns.n} does not match input dimension {xi.n}")
     if curve:
-        for j, x in enumerate(xi):
-            if x > MAX_XI:
-                raise InvalidInputError(
-                    f"xi[{j}] = {x:g} exceeds {MAX_XI:g}, the largest xi curve and range take")
+        check_xi_bound(xi, "curve and range take")
         if ns.xi is not None:
             xi = matrix_from_xi(xi).xi()
     return xi

@@ -25,7 +25,7 @@ from . import concentric6
 from .bipoly import ZetaPoly, linear_factor, quadratic_factor
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .kippenhahn import KippenhahnPolynomial, build_poly_from_scalars, closed_form_poly
-from .matrices import as_xi, exact_spectrum, imag_part_spectrum
+from .matrices import as_xi, check_xi_bound, exact_spectrum, imag_part_spectrum
 from .numberfield import PHI, ROOT3, TWO_COS_PI7
 
 ALL_CONCENTRIC = "ALL_CONCENTRIC"
@@ -222,7 +222,8 @@ def classify(xi, mode="float", tol=DEFAULT_TOL):
     (exactly, in exact mode) is reported.  The tolerant modes divide P_n of
     the criterion-exact (snapped) values, so the remainder measures only
     roundoff, not the match distance; exact matching already required
-    equality, so there P_n of xi itself keeps the arithmetic in Q.
+    equality, so there P_n of xi itself keeps the arithmetic in Q.  Float
+    mode refuses xi above MAX_XI, where the products in P_n overflow.
     """
     check_tolerance(tol)
     xi = as_xi(xi)
@@ -230,6 +231,8 @@ def classify(xi, mode="float", tol=DEFAULT_TOL):
     if n not in (4, 5, 6):
         raise UnsupportedDimensionError(f"classification covers n in 4..6, got {n}")
     be = _backend(mode, tol)
+    if mode == "float":
+        check_xi_bound(xi, "float classify takes; --mode exact or extended takes any")
     x = [be.convert(v) for v in xi]
     scale = max([1.0] + [abs(float(v)) for v in x])
 

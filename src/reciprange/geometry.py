@@ -11,6 +11,7 @@ and O(N + E) in their vertex counts.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +26,10 @@ ANGLE_EPS = 1e-12  # outward normals closer than this count as equal
 CERT_EPS = 1e-10  # relative violation the emptiness certificate tolerates
 SIDE_EPS = 1e-14  # a corner outside a line by less than this, relative, lies on it
 REPEAT_EPS = 1e-12  # loop vertices closer than this, relative, are one vertex
+PRUNE_MIN = 16  # _prune runs while a round drops at least this many lines
+PRUNE_MARGIN = 16.0  # _prune drops a line that the deque's test pops by this many times its slack
 TWO_PI = 2 * math.pi
+TINY = sys.float_info.min  # the smallest normal float
 _BOX_PHI = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 
 POLYGON = "POLYGON"
@@ -196,6 +200,103 @@ def _corner(xi, yi, ci, xj, yj, cj):
     return ci * xi - t * yi, ci * yi + t * xi
 
 
+def _side(a, b, k):
+    """(excess, slack): how far the corner of lines a and b lies outside line
+    k, and the rounding slack of that test, for lines given as rows (u_x,
+    u_y, c); _deque's outside() pops b for k where excess > slack, and both
+    are NaN where the corner is not finite."""
+    x, y = _corner(*a, *b)
+    return k[0] * x + k[1] * y - k[2], SIDE_EPS * (np.abs(x) + np.abs(y) + np.abs(k[2]))
+
+
+def _cuts(excess, slack):
+    """Where a corner lies outside a line by PRUNE_MARGIN times its slack, and
+    by more than the smallest normal float: below it rounding is absolute."""
+    return excess > PRUNE_MARGIN * (slack + TINY)
+
+
+def _spread(room):
+    """(owner, first, step) of room[o] consecutive items for each owner o: each
+    item's owner, the index of its owner's first item, and its step from it."""
+    owner = np.repeat(np.arange(room.size), room)
+    first = np.repeat(np.cumsum(room) - room, room)
+    return owner, first, np.arange(owner.size) - first
+
+
+def _prefix(hit, first):
+    """Where hit holds at an item and at every item of its owner before it."""
+    missed = np.cumsum(~hit)
+    return missed == (missed - ~hit)[first]
+
+
+def _prune(phi, lines, back, cut):
+    """The lines that whole-array rounds leave of sorted half-planes: (S, b),
+    S their indices and b the deque's back test on them.  lines[:, j] holds
+    (u_x, u_y, c) of line j; back[k - 2] says that line k pops nothing at the
+    back of a deque ending with lines k - 2, k - 1, and cut[k - 2] that line
+    k cuts their corner by PRUNE_MARGIN times the test's slack.
+
+    A line whose corner with the line before it lies outside the line after
+    it is redundant between the two: the deque pops it as soon as it ends
+    with them.  Each round drops the first line of each run of such lines,
+    so that its two neighbours stay, and follows each drop along a chain of
+    lines that the same test shows redundant once the lines between are
+    gone: ahead of the drop, against the line before it; behind the drop,
+    against the first line left standing after it.  A chain stops at its
+    first line left standing, short of the next drop.  The lines of a pencil
+    through nearly one point tie among themselves and only lines at its ends
+    show them redundant, so the chains are what empty it.  Then the
+    neighbours of dropped lines are tested again.  A test across a turn of
+    pi or more drops nothing (the deque must still meet that turn), and the
+    rounds end with one that drops fewer than PRUNE_MIN lines.
+    """
+    S = np.arange(phi.size)
+    back = np.concatenate(([True], back, [True]))  # back[t]: the test of S[t - 1], S[t] at S[t + 1]
+    pos = np.flatnonzero(cut) + 1
+
+    def chain(q, a, k, first):
+        """Where line S[q] and every line before it in its chain are redundant
+        between lines a and k."""
+        redundant = _cuts(*_side(lines[:, a], lines[:, S[q]], lines[:, k])) & (phi[k] - phi[a] < math.pi)
+        return _prefix(redundant, first)
+
+    while True:
+        pos = pos[phi[S[pos + 1]] - phi[S[pos - 1]] < math.pi]
+        head = np.ones(pos.size, dtype=bool)
+        head[1:] = pos[1:] != pos[:-1] + 1
+        drop = pos[head]
+        if drop.size == 0:
+            break
+        gone = np.zeros(S.size, dtype=bool)
+        gone[drop] = True
+        window = max(4, S.size // drop.size)
+        # ahead: up to two short of the next drop, whose neighbours stay
+        ahead = np.concatenate((drop[1:] - 2, [S.size - 2]))
+        owner, first, step = _spread(np.clip(ahead - drop, 0, window))
+        q = drop[owner] + 1 + step
+        hit = chain(q, S[drop[owner] - 1], S[q + 1], first)
+        gone[q[hit]] = True
+        reach = drop + np.bincount(owner[hit], minlength=drop.size)  # the last line each drops
+        # behind: down to two past the reach of the drop before
+        behind = np.concatenate(([1], reach[:-1] + 2))
+        owner, first, step = _spread(np.maximum(drop - np.maximum(behind, drop - window), 0))
+        q = drop[owner] - 1 - step
+        gone[q[chain(q, S[q - 1], S[reach[owner] + 1], first)]] = True
+        dropped = int(np.count_nonzero(gone))
+        near = np.zeros(S.size, dtype=bool)
+        near[:-1] = gone[1:]
+        near[1:] |= gone[:-1]
+        S, back, near = S[~gone], back[~gone], near[~gone]
+        near[[0, -1]] = False
+        pos = np.flatnonzero(near)
+        excess, slack = _side(lines[:, S[pos - 1]], lines[:, S[pos]], lines[:, S[pos + 1]])
+        back[pos] = excess <= slack
+        pos = pos[_cuts(excess, slack)]
+        if dropped < PRUNE_MIN:
+            break
+    return S, back[1:-1]
+
+
 def _intersect_sorted(phi, c):
     """Vertices (CCW, complex) of {z : u_j . z <= c_j for all j}, u_j = e^{i phi_j},
     or None when the intersection is empty.
@@ -207,8 +308,11 @@ def _intersect_sorted(phi, c):
     from line k - 1; both tests run for every k at once, so a run of lines
     without either event joins the deque in one step, up to the first of them
     that cuts the front corner (a front cut tests the rest of its run again,
-    against the new corner).  Python steps only at pops, front cuts and turns
-    of pi.
+    against the new corner).  Where PRUNE_MIN or more lines cut their
+    corner, as in the pencils of a numeric range that is a point or a thin
+    strip, _prune first drops in whole-array rounds lines that the deque
+    would pop, and the deque runs on the rest.  Python steps only at pops,
+    front cuts and turns of pi.  The emptiness certificate checks every line.
     """
     # of half-planes with equal normals only the tightest can bound the set
     first = np.flatnonzero(np.concatenate(([True], np.diff(phi) > ANGLE_EPS)))
@@ -218,6 +322,38 @@ def _intersect_sorted(phi, c):
         c[0] = min(c[0], c[-1])
         phi, c = phi[:-1], c[:-1]
     ux, uy = np.cos(phi), np.sin(phi)
+    # does line k pop nothing at the back of a deque that ends with lines
+    # k - 2, k - 1 (for every k >= 2)?
+    rows = (ux, uy, c)
+    with np.errstate(all="ignore"):
+        excess, slack = _side([v[:-2] for v in rows], [v[1:-1] for v in rows], [v[2:] for v in rows])
+        back = excess <= slack
+        live = None
+        if back.size - np.count_nonzero(back) >= PRUNE_MIN:
+            cut = _cuts(excess, slack)
+            if np.count_nonzero(cut) >= PRUNE_MIN:
+                live, back = _prune(phi, np.stack(rows), back, cut)
+    keep = slice(None) if live is None else live
+    lines = _deque(phi[keep], ux[keep], uy[keep], c[keep], back)
+    if lines is None:
+        return None
+    if live is not None:
+        lines = live[lines]
+    lx, ly, lc = ux[lines], uy[lines], c[lines]
+    vx, vy = _corner(np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1), lx, ly, lc)  # lines j-1, j
+    # emptiness certificate: each half-plane holds at the vertex extreme in its
+    # outward normal, which sits between the edges whose angles bracket it
+    extreme = np.searchsorted(phi[lines], phi) % lines.size
+    violation = ux * vx[extreme] + uy * vy[extreme] - c
+    if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
+        return None
+    return vx + 1j * vy
+
+
+def _deque(phi, ux, uy, c, back):
+    """The lines (an index array) that the sorted-angle deque keeps of the
+    half-planes, or None when a turn of pi or more leaves nothing inside;
+    back[k - 2] says that line k does not cut the corner of lines k - 2, k - 1."""
     X, Y, C, P = ux.tolist(), uy.tolist(), c.tolist(), phi.tolist()
     T = len(C)
 
@@ -243,10 +379,8 @@ def _intersect_sorted(phi, c):
         k = int(np.argmin(kept))
         return hi if kept[k] else lo + k
 
-    # outside(k, k - 2, k - 1) and the turn from line k - 1 for every k >= 2;
-    # lines with either event (or a NaN corner) take the scalar step
-    with np.errstate(all="ignore"):
-        back = within(slice(2, None), *_corner(ux[:-2], uy[:-2], c[:-2], ux[1:-1], uy[1:-1], c[1:-1]))
+    # lines that cut the corner before them (or meet it at NaN) or turn pi or
+    # more from the line before take the scalar step
     stops = (np.flatnonzero(~back | (np.diff(phi)[1:] >= math.pi)) + 2).tolist() + [T]
 
     dq = deque()
@@ -273,17 +407,7 @@ def _intersect_sorted(phi, c):
         dq.popleft()
     if len(dq) < 3 or P[dq[0]] + TWO_PI - P[dq[-1]] >= math.pi:
         return None
-
-    lines = np.fromiter(dq, dtype=np.intp, count=len(dq))
-    lx, ly, lc = ux[lines], uy[lines], c[lines]
-    vx, vy = _corner(np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1), lx, ly, lc)  # lines j-1, j
-    # emptiness certificate: each half-plane holds at the vertex extreme in its
-    # outward normal, which sits between the edges whose angles bracket it
-    extreme = np.searchsorted(phi[lines], phi) % lines.size
-    violation = ux * vx[extreme] + uy * vy[extreme] - c
-    if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
-        return None
-    return vx + 1j * vy
+    return np.fromiter(dq, dtype=np.intp, count=len(dq))
 
 
 def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:

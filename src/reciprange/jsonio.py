@@ -1,8 +1,8 @@
 """Deterministic JSON emission: floats at 17 significant digits, stable order.
 
 A numpy structured array is written as a list of flat records, one per row,
-formatted column by column, each distinct float magnitude of a column once:
-the bytes are those of the same rows given as dicts.
+formatted column by column, each distinct int or float magnitude of a
+column once: the bytes are those of the same rows given as dicts.
 """
 
 from __future__ import annotations
@@ -24,18 +24,21 @@ def _fmt_float(v: float) -> str:
 def _column(a) -> list:
     """The printed cells of one scalar int or float field of a structured array.
 
-    Each distinct magnitude (by bit pattern) is formatted once, all of them
-    by one "%.17g" call, and a negative value (-0.0 too) prints as "-" and
-    its magnitude's cell: theta repeats once per branch, and the curve's
-    mirror images repeat re and im up to sign.  "%.17g" prints what
-    _fmt_float prints except on integer-valued floats below 1e15, nan and
-    inf, which are formatted again by _fmt_float, signed for inf and nan.
+    Each distinct int is formatted once: a curve's branch column holds n
+    values in grid * n cells.  Each distinct float magnitude (by bit
+    pattern) is formatted once, all of them by one "%.17g" call, and a
+    negative value (-0.0 too) prints as "-" and its magnitude's cell: theta
+    repeats once per branch, and the curve's mirror images repeat re and im
+    up to sign.  "%.17g" prints what _fmt_float prints except on
+    integer-valued floats below 1e15, nan and inf, which are formatted again
+    by _fmt_float, signed for inf and nan.
     """
     # a sub-array field has more dimensions; a long double would round
     if a.ndim != 1 or a.dtype.kind not in "iuf" or a.dtype.itemsize > 8:
         raise TypeError(f"cannot serialize field of dtype {a.dtype}")
     if a.dtype.kind != "f":
-        return list(map(str, a.tolist()))
+        values, index = np.unique(a, return_inverse=True)
+        return np.array(list(map(str, values.tolist())), dtype=object)[index].tolist()
     a = np.ascontiguousarray(a, dtype=float)
     bits, index = np.unique(np.abs(a).view(np.int64), return_inverse=True)
     values = bits.view(float)

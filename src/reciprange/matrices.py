@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+#: largest xi the float computations take: the curve core forms xi (xi + 1),
+#: and P_n of classify products of xi, which overflow a float above about
+#: 1.3e154
+MAX_XI = 1e150
+
 
 @dataclass(frozen=True)
 class XiParameters:
@@ -50,6 +55,13 @@ class XiParameters:
 
     def __getitem__(self, i):
         return self.xi[i]
+
+
+def check_xi_bound(xi, who):
+    """Raise InvalidInputError at the first xi above MAX_XI, which ``who`` does not take."""
+    for j, x in enumerate(xi):
+        if x > MAX_XI:
+            raise InvalidInputError(f"xi[{j}] = {x:g} exceeds {MAX_XI:g}, the largest xi {who}")
 
 
 def as_xi(xi) -> XiParameters:

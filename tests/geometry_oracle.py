@@ -14,7 +14,8 @@ ellipses by their support functions and needs neither.
 ``oracle_deque_vertices`` and ``oracle_convex_loop`` are not independent:
 they are the package's sorted-angle deque and convex-loop stack with one
 Python step per line and per vertex.  The package skips the steps that
-change nothing, and the tests ask for bitwise-equal results.
+change nothing and first drops, in whole-array rounds, lines that the deque
+would pop; the tests ask for bitwise-equal results.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from reciprange import cli
+from reciprange.matrices import MAX_XI
 from reciprange.cli import SEED_CORPUS, main
 
 
@@ -123,8 +124,20 @@ def test_oversized_matrix_file_rejected(capsys, monkeypatch, tmp_path, command):
     assert "xi[0] = 2.5e+199 exceeds 1e+150" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, code", [("float", 2), ("exact", 0), ("extended", 0)])
+def test_oversized_xi_classify(capsys, mode, code):
+    # float P_n overflowed: (1e155, 0, 1e155) read MIXED_NONE, though it is noncon4
+    assert main(["classify", "--xi", "1e155,0,1e155", "--mode", mode]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "exceeds 1e+150, the largest xi float classify takes" in captured.err
+        assert "--mode exact" in captured.err
+    else:
+        assert json.loads(captured.out)["verdict"] == "DISPLACED_PAIR"
+
+
 def test_largest_xi_gives_a_finite_curve(capsys):
-    code, out = run(capsys, "curve", "--xi", f"{cli.MAX_XI!r},1,1", "--grid", "64")
+    code, out = run(capsys, "curve", "--xi", f"{MAX_XI!r},1,1", "--grid", "64")
     assert code == 0
     assert all(math.isfinite(s[f]) for s in json.loads(out) for f in ("re", "im"))
 

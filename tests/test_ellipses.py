@@ -30,7 +30,7 @@ from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor
 from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.geometry import intersect_regions, region_contains_region
 from reciprange.kippenhahn import build_poly_from_scalars, closed_form_poly
-from reciprange.matrices import exact_spectrum, matrix_from_xi
+from reciprange.matrices import MAX_XI, exact_spectrum, matrix_from_xi
 from reciprange.ranges import pencil_values
 
 K17 = 2 * math.cos(math.pi / 7)
@@ -590,6 +590,24 @@ def test_oracle_rejects_bad_tolerance(tol):
         brute_force_decompositions([1.0, 1.0, 1.0], tol=tol)
     with pytest.raises(InvalidInputError, match="tolerance"):
         brute_force_batch([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]], tol=tol)
+
+
+@pytest.mark.parametrize("a", [1e151, 1e155, 1e200])
+def test_float_classify_refuses_xi_beyond_bound(a):
+    # the products in float P_n overflow from about 1e155: (a, 0, a) read
+    # MIXED_NONE there though it is noncon4, and (a, a, a) though it is con4
+    for xi in ([a, 0.0, a], [a, a, a], [1.0, 0.0, 1.0, a]):
+        with pytest.raises(InvalidInputError, match="exceeds 1e\\+150.*--mode exact"):
+            classify(xi)
+
+
+@pytest.mark.parametrize("a", [1e150, 1e155, 1e200])
+def test_large_xi_verdicts(a):
+    # float mode still takes MAX_XI itself; exact and extended mode take any xi
+    modes = ("float", "exact", "extended") if a <= MAX_XI else ("exact", "extended")
+    for mode in modes:
+        assert classify([a, 0.0, a], mode=mode).verdict == DISPLACED_PAIR, mode
+        assert classify([a, a, a], mode=mode).verdict == ALL_CONCENTRIC, mode
 
 
 def test_zero_tolerance_stays_exact():

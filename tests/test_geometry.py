@@ -636,16 +636,18 @@ def test_distances_match_oracle_verify_corpus():
     assert pairs == 21
 
 
-# the deque and the stack skip the steps that change nothing; against the
-# one-step-per-line oracles every decision, and so every bit of the result,
-# must be the same.  Inputs: the edge lines of convex polygons with lines
-# through or beyond them (exactly touching ones too), unboxed or with angles
-# next to the wrap, so that the closing lines pop the front; fans of lines
-# through the two ends of a segment, the shape of a thin numeric strip;
-# polygon edges next to copies turned about 1e-11; triangles with their
-# bounds moved across emptiness, some with their normals reversed; and two
-# bundles of lines whose normals lie pi or more apart, an empty or unbounded
-# set that the deque ends at a turn of pi
+# the deque and the stack skip the steps that change nothing, and _prune
+# drops lines that the deque would pop; against the one-step-per-line
+# oracles every bit of the result must be the same.  Inputs: the edge lines
+# of convex polygons with lines through or beyond them (exactly touching
+# ones too), unboxed or with angles next to the wrap, so that the closing
+# lines pop the front; fans of lines through the two ends of a segment, the
+# shape of a thin numeric strip, and such fans (or fans through one point)
+# of up to 2048 lines with noise on their bounds, whose lines _prune drops
+# in rounds before the deque runs; polygon edges next to copies turned about
+# 1e-11; triangles with their bounds moved across emptiness, some with their
+# normals reversed; and two bundles of lines whose normals lie pi or more
+# apart, an empty or unbounded set that the deque ends at a turn of pi
 def _support(pts, phi):
     """h(u) = max Re(conj(u) z) over the points, u = e^{i phi}, for each phi."""
     return np.max((np.exp(-1j * phi)[:, None] * np.asarray(pts)[None, :]).real, axis=1)
@@ -667,6 +669,14 @@ def _polygon_lines(draw):
 def _fan_lines(p, length, axis, m, offset, slack):
     phi = offset + TWO_PI * np.arange(m) / m
     return phi, _support([p, p + length * np.exp(1j * axis)], phi) + slack
+
+
+def _noisy_fan_lines(p, length, axis, m, offset, slack, noise, seed):
+    """_fan_lines with every bound off by about noise relative to the largest,
+    as the eigensolver leaves lambda_k(theta): nearly every line of such a
+    pencil is redundant, the set that _prune thins before the deque runs."""
+    phi, c = _fan_lines(p, length, axis, m, offset, slack)
+    return phi, c + noise * max(1.0, float(np.max(np.abs(c)))) * np.random.default_rng(seed).standard_normal(m)
 
 
 def _turned_lines(poly, turn):
@@ -691,6 +701,11 @@ _line_sets = st.one_of(
     _polygon_lines(),
     st.builds(_fan_lines, _centers, st.sampled_from([0.0, 1e-9, 0.5, 2.0]), _offsets,
               st.integers(8, 300), _offsets, st.sampled_from([0.0, 1e-13, 1e-12, 1e-10])),
+    st.builds(_noisy_fan_lines, st.just(0j) | _centers | _centers.map(lambda z: z * 1e-3),
+              st.sampled_from([0.0, 1e-9, 0.5, 2.0]), _offsets,
+              st.sampled_from([2047, 2048]) | st.integers(8, 2048), _offsets,
+              st.sampled_from([0.0, 1e-13, 1e-12, 1e-10]), st.sampled_from([1e-16, 3e-16, 1e-15]),
+              st.integers(0, 2**32 - 1)),
     st.builds(_turned_lines, _polygons, st.sampled_from([1e-11, -1e-11, 2e-12, 1e-10])),
     st.builds(_triangle_lines,
               st.builds(_ellipse_polygon, _centers, st.floats(0.2, 2.0), st.floats(0.05, 1.0),
@@ -702,6 +717,12 @@ _line_sets = st.one_of(
 
 
 @given(_line_sets, st.booleans())
+# a pencil through a subnormal point, where every slack underflows, and one
+# whose bounds are as noisy as its slack, where the deque's pops (front pops
+# too) are near ties: pruning at four times the deque's slack, with no floor
+# at the smallest normal float, changed both
+@example(_fan_lines(2.225073858507e-311 + 0j, 0.0, 0.0, 51, 0.0, 0.0), False)
+@example(_noisy_fan_lines(0.00075 + 0.001j, 0.0, 0.0, 1288, 0.8046875, 1e-13, 1e-16, 1288), False)
 def test_deque_skips_change_no_decision(lines, boxed):
     phi, c = lines
     sets = [(np.mod(phi, TWO_PI), c)] + ([(_BOX_PHI, np.full(4, 10.0))] if boxed else [])

@@ -339,6 +339,62 @@ def test_numeric_skips_change_no_decision(xi, grid, data):
         assert got is None or np.array_equal(got, want), name
 
 
+def _kernel_lines(xi, k, grid):
+    """The sorted (phi, c) arrays rank_k_numeric hands to _intersect_sorted."""
+    seen = []
+    kernel = geometry._intersect_sorted
+
+    def spy(phi, c):
+        seen.append((phi.copy(), c.copy()))
+        return kernel(phi, c)
+
+    with mock.patch.object(geometry, "_intersect_sorted", spy):
+        rank_k_numeric(xi, k, grid)
+    return seen[0]
+
+
+# the fans: Lambda_3 is the point {0} for n = 5 and a segment for FIG3, so
+# nearly every line of the eigensolver's bounds is redundant, and _prune
+# drops most of them before the deque runs
+FANS = [FIG2, (0.5, 0.0, 0.5, 0.0), (1.0, 1.0, 1.0, 1.0), FIG3]
+
+
+@pytest.mark.parametrize("grid", [2047, 2048, 2049, 4096])
+@pytest.mark.parametrize("xi", FANS)
+def test_pruned_fans_match_deque_oracle(xi, grid):
+    phi, c = _kernel_lines(xi, 3, grid)
+    pruned = []
+    prune = geometry._prune
+
+    def spy(*args):
+        pruned.append(prune(*args))
+        return pruned[-1]
+
+    with mock.patch.object(geometry, "_prune", spy):
+        got = geometry._intersect_sorted(phi, c)
+    want = oracle_deque_vertices(phi, c)
+    assert pruned and pruned[0][0].size < phi.size / 4
+    assert got is not None and want is not None and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("xi, bound", [(FIG2, 560), (FIG3, 520)])
+def test_fan_scalar_steps_bounded(xi, bound):
+    # one scalar step per line made ~5,600 (n = 5) and ~5,200 (FIG3) scalar
+    # corners at grid 2048; the pruning rounds leave a tenth of that at most
+    calls = 0
+    corner = geometry._corner
+
+    def count(*args):
+        nonlocal calls
+        calls += isinstance(args[0], float)
+        return corner(*args)
+
+    with mock.patch.object(geometry, "_corner", count):
+        region = rank_k_numeric(xi, 3, 2048)
+    assert region.kind == (POINT if len(xi) == 4 else SEGMENT)
+    assert calls <= bound
+
+
 @pytest.mark.parametrize("grid", [512, 2048, 2050])
 @pytest.mark.parametrize("xi", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, PHI, 0.0), (0.0, 0.0, 0.0),
                                 FIG1, FIG2, FIG3, FIG4, FIG5, (1.0,) * 5])
