@@ -3,9 +3,11 @@
 Regions are polygons with complex vertices (counterclockwise), demoted to
 SEGMENT / POINT / EMPTY when the area or width collapses.  Internally a
 half-plane {z : Re(e^{i theta} z) <= bound} is u . z <= bound with the outward
-unit normal u = e^{i phi}, phi = -theta.  Hausdorff distance and containment
-compare support functions h(u) = max Re(conj(u) z): exact for convex regions
-and O(N + E) in their vertex counts.
+unit normal u = e^{i phi}, phi = -theta.  A polygon keeps the angles phi of
+the lines its edges lie on, so width, support functions and edge
+half-planes never come from differences of rounded vertices.  Hausdorff
+distance and containment compare support functions h(u) = max Re(conj(u) z):
+exact for convex regions and O(N + E) in their vertex counts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import sys
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +27,6 @@ WIDTH_EPS = 1e-8
 ANGLE_EPS = 1e-12  # outward normals closer than this count as equal
 CERT_EPS = 1e-10  # relative violation the emptiness certificate tolerates
 SIDE_EPS = 1e-14  # a corner outside a line by less than this, relative, lies on it
-REPEAT_EPS = 1e-12  # loop vertices closer than this, relative, are one vertex
 PRUNE_MIN = 16  # _prune runs while a round drops at least this many lines
 PRUNE_MARGIN = 16.0  # _prune drops a line that the deque's test pops by this many times its slack
 TWO_PI = 2 * math.pi
@@ -42,6 +43,10 @@ EMPTY = "EMPTY"
 class ConvexRegion:
     kind: str
     points: tuple  # CCW vertices (POLYGON), endpoints (SEGMENT), single point (POINT)
+    # POLYGON: the increasing outward normal angle of each edge, points[j] to
+    # points[j + 1], in [0, 2pi]: the lines of the half-planes it was cut from
+    # (a read-only float array from region_from_vertices)
+    normals: np.ndarray = field(default=(), compare=False, repr=False)
 
     @staticmethod
     def empty():
@@ -58,73 +63,23 @@ def polygon_area(pts) -> float:
     return float(np.sum(z.real * w.imag - w.real * z.imag)) / 2
 
 
-def _convex_loop(z):
-    """The vertices at which a nearly convex CCW loop turns strictly left.
+def _calipers(z, phi):
+    """Rotating calipers on a convex CCW loop, without a Python loop.
 
-    Where several lines of a half-plane intersection meet, the loop repeats a
-    vertex up to rounding, and the short edges between the copies may point
-    anywhere: copies within REPEAT_EPS of the vertex before are dropped first.
-    One stack pass from the leftmost-lowest vertex, a hull vertex, then drops
-    collinear and (by rounding) reflex vertices, so every edge left lies on a
-    supporting line.  O(V).  The stack keeps a vertex after its two loop
-    predecessors unless they turn right or go straight on; that test runs
-    for every consecutive triple at once, runs of kept vertices go onto the
-    stack in one step, and Python steps only at failing turns.
-    """
-    fresh = np.abs(z - np.roll(z, 1)) > REPEAT_EPS * np.max(np.abs(z))
-    z = z[fresh] if fresh.any() else z[:1]
-    left = np.flatnonzero(z.real == z.real.min())
-    start = int(left[np.argmin(z.imag[left])])
-    q = np.append(np.roll(z, -start), z[start])
-    # turn = conj(q[i-1] - q[i-2]) * (q[i] - q[i-1]) for every i >= 2, in the
-    # scalar complex product's operations
-    d = np.diff(q)
-    ar, ai, br, bi = d.real[:-1], -d.imag[:-1], d.real[1:], d.imag[1:]
-    cross, dot = ar * bi + ai * br, ar * br - ai * bi
-    # keep a left turn, and the far end of a flat loop (a reversal)
-    keep = (cross > 0) | ((cross == 0) & (dot < 0))
-    stops = (np.flatnonzero(~keep) + 2).tolist() + [q.size]
-    hull = []  # indices into q
-    i = 0
-    while i < q.size:
-        if len(hull) > 1 and hull[-1] == i - 1 and hull[-2] == i - 2:
-            j = stops[bisect_left(stops, i)]
-            hull.extend(range(i, j))
-            if j == q.size:
-                break
-            i = j
-        p = complex(q[i])
-        while len(hull) > 1:
-            a, b = complex(q[hull[-2]]), complex(q[hull[-1]])
-            turn = (b - a).conjugate() * (p - b)
-            if turn.imag > 0 or (turn.imag == 0 and turn.real < 0):
-                break
-            hull.pop()
-        hull.append(i)
-        i += 1
-    return q[np.fromiter(hull, dtype=np.intp, count=len(hull) - 1)]
-
-
-def _calipers(z):
-    """Rotating calipers on a strictly convex CCW loop, without a Python loop.
-
-    Returns (i, j, width): the farthest vertex pair z[i], z[j] and the least
-    distance between two parallel supporting lines.  Vertex j supports the
-    directions between the outward normals of edges j - 1 and j, so the
-    antipodal vertex of every edge, the support vertex of its negated
-    normal, comes from one searchsorted over the cyclically sorted normals:
-    O(V log V).  Of an edge parallel to edge i rounding may give either end.
+    phi[j], increasing, is the outward normal angle of edge j (z[j] to
+    z[j + 1]).  Returns (i, j, width): the farthest vertex pair z[i], z[j]
+    and the least distance between two parallel supporting lines.  Vertex j
+    supports the directions between phi[j - 1] and phi[j], so the antipodal
+    vertex of every edge, the support vertex of its negated normal, comes
+    from one searchsorted over phi: O(V log V).  Of an edge parallel to edge
+    i rounding may give either end.
     """
     m = z.size
     i0 = np.arange(m)
     i1 = np.roll(i0, -1)
-    e = z[i1] - z
-    phi = np.mod(np.angle(-1j * e), TWO_PI)  # outward normals, increasing from `first`
-    first = int(np.argmin(phi))
-    j0 = (np.searchsorted(np.roll(phi, -first), np.mod(phi + math.pi, TWO_PI)) + first) % m
+    j0 = np.searchsorted(phi, np.mod(phi + math.pi, TWO_PI)) % m
     j1 = (j0 + 1) % m
-    height = (np.conj(e) * (z[j0] - z)).imag
-    width = float(np.min(height / np.abs(e)))
+    width = float(np.min((np.exp(-1j * phi) * (z - z[j0])).real))
     # every antipodal pair has an endpoint of some edge and that edge's antipodal
     # vertex (or its successor, when the two edges are parallel)
     a = np.concatenate([i0, i1, i0, i1])
@@ -133,45 +88,38 @@ def _calipers(z):
     return int(a[best]), int(b[best]), width
 
 
-def region_from_vertices(pts) -> ConvexRegion:
-    """Classify a convex vertex loop into POLYGON/SEGMENT/POINT/EMPTY.
+def region_from_vertices(pts, normals) -> ConvexRegion:
+    """Classify a convex CCW vertex loop into POLYGON/SEGMENT/POINT.
 
-    Demotion: diameter below WIDTH_EPS collapses to POINT; a width below
-    WIDTH_EPS or an area below AREA_EPS collapses to SEGMENT along the
-    diameter, each end the mean of the vertices whose projection on it lies
-    within the loop's spread across it of the extreme.  Area, diameter and
-    width take O(V log V).
+    normals[j], increasing, is the outward normal angle of edge j (pts[j] to
+    pts[j + 1]): the lines a half-plane intersection keeps, which fix the
+    loop's directions however close its vertices come.  Demotion: diameter
+    below WIDTH_EPS collapses to POINT; a width below WIDTH_EPS or an area
+    below AREA_EPS collapses to SEGMENT along the diameter, each end the mean
+    of the vertices whose projection on it lies within the loop's spread
+    across it of the extreme.  Area, diameter and width take O(V log V).
     """
     z = np.asarray(pts, dtype=complex).ravel()
-    if z.size == 0:
-        return ConvexRegion.empty()
-    if z.size == 1:
-        return ConvexRegion(POINT, (complex(z[0]),))
-    area = polygon_area(z)
-    loop = z if area >= 0 else z[::-1]
-    hull = _convex_loop(loop)
-    if hull.size < 2:
-        return ConvexRegion(POINT, (complex(z[0]),))
-    i, j, width = _calipers(hull)
+    phi = np.array(normals, dtype=float)
+    phi.setflags(write=False)
+    i, j, width = _calipers(z, phi)
     # every vertex projects between the diameter pair along its direction, so
-    # the extremes of that projection are the pair again; they stay right on
-    # loops too flat for the calipers' turn tests (collinear runs)
-    d = hull[j] - hull[i]
-    rel = (loop - hull[i]) * np.conj(d)
+    # the extremes of that projection are the pair again
+    rel = (z - z[i]) * np.conj(z[j] - z[i])
     along = rel.real
     lo, hi = int(np.argmin(along)), int(np.argmax(along))
-    if abs(loop[hi] - loop[lo]) < WIDTH_EPS:
+    if abs(z[hi] - z[lo]) < WIDTH_EPS:
         return ConvexRegion(POINT, (complex(z.mean()),))
-    if z.size == 2 or abs(area) < AREA_EPS or width < WIDTH_EPS:
+    if abs(polygon_area(z)) < AREA_EPS or width < WIDTH_EPS:
         # on a thin strip the corners at each end tie for the extreme, so
         # each end is the mean of the vertices whose projection lies within
-        # the loop's spread across d of it, which rounding cannot flip; the
-        # ends keep the loop's order
+        # the loop's spread across the diameter of it, which rounding cannot
+        # flip; the ends keep the loop's order
         reach = float(np.ptp(rel.imag))
         ends = sorted((np.flatnonzero(along <= along[lo] + reach),
                        np.flatnonzero(along >= along[hi] - reach)), key=lambda e: e[0])
-        return ConvexRegion(SEGMENT, tuple(complex(loop[e].mean()) for e in ends))
-    return ConvexRegion(POLYGON, tuple(loop.tolist()))
+        return ConvexRegion(SEGMENT, tuple(complex(z[e].mean()) for e in ends))
+    return ConvexRegion(POLYGON, tuple(z.tolist()), phi)
 
 
 def _by_angle(*lists):
@@ -298,8 +246,10 @@ def _prune(phi, lines, back, cut):
 
 
 def _intersect_sorted(phi, c):
-    """Vertices (CCW, complex) of {z : u_j . z <= c_j for all j}, u_j = e^{i phi_j},
-    or None when the intersection is empty.
+    """(vertices, normals) of {z : u_j . z <= c_j for all j}, u_j = e^{i phi_j},
+    or None when the intersection is empty: the vertices CCW and complex,
+    and the increasing angles of the lines kept, edge j (vertex j to vertex
+    j + 1) on line j.
 
     phi must be increasing in [0, 2pi] and the intersection bounded.  Sorted-angle
     deque algorithm (de Berg et al., Computational Geometry, ch. 4), O(T).  While
@@ -347,7 +297,7 @@ def _intersect_sorted(phi, c):
     violation = ux * vx[extreme] + uy * vy[extreme] - c
     if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
         return None
-    return vx + 1j * vy
+    return vx + 1j * vy, phi[lines]
 
 
 def _deque(phi, ux, uy, c, back):
@@ -428,8 +378,8 @@ def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:
     if not 0 < r < math.inf:
         raise InvalidInputError(f"box half-width must be finite and positive, got {box_halfwidth}")
     phi = np.mod(-thetas, TWO_PI)
-    verts = _intersect_sorted(*_by_angle((phi, bounds), (_BOX_PHI, np.full(4, r))))
-    return ConvexRegion.empty() if verts is None else region_from_vertices(verts)
+    loop = _intersect_sorted(*_by_angle((phi, bounds), (_BOX_PHI, np.full(4, r))))
+    return ConvexRegion.empty() if loop is None else region_from_vertices(*loop)
 
 
 def convex_hull(points):
@@ -455,22 +405,18 @@ def convex_hull(points):
 
 
 def _edge_halfplanes(region: ConvexRegion):
-    """(phi, c) arrays of a POLYGON's edge half-planes, in the loop's (cyclic
-    angle) order, or of the four half-planes bounding a SEGMENT."""
+    """(phi, c) arrays of a POLYGON's edge half-planes, by increasing angle,
+    or of the four half-planes bounding a SEGMENT."""
     pts = np.asarray(region.points, dtype=complex)
     if region.kind == POLYGON:
-        d = np.roll(pts, -1) - pts
-        keep = d != 0
-        pts, outward = pts[keep], -1j * d[keep]  # CCW edge: outward = d rotated -90deg
+        phi = np.asarray(region.normals, dtype=float)
     elif region.kind == SEGMENT:
         p, q = pts
-        d = q - p
         pts = np.array([p, p, q, p])
-        outward = np.array([1j * d, -1j * d, d, -d])
+        phi = np.mod(np.angle(np.array([1j, -1j, 1, -1]) * (q - p)), TWO_PI)
     else:
         raise ValueError(f"no half-plane form for kind {region.kind}")
-    u = outward / np.abs(outward)
-    return np.mod(np.angle(u), TWO_PI), (np.conj(u) * pts).real
+    return phi, (np.exp(-1j * phi) * pts).real
 
 
 def _clip_segment(p, q, phi, c):
@@ -501,11 +447,14 @@ def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
         return a if region_contains(b, a.points[0]) else ConvexRegion.empty()
     if a.kind == SEGMENT:
         res = _clip_segment(a.points[0], a.points[1], *_edge_halfplanes(b))
-        return region_from_vertices(list(res)) if res else ConvexRegion.empty()
+        if res is None:
+            return ConvexRegion.empty()
+        p, q = res
+        return ConvexRegion(POINT, ((p + q) / 2,)) if abs(q - p) < WIDTH_EPS else ConvexRegion(SEGMENT, res)
     if b.kind == SEGMENT:
         return intersect_regions(b, a)
-    verts = _intersect_sorted(*_by_angle(_edge_halfplanes(a), _edge_halfplanes(b)))
-    return ConvexRegion.empty() if verts is None else region_from_vertices(verts)
+    loop = _intersect_sorted(*_by_angle(_edge_halfplanes(a), _edge_halfplanes(b)))
+    return ConvexRegion.empty() if loop is None else region_from_vertices(*loop)
 
 
 def _point_segment_distance(z, a, b):
@@ -531,19 +480,21 @@ def region_contains(region: ConvexRegion, z, tol=1e-12) -> bool:
 
 
 def _support_run(region: ConvexRegion):
-    """(phi, u, w) of a nonempty region's convex loop: the outward unit edge
-    normals u, by increasing angle phi in [0, 2pi), and the vertex w[j] that
-    supports every direction from phi[j] to phi[j + 1].  A POINT has one
+    """(phi, w) of a nonempty region: its increasing outward edge normal
+    angles phi and the vertex w[j] that supports every direction from phi[j]
+    to phi[j + 1].  A POLYGON keeps its normals; a SEGMENT p, q is the loop
+    p, q, p with normals -i (q - p) and i (q - p); a POINT has one
     full-circle arc.  O(V)."""
     z = np.asarray(region.points, dtype=complex)
-    z = _convex_loop(z if polygon_area(z) >= 0 else z[::-1])
-    w = np.roll(z, -1)
-    if z.size == 1:
-        return np.zeros(1), np.ones(1, dtype=complex), w
-    u = -1j * (w - z) / np.abs(w - z)  # a CCW edge turned by -90 degrees
-    phi = np.mod(np.angle(u), TWO_PI)
-    first = int(np.argmin(phi))
-    return np.roll(phi, -first), np.roll(u, -first), np.roll(w, -first)
+    if region.kind == POINT:
+        return np.zeros(1), z
+    if region.kind == SEGMENT:
+        phi = np.mod(np.angle(np.array([-1j, 1j]) * (z[1] - z[0])), TWO_PI)
+        if phi[1] < phi[0]:
+            z, phi = z[::-1], phi[::-1]
+    else:
+        phi = np.asarray(region.normals, dtype=float)
+    return phi, np.roll(z, -1)
 
 
 def _largest_gap(a: ConvexRegion, b: ConvexRegion, symmetric: bool) -> float:
@@ -554,13 +505,13 @@ def _largest_gap(a: ConvexRegion, b: ConvexRegion, symmetric: bool) -> float:
     fixed, and Re((p - q) e^{-i phi}) peaks at |p - q| if the arc holds
     arg(p - q), else at an end of the arc.
     """
-    phi_a, u_a, w_a = _support_run(a)
-    phi_b, u_b, w_b = _support_run(b)
+    phi_a, w_a = _support_run(a)
+    phi_b, w_b = _support_run(b)
     order = np.argsort(np.concatenate([phi_a, phi_b]), kind="stable")
     from_a = order < phi_a.size
     d = w_a[(np.cumsum(from_a) - 1) % phi_a.size] - w_b[(np.cumsum(~from_a) - 1) % phi_b.size]
     phi = np.concatenate([phi_a, phi_b])[order]
-    u = np.concatenate([u_a, u_b])[order]
+    u = np.exp(1j * phi)
     length = np.diff(phi, append=phi[0] + TWO_PI)
     # an arc of zero length pairs vertices of different directions; its ends
     # are its neighbours' ends, so it is left out

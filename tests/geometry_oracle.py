@@ -9,13 +9,16 @@ the package uses, so the tests compare the two.
 
 ``ellipse_region`` samples an ellipse into a polygon and
 ``hausdorff_point_sets`` compares finite point sets; the package describes
-ellipses by their support functions and needs neither.
+ellipses by their support functions and needs neither.  ``ccw_loop`` gives
+a convex loop known by its points alone the edge normals that a package
+POLYGON keeps of the half-planes it was cut from; ``is_ccw_loop`` tells
+whether points make such a loop (a hull of a nearly straight cloud from
+``convex_hull`` may not).
 
-``oracle_deque_vertices`` and ``oracle_convex_loop`` are not independent:
-they are the package's sorted-angle deque and convex-loop stack with one
-Python step per line and per vertex.  The package skips the steps that
-change nothing and first drops, in whole-array rounds, lines that the deque
-would pop; the tests ask for bitwise-equal results.
+``oracle_deque_vertices`` is not independent: it is the package's
+sorted-angle deque with one Python step per line.  The package skips the
+steps that change nothing and first drops, in whole-array rounds, lines
+that the deque would pop; the tests ask for bitwise-equal results.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from reciprange.geometry import (
     EMPTY,
     POINT,
     POLYGON,
-    REPEAT_EPS,
     SEGMENT,
     SIDE_EPS,
     TWO_PI,
@@ -100,9 +102,15 @@ def oracle_width(arr) -> float:
 
 
 def oracle_diameter(arr):
-    """The farthest vertex pair (i, j), from the dense V x V distance matrix."""
-    d = np.abs(arr[:, None] - arr[None, :])
-    return np.unravel_index(np.argmax(d), d.shape)
+    """The farthest vertex pair (i, j), first in row-major order, from the
+    dense V x V distance matrix, taken 256 rows at a time."""
+    best, pair = -1.0, (0, 0)
+    for lo in range(0, arr.size, 256):
+        d = np.abs(arr[lo:lo + 256, None] - arr[None, :])
+        i, j = np.unravel_index(np.argmax(d), d.shape)
+        if d[i, j] > best:
+            best, pair = d[i, j], (lo + i, j)
+    return pair
 
 
 def oracle_region_from_vertices(pts) -> ConvexRegion:
@@ -150,9 +158,30 @@ def oracle_intersect_polygons(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     return oracle_region_from_vertices(pts)
 
 
+def _edge_distances(zs, edges_a, d, polygon):
+    """Distances from points zs to the edges edges_a + [0, 1] d (N x E
+    arrays), 0 for a point inside when the edges are a POLYGON's."""
+    dist = np.zeros(zs.shape)
+    out = np.ones(zs.shape, dtype=bool)
+    if polygon:
+        # points inside are at distance zero: all edge cross-products >= 0 (CCW),
+        # where a point up to 1e-12 outside an edge's line counts as on it
+        w = zs[:, None] - edges_a[None, :]
+        cross = d.real[None, :] * w.imag - d.imag[None, :] * w.real
+        out = ~np.all(cross >= -1e-12 * np.abs(d)[None, :], axis=1)
+    zs = zs[out]
+    L2 = np.abs(d) ** 2
+    L2 = np.where(L2 == 0, 1.0, L2)
+    w = zs[:, None] - edges_a[None, :]
+    t = np.clip((w.real * d.real[None, :] + w.imag * d.imag[None, :]) / L2[None, :], 0.0, 1.0)
+    proj = edges_a[None, :] + t * d[None, :]
+    dist[out] = np.min(np.abs(zs[:, None] - proj), axis=1, initial=math.inf)
+    return dist
+
+
 def oracle_distances(zs, region: ConvexRegion) -> np.ndarray:
-    """Distances from an array of points to a convex region: to the nearest
-    point of every edge at once (N x E arrays), 0 inside a POLYGON."""
+    """Distances from an array of points to a convex region: 0 inside a
+    POLYGON, else to the nearest point of every edge, 256 points at a time."""
     zs = np.asarray(zs, dtype=complex).ravel()
     if region.kind == EMPTY:
         return np.full(zs.shape, math.inf)
@@ -165,19 +194,8 @@ def oracle_distances(zs, region: ConvexRegion) -> np.ndarray:
         edges_a = pts
         edges_b = np.roll(pts, -1)
     d = edges_b - edges_a  # (E,)
-    L2 = np.abs(d) ** 2
-    L2 = np.where(L2 == 0, 1.0, L2)
-    w = zs[:, None] - edges_a[None, :]  # (N, E)
-    t = np.clip((w.real * d.real[None, :] + w.imag * d.imag[None, :]) / L2[None, :], 0.0, 1.0)
-    proj = edges_a[None, :] + t * d[None, :]
-    dist = np.min(np.abs(zs[:, None] - proj), axis=1)
-    if region.kind == POLYGON:
-        # points inside are at distance zero: all edge cross-products >= 0 (CCW),
-        # where a point up to 1e-12 outside an edge's line counts as on it
-        cross = d.real[None, :] * w.imag - d.imag[None, :] * w.real
-        inside = np.all(cross >= -1e-12 * np.abs(d)[None, :], axis=1)
-        dist = np.where(inside, 0.0, dist)
-    return dist
+    return np.concatenate([_edge_distances(zs[lo:lo + 256], edges_a, d, region.kind == POLYGON)
+                           for lo in range(0, zs.size, 256)])
 
 
 def oracle_directed(a: ConvexRegion, b: ConvexRegion) -> float:
@@ -205,9 +223,9 @@ def oracle_contains(outer: ConvexRegion, inner: ConvexRegion, tol=1e-8) -> bool:
 
 
 def oracle_deque_vertices(phi, c):
-    """``geometry._intersect_sorted`` with one Python step per line: vertices
-    (CCW, complex) of {z : u_j . z <= c_j for all j}, u_j = e^{i phi_j}, or
-    None when the intersection is empty."""
+    """``geometry._intersect_sorted`` with one Python step per line: the
+    vertices (CCW, complex) of {z : u_j . z <= c_j for all j}, u_j = e^{i phi_j},
+    and the angles of the lines kept, or None when the intersection is empty."""
     first = np.flatnonzero(np.concatenate(([True], np.diff(phi) > ANGLE_EPS)))
     c = np.minimum.reduceat(c, first)
     phi = phi[first]
@@ -244,25 +262,32 @@ def oracle_deque_vertices(phi, c):
     violation = ux * vx[extreme] + uy * vy[extreme] - c
     if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
         return None
-    return vx + 1j * vy
+    return vx + 1j * vy, phi[lines]
 
 
-def oracle_convex_loop(z):
-    """``geometry._convex_loop`` with one Python step per vertex: the vertices
-    at which a nearly convex CCW loop turns strictly left."""
-    fresh = np.abs(z - np.roll(z, 1)) > REPEAT_EPS * np.max(np.abs(z))
-    z = z[fresh] if fresh.any() else z[:1]
-    left = np.flatnonzero(z.real == z.real.min())
-    start = int(left[np.argmin(z.imag[left])])
-    hull = []
-    for p in np.roll(z, -start).tolist() + [complex(z[start])]:
-        while len(hull) > 1:
-            turn = (hull[-1] - hull[-2]).conjugate() * (p - hull[-1])
-            if turn.imag > 0 or (turn.imag == 0 and turn.real < 0):
-                break
-            hull.pop()
-        hull.append(p)
-    return np.array(hull[:-1])
+def is_ccw_loop(pts) -> bool:
+    """Is pts a convex CCW loop of two or more vertices, none repeated?  Every
+    turn between edge directions must be left (or straight, up to
+    ANGLE_EPS), and the turns must add up to one full turn."""
+    z = np.asarray(pts, dtype=complex).ravel()
+    e = np.roll(z, -1) - z
+    if z.size < 2 or np.any(e == 0):
+        return False
+    with np.errstate(all="ignore"):  # subnormal edges turn by NaN: no loop
+        turns = np.mod(np.angle(np.roll(e, -1) / e) + ANGLE_EPS, TWO_PI) - ANGLE_EPS
+    return abs(float(np.sum(turns)) - TWO_PI) <= 1e-9
+
+
+def ccw_loop(pts):
+    """(points, normals) of a convex CCW loop given by its points alone (see
+    ``is_ccw_loop``, which it asserts): the outward normal angle of each edge
+    from its direction, and the loop started at the edge of least angle, so
+    that the normals increase as a POLYGON's do."""
+    assert is_ccw_loop(pts), "not a convex CCW loop without repeated vertices"
+    z = np.asarray(pts, dtype=complex).ravel()
+    phi = np.mod(np.angle(-1j * (np.roll(z, -1) - z)), TWO_PI)  # a CCW edge turned by -90 degrees
+    first = int(np.argmin(phi))
+    return tuple(np.roll(z, -first).tolist()), tuple(np.roll(phi, -first).tolist())
 
 
 def ellipse_boundary(center: float, half_focal: float, minor: float, m: int = 1024):
@@ -280,7 +305,7 @@ def ellipse_region(center: float, half_focal: float, minor: float, m: int = 1024
         if half_focal <= 0:
             return ConvexRegion(POINT, (complex(center),))
         return ConvexRegion(SEGMENT, (complex(lo), complex(hi)))
-    return ConvexRegion(POLYGON, tuple(complex(z) for z in ellipse_boundary(center, half_focal, minor, m)))
+    return ConvexRegion(POLYGON, *ccw_loop(ellipse_boundary(center, half_focal, minor, m)))
 
 
 def hausdorff_point_sets(P, Q) -> float:

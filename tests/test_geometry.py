@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from conftest import FIG3
 from geometry_oracle import (
     HalfPlane,
+    ccw_loop,
     ellipse_region,
+    is_ccw_loop,
     oracle_contains,
-    oracle_convex_loop,
     oracle_deque_vertices,
     oracle_diameter,
     oracle_directed,
@@ -33,7 +34,6 @@ from reciprange.geometry import (
     ConvexRegion,
     _by_angle,
     _calipers,
-    _convex_loop,
     _edge_halfplanes,
     _intersect_sorted,
     convex_hull,
@@ -57,7 +57,7 @@ def _intersect(hps, box_halfwidth):
 def disk_region(radius=1.0, center=0j, m=256):
     hps = [HalfPlane(t, radius) for t in np.linspace(0, 2 * math.pi, m, endpoint=False)]
     r = _intersect(hps, 10 * radius + 10)
-    return ConvexRegion(POLYGON, tuple(p + center for p in r.points))
+    return ConvexRegion(POLYGON, tuple(p + center for p in r.points), r.normals)
 
 
 def test_square_intersection():
@@ -109,16 +109,20 @@ def test_segment_demotion():
 @pytest.mark.parametrize("angle", [0.0, 0.3, 2.0, -1.2])
 def test_strip_segment_stable_under_corner_rounding(angle, rng):
     # a strip 2 BOUND_SLACK wide: its end corners tie for the diameter, and
-    # each end of the SEGMENT is their mean, the strip's centre line
+    # each end of the SEGMENT is their mean, the strip's centre line.  The
+    # normals are the strip's lines, exact, as half-plane intersections keep them
     unit = complex(math.cos(angle), math.sin(angle))
     corners = (np.array([0, 1.7, 1.7 + 2e-12j, 2e-12j]) + (0.3 - 0.2j)) * unit
-    want = region_from_vertices(corners)
+    normals = np.mod(angle + np.array([-0.5, 0.0, 0.5, 1.0]) * math.pi, TWO_PI)
+    first = int(np.argmin(normals))
+    corners, normals = np.roll(corners, -first), np.roll(normals, -first)
+    want = region_from_vertices(corners, normals)
     assert want.kind == SEGMENT
     centre = np.array([0.3 - 0.2j + 1e-12j, 2.0 - 0.2j + 1e-12j]) * unit
     assert np.max(np.abs(np.sort_complex(np.array(want.points)) - np.sort_complex(centre))) < 1e-15
     for _ in range(200):
         moved = corners + (rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)) * 1e-16
-        got = region_from_vertices(moved)
+        got = region_from_vertices(moved, normals)
         assert got.kind == SEGMENT
         assert max(abs(a - b) for a, b in zip(got.points, want.points)) < 1e-15
 
@@ -135,7 +139,7 @@ def test_numeric_strip_demotes_to_its_centre_line(grid):
 def test_hausdorff_identical_and_shifted():
     d = disk_region()
     assert hausdorff_distance(d, d) == 0.0
-    shifted = ConvexRegion(POLYGON, tuple(p + 0.1 for p in d.points))
+    shifted = ConvexRegion(POLYGON, tuple(p + 0.1 for p in d.points), d.normals)
     assert abs(hausdorff_distance(d, shifted) - 0.1) < 1e-6
 
 
@@ -186,7 +190,7 @@ def test_containment():
     (5e-5 - 5e-9j, False), (5e-5 - 5e-13j, True), (5e-5 + 5e-9j, True)])
 def test_contains_small_square_slack_in_distance(z, inside):
     # the slack is tol = 1e-12 in distance, whatever the edge length
-    square = ConvexRegion(POLYGON, (0j, 1e-4 + 0j, 1e-4 + 1e-4j, 1e-4j))
+    square = ConvexRegion(POLYGON, *ccw_loop([0j, 1e-4 + 0j, 1e-4 + 1e-4j, 1e-4j]))
     assert region_contains(square, z) == inside
     assert intersect_regions(ConvexRegion(POINT, (z,)), square).kind == (POINT if inside else EMPTY)
 
@@ -195,7 +199,8 @@ def test_contains_small_square_slack_in_distance(z, inside):
                 min_size=3, max_size=40))
 def test_hull_contains_all_points(pts):
     hull = convex_hull(pts)
-    region = region_from_vertices(hull)
+    assume(is_ccw_loop(hull))
+    region = region_from_vertices(*ccw_loop(hull))
     if region.kind != POLYGON:
         return
     for p in pts:
@@ -241,7 +246,7 @@ def _assert_matches_oracle(hps, kind=None):
     assert got.kind == want.kind
     if kind is not None:
         assert got.kind == kind
-    assert hausdorff_distance(got, want) <= 1e-9
+    assert oracle_hausdorff(got, want) <= 1e-9
 
 
 # bounds keep clear of 0, where three lines through the origin meet in a point
@@ -299,14 +304,18 @@ def test_deque_matches_oracle_nearly_parallel(offset, degs, turn):
        st.complex_numbers(min_magnitude=0.5, max_magnitude=3, allow_nan=False, allow_infinity=False),
        st.sampled_from([0.0, 1e-12, 1e-3]))
 def test_region_from_vertices_matches_oracle(pts, axis, spread):
-    # hulls of clouds squeezed towards a line through 0 along axis
+    # hulls of clouds squeezed towards a line through 0 along axis; of a
+    # nearly straight cloud convex_hull may give a loop that repeats a vertex
+    # or turns right by more than rounding, which no half-plane intersection
+    # gives region_from_vertices
     unit = axis / abs(axis)
     pts = [unit * complex(p.real, spread * p.imag) for p in pts]
     hull = convex_hull(pts)
-    got = region_from_vertices(hull)
+    assume(is_ccw_loop(hull))
+    got = region_from_vertices(*ccw_loop(hull))
     want = oracle_region_from_vertices(hull)
     assert got.kind == want.kind
-    assert hausdorff_distance(got, want) <= 1e-9
+    assert oracle_hausdorff(got, want) <= 1e-9
 
 
 # loops for the calipers against the O(V^2) oracle, each turned by `tilt`,
@@ -347,9 +356,10 @@ def test_calipers_match_oracle(shape, tilt, center):
     # the hull makes each loop strictly convex and CCW after the move, as
     # _calipers asks; width and diameter agree with the oracle to 1e-12 of
     # the loop's diameter, the scale of the rounding in both
-    z = np.array(convex_hull(center + complex(math.cos(tilt), math.sin(tilt)) * shape))
-    assume(z.size >= 2)
-    i, j, width = _calipers(z)
+    hull = convex_hull(center + complex(math.cos(tilt), math.sin(tilt)) * shape)
+    assume(is_ccw_loop(hull))
+    z, phi = map(np.array, ccw_loop(hull))
+    i, j, width = _calipers(z, phi)
     p, q = oracle_diameter(z)
     diameter = abs(z[p] - z[q])
     assert abs(abs(z[i] - z[j]) - diameter) <= 1e-12 * diameter
@@ -370,13 +380,13 @@ def test_lines_fanned_through_every_vertex(m, fan):
             hps.append(HalfPlane(-np.angle(u), (np.conj(u) * v).real))
     got = _intersect(hps, 10)
     assert got.kind == POLYGON
-    assert hausdorff_distance(got, ConvexRegion(POLYGON, tuple(pts))) <= 1e-12
+    assert hausdorff_distance(got, ConvexRegion(POLYGON, *ccw_loop(pts))) <= 1e-12
 
 
 def test_region_from_vertices_large_circle():
     # a dense V x V distance matrix would take 6.4 GB here
     z = np.exp(2j * math.pi * np.arange(20000) / 20000)
-    r = region_from_vertices(z)
+    r = region_from_vertices(*ccw_loop(z))
     assert r.kind == POLYGON and len(r.points) == 20000
     assert abs(polygon_area(r.points) - math.pi) < 1e-6
 
@@ -387,9 +397,9 @@ def test_region_from_vertices_large_circle():
 # the reason given above the half-plane sets
 def _ellipse_polygon(center, radius, aspect, tilt, degs):
     turn = complex(math.cos(tilt), math.sin(tilt))
-    return ConvexRegion(POLYGON, tuple(
+    return ConvexRegion(POLYGON, *ccw_loop([
         center + radius * turn * complex(math.cos(d * _DEG), aspect * math.sin(d * _DEG))
-        for d in sorted(degs)))
+        for d in sorted(degs)]))
 
 
 _polygons = st.builds(_ellipse_polygon, _centers, st.floats(0.2, 2.0), st.floats(0.05, 1.0),
@@ -404,7 +414,7 @@ def _assert_intersection_matches_oracle(a, b, kind=None):
         assert got.kind == want.kind
         if kind is not None:
             assert got.kind == kind
-        assert hausdorff_distance(got, want) <= 1e-9
+        assert oracle_hausdorff(got, want) <= 1e-9
     return got
 
 
@@ -417,7 +427,7 @@ def test_intersect_polygons_matches_oracle(a, b):
     # b turned and moved by a fixed odd amount, so that the two whole-degree
     # lattices never meet exactly (see the exact-touching tests below)
     turn = complex(math.cos(0.3861), math.sin(0.3861))
-    b = ConvexRegion(POLYGON, tuple(turn * p + complex(0.0713, 0.0519) for p in b.points))
+    b = ConvexRegion(POLYGON, *ccw_loop([turn * p + complex(0.0713, 0.0519) for p in b.points]))
     _assert_intersection_matches_oracle(a, b)
 
 
@@ -428,7 +438,7 @@ def test_intersect_ellipse_polygons_matches_oracle(center, half_focal, minor, sh
     # normals of the moved copy equal the first's up to rounding
     a = ellipse_region(center, half_focal, minor, m)
     for other in (center + shift, center + shift * 1j):
-        b = ConvexRegion(POLYGON, tuple(p - center + other for p in a.points))
+        b = ConvexRegion(POLYGON, tuple(p - center + other for p in a.points), a.normals)
         reach = 2 * (minor if other.imag else math.hypot(minor, half_focal))
         assume(abs(shift - reach) > 1e-3)
         _assert_intersection_matches_oracle(a, b, POLYGON if shift < reach else EMPTY)
@@ -445,7 +455,7 @@ def test_intersect_triangles_sharing_an_edge():
 
 
 def _square(corner, side=1.0):
-    return ConvexRegion(POLYGON, tuple(corner + side * w for w in (0, 1, 1 + 1j, 1j)))
+    return ConvexRegion(POLYGON, *ccw_loop([corner + side * w for w in (0, 1, 1 + 1j, 1j)]))
 
 
 @pytest.mark.parametrize("corner, side, kind, points", [
@@ -463,7 +473,7 @@ def test_intersect_squares_touching_exactly(corner, side, kind, points):
     for p, q in ((_square(0), _square(corner, side)), (_square(corner, side), _square(0))):
         got = intersect_regions(p, q)
         assert got.kind == kind
-        assert hausdorff_distance(got, want) <= 1e-12
+        assert oracle_hausdorff(got, want) <= 1e-12
 
 
 @given(_polygons, st.integers(0, 39), st.integers(0, 39))
@@ -474,8 +484,8 @@ def test_intersect_polygon_halves_meet_on_the_chord(a, start, span):
     assume(n >= 4)
     span = 2 + span % (n - 3)
     pts = a.points[start % n:] + a.points[:start % n]
-    one = ConvexRegion(POLYGON, pts[:span + 1])
-    two = ConvexRegion(POLYGON, pts[span:] + pts[:1])
+    one = ConvexRegion(POLYGON, *ccw_loop(pts[:span + 1]))
+    two = ConvexRegion(POLYGON, *ccw_loop(pts[span:] + pts[:1]))
     chord = ConvexRegion(SEGMENT, (pts[0], pts[span]))
     for p, q in ((one, two), (two, one)):
         got = intersect_regions(p, q)
@@ -493,7 +503,7 @@ def test_intersect_polygon_with_itself(a):
 def test_intersect_nested_polygons(a, scale):
     # a copy shrunk about the centroid: its edge normals equal a's up to rounding
     c = _centroid(a)
-    inner = ConvexRegion(POLYGON, tuple(c + scale * (p - c) for p in a.points))
+    inner = ConvexRegion(POLYGON, tuple(c + scale * (p - c) for p in a.points), a.normals)
     got = _assert_intersection_matches_oracle(a, inner, POLYGON)
     assert hausdorff_distance(got, inner) <= 1e-9
 
@@ -505,7 +515,7 @@ def test_intersect_polygons_touching_along_an_edge(a, edge, overlap):
     p0, p1 = pts[edge % len(pts)], pts[(edge + 1) % len(pts)]
     d = (p1 - p0) / abs(p1 - p0)
     mirror = [p0 + d * d * (p - p0).conjugate() + 1j * d * overlap for p in pts]
-    b = region_from_vertices(convex_hull(mirror))
+    b = region_from_vertices(*ccw_loop(convex_hull(mirror)))
     got = _assert_intersection_matches_oracle(a, b, SEGMENT)
     # the sliver ends within overlap / tan(angle) of the edge's ends; the
     # sharpest corners here are about 0.01 degrees
@@ -527,7 +537,7 @@ def test_intersect_polygons_touching_at_a_vertex(a, vertex, overlap):
     sin_beta = abs((e1.conjugate() * e2).imag) / abs(e1 + e2)
     assume(sin_beta >= 1e-3)
     push = overlap / sin_beta * (e1 + e2) / abs(e1 + e2)
-    b = ConvexRegion(POLYGON, tuple(2 * v - p + push for p in pts))
+    b = ConvexRegion(POLYGON, *ccw_loop([2 * v - p + push for p in pts]))
     got = _assert_intersection_matches_oracle(a, b, POINT if overlap > 0 else EMPTY)
     if overlap > 0:
         assert abs(got.points[0] - v) <= 1e-9
@@ -572,7 +582,7 @@ def test_distances_match_oracle_halfplane_loops(a, turn, fan, other):
     # lines fanned through every vertex of a make the intersection repeat it up
     # to rounding, and each edge's line turned by `turn` about its midpoint
     # leaves a vertex where the loop is nearly straight; the edge midpoints
-    # put into the loop make collinear vertices
+    # put into the loop make collinear vertices, each half on its edge's line
     pts = np.array(a.points)
     normals = -1j * (np.roll(pts, -1) - pts)
     normals /= np.abs(normals)
@@ -588,7 +598,8 @@ def test_distances_match_oracle_halfplane_loops(a, turn, fan, other):
     assert loop.kind == POLYGON and len(loop.points) > len(pts)
     z = np.array(loop.points)
     mids = (z + np.roll(z, -1)) / 2
-    straight = ConvexRegion(POLYGON, tuple(np.stack([z, mids], axis=1).ravel().tolist()))
+    straight = ConvexRegion(POLYGON, tuple(np.stack([z, mids], axis=1).ravel().tolist()),
+                            tuple(np.repeat(loop.normals, 2).tolist()))
     for b in (loop, straight):
         _assert_distances_match_oracle(b, a)
         _assert_distances_match_oracle(b, other)
@@ -600,10 +611,10 @@ def test_distances_of_moved_copies(a, shift, scale):
     # d_H(A, A + s) = |s|, and for c in A, d_H(A, c + t (A - c)) is |1 - t|
     # times the farthest vertex from c: a code that reads 0 fails both
     eps = _rounding(a) * (1 + abs(shift) + scale)
-    moved = ConvexRegion(a.kind, tuple(p + shift for p in a.points))
+    moved = ConvexRegion(a.kind, tuple(p + shift for p in a.points), a.normals)
     assert abs(_assert_distances_match_oracle(a, moved) - abs(shift)) <= eps
     c = _centroid(a)
-    scaled = ConvexRegion(a.kind, tuple(c + scale * (p - c) for p in a.points))
+    scaled = ConvexRegion(a.kind, tuple(c + scale * (p - c) for p in a.points), a.normals)
     want = abs(1 - scale) * max(abs(p - c) for p in a.points)
     assert abs(_assert_distances_match_oracle(a, scaled) - want) <= eps
     inner, outer = (scaled, a) if scale < 1 else (a, scaled)
@@ -613,10 +624,14 @@ def test_distances_of_moved_copies(a, shift, scale):
 
 @given(_regions, st.integers(0, 39))
 def test_distances_identical_regions(a, start):
-    # the same loop from another starting vertex, or clockwise, is the same set
+    # the same polygon built from another starting vertex, or the same
+    # segment or point with its ends swapped, is the same set
     k = start % len(a.points)
-    again = ConvexRegion(a.kind, a.points[k:] + a.points[:k])
-    for b in (a, again, ConvexRegion(a.kind, a.points[::-1])):
+    if a.kind == POLYGON:
+        again = ConvexRegion(POLYGON, *ccw_loop(a.points[k:] + a.points[:k]))
+    else:
+        again = ConvexRegion(a.kind, a.points[::-1])
+    for b in (a, again):
         assert _assert_distances_match_oracle(a, b) == 0.0
         assert region_contains_region(a, b, tol=0.0) and region_contains_region(b, a, tol=0.0)
 
@@ -636,9 +651,9 @@ def test_distances_match_oracle_verify_corpus():
     assert pairs == 21
 
 
-# the deque and the stack skip the steps that change nothing, and _prune
-# drops lines that the deque would pop; against the one-step-per-line
-# oracles every bit of the result must be the same.  Inputs: the edge lines
+# the deque skips the steps that change nothing, and _prune drops lines
+# that the deque would pop; against the one-step-per-line oracle every bit
+# of the result, vertices and the angles of the lines kept, must be the same.  Inputs: the edge lines
 # of convex polygons with lines through or beyond them (exactly touching
 # ones too), unboxed or with angles next to the wrap, so that the closing
 # lines pop the front; fans of lines through the two ends of a segment, the
@@ -729,35 +744,4 @@ def test_deque_skips_change_no_decision(lines, boxed):
     phi, c = _by_angle(*sets)
     got, want = _intersect_sorted(phi, c), oracle_deque_vertices(phi, c)
     assert (got is None) == (want is None)
-    assert got is None or np.array_equal(got, want)
-
-
-@st.composite
-def _stack_loops(draw):
-    """Nearly convex CCW loops: a polygon, a two-vertex flat loop or a strip
-    2e-12 wide, with vertices repeated (exactly, within REPEAT_EPS or just
-    beyond it), points put on edges (collinear runs) and points moved off an
-    edge's midpoint by rounding (reflex or not), from any starting vertex."""
-    base = draw(st.one_of(
-        _polygons.map(lambda a: list(a.points)),
-        st.builds(lambda p, q: [p, q], _centers, _centers),
-        st.builds(lambda w: [0j, complex(w), complex(w, 2e-12), 2e-12j], st.floats(0.1, 3.0))))
-    z = list(base)
-    for _ in range(draw(st.integers(0, 12))):
-        i = draw(st.integers(0, len(z) - 1))
-        p, q = z[i], z[(i + 1) % len(z)]
-        how = draw(st.sampled_from(["repeat", "edge", "dent"]))
-        if how == "repeat":
-            new = p * (1 + draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-11])))
-        elif how == "edge":
-            new = p + draw(st.sampled_from([0.25, 0.5, 1 / 3, 0.9])) * (q - p)
-        else:
-            new = (p + q) / 2 + draw(st.sampled_from([1, -1, 4, -4])) * 1e-16 * 1j * (q - p)
-        z.insert(i + 1, new)
-    return np.roll(np.array(z, dtype=complex), draw(st.integers(0, len(z) - 1)))
-
-
-@given(_stack_loops())
-def test_convex_loop_skips_change_no_decision(z):
-    got, want = _convex_loop(z), oracle_convex_loop(z)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got is None or all(map(np.array_equal, got, want))
