@@ -16,8 +16,6 @@ from .ellipses import (
     ClassificationReport,
     EllipseComponent,
     classify,
-    divides_linear,
-    solve_Xp_table,
 )
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .geometry import ConvexRegion
@@ -63,7 +61,6 @@ __all__ = [
     "curve_components",
     "detect_multiple_tangents",
     "determinant_poly_eval",
-    "divides_linear",
     "eigencurves",
     "envelope_points",
     "exact_spectrum",
@@ -72,7 +69,6 @@ __all__ = [
     "rank_k_analytic",
     "rank_k_numeric",
     "region_distance",
-    "solve_Xp_table",
 ]
 
 __version__ = "0.1.0"

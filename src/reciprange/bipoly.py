@@ -70,10 +70,6 @@ class ZetaPoly:
     def max_abs_coeff(self):
         return max(abs(x) for c in self.coeffs for x in c)
 
-    def rho_degree_of(self, j):
-        c = rho_trim(self.coeffs[j])
-        return len(c) - 1 if any(bool(x) for x in c) else -1
-
     def __sub__(self, other):
         m = max(len(self.coeffs), len(other.coeffs))
         out = []

@@ -1,4 +1,4 @@
-"""Conic least-squares fitting and point-to-ellipse residuals.
+"""Conic least-squares fitting and Sampson (first-order geometric) residuals.
 
 Used to check whether sampled curve components are ellipses: exactly-elliptical
 components fit with residuals at eigensolver noise, while non-elliptical
@@ -36,23 +36,6 @@ def conic_sampson_residuals(points, coeffs):
     grad = np.hypot(gx, gy)
     grad = np.where(grad < 1e-300, 1.0, grad)
     return np.abs(q) / grad
-
-
-def ellipse_conic_coeffs(center: float, half_focal: float, minor: float):
-    """Implicit-conic coefficients of ((x-p)/a)^2 + (y/c)^2 - 1, unit-normalized."""
-    a_sq = minor * minor + half_focal * half_focal
-    c_sq = minor * minor
-    A, B, C = c_sq, 0.0, a_sq
-    D = -2 * center * c_sq
-    E = 0.0
-    F = c_sq * center * center - a_sq * c_sq
-    v = np.array([A, B, C, D, E, F])
-    return v / np.linalg.norm(v)
-
-
-def residual_to_ellipse(points, center, half_focal, minor):
-    """Sampson distances of points to a prescribed ellipse."""
-    return conic_sampson_residuals(points, ellipse_conic_coeffs(center, half_focal, minor))
 
 
 def best_fit_ellipse_residual(points):

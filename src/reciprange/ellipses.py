@@ -24,7 +24,7 @@ import numpy as np
 from . import concentric6
 from .bipoly import ZetaPoly, linear_factor, quadratic_factor
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .kippenhahn import KippenhahnPolynomial, build_poly_from_scalars, closed_form_poly
+from .kippenhahn import build_poly_from_scalars, closed_form_poly
 from .matrices import as_xi, check_xi_bound, exact_spectrum, imag_part_spectrum
 from .numberfield import PHI, ROOT3, TWO_COS_PI7
 
@@ -50,11 +50,6 @@ XP_TABLE = {
     "v": (2 * COS_3PI7, COS_PI7 - COS_2PI7, COS_PI7 + COS_2PI7),
     "vi": (2 * COS_3PI7, COS_PI7 + COS_2PI7, COS_PI7 - COS_2PI7),
 }
-
-
-def solve_Xp_table():
-    """Rows (i)..(vi) of the displaced-configuration solution table."""
-    return [XP_TABLE[k] for k in ("i", "ii", "iii", "iv", "v", "vi")]
 
 
 @dataclass(frozen=True)
@@ -84,10 +79,6 @@ class EllipseComponent:
         }
 
 
-def _as_zeta_poly(P):
-    return P.poly if isinstance(P, KippenhahnPolynomial) else P
-
-
 def _divide(poly: ZetaPoly, factor: ZetaPoly, scale, tol):
     """The quotient of ``poly`` by the monic ``factor``, or None if the remainder
     is not small: tol == 0 asks for an exactly zero remainder; otherwise its
@@ -97,27 +88,6 @@ def _divide(poly: ZetaPoly, factor: ZetaPoly, scale, tol):
         return None if any(c for cs in rem.coeffs for c in cs) else q
     m = max((abs(float(c)) for cs in rem.coeffs for c in cs), default=0.0)
     return q if m <= tol * max(1.0, float(scale)) else None
-
-
-def divides_linear(P, x_sq, c_sq, tol=DEFAULT_TOL, scale=None):
-    """Divide by zeta - (X^2 rho + c^2); quotient on success, None otherwise.
-
-    ``scale`` sets the remainder threshold reference (defaults to the
-    dividend's own coefficient norm); chained divisions should pass the
-    original polynomial's norm.  ``tol=0`` asks for an exact zero remainder.
-    """
-    poly = _as_zeta_poly(P)
-    factor = linear_factor(x_sq, c_sq, one=poly.coeffs[-1][0])
-    return _divide(poly, factor, scale or poly.max_abs_coeff(), tol)
-
-
-def divides_quadratic_from_squares(P, sum_sq, diff_sq, c_sq, tol=DEFAULT_TOL, scale=None):
-    """Divide by zeta^2 - 2 zeta (sum_sq rho + c^2) + (diff_sq rho + c^2)^2, the
-    displaced-pair quadratic parameterized by X^2+p^2, X^2-p^2 and c^2, so
-    exact backends can stay inside their number field."""
-    poly = _as_zeta_poly(P)
-    factor = quadratic_factor(sum_sq, diff_sq, c_sq, one=poly.coeffs[-1][0])
-    return _divide(poly, factor, scale or poly.max_abs_coeff(), tol)
 
 
 @dataclass(frozen=True)

@@ -316,16 +316,14 @@ def _deque(phi, ux, uy, c, back):
         x, y = _corner(X[i], Y[i], C[i], X[j], Y[j], C[j])
         return X[k] * x + Y[k] * y - C[k] > SIDE_EPS * (abs(x) + abs(y) + abs(C[k]))
 
-    def within(k, x, y):
-        """Do corners (x, y) lie in half-planes k (a slice) up to rounding?  The
-        negation of outside() but at NaN, where outside() has to decide."""
-        return ux[k] * x + uy[k] * y - c[k] <= SIDE_EPS * (abs(x) + abs(y) + np.abs(c[k]))
-
     def first_cut(lo, hi, i, j):
-        """The first k in lo..hi - 1 not within the corner of lines i and j, else hi."""
+        """The first k in lo..hi - 1 whose half-plane does not hold the corner of
+        lines i and j up to rounding (nor at NaN, where outside() has to
+        decide), else hi."""
         if lo == hi:  # an event line: its back pops may change the front first
             return hi
-        kept = within(slice(lo, hi), *_corner(X[i], Y[i], C[i], X[j], Y[j], C[j]))
+        excess, slack = _side((X[i], Y[i], C[i]), (X[j], Y[j], C[j]), (ux[lo:hi], uy[lo:hi], c[lo:hi]))
+        kept = excess <= slack
         k = int(np.argmin(kept))
         return hi if kept[k] else lo + k
 
@@ -425,7 +423,8 @@ def _clip_segment(p, q, phi, c):
     d = q - p
     vp = (np.conj(u) * p).real - c
     vd = (np.conj(u) * d).real
-    parallel = np.abs(vd) < 1e-300
+    # a line along [p, q] gives vd of rounding size, not 0: cos(pi/2) is 6e-17
+    parallel = np.abs(vd) <= 1e-12 * abs(d)
     if np.any(vp[parallel] > 1e-12):
         return None
     t = -vp[~parallel] / vd[~parallel]
@@ -438,13 +437,14 @@ def _clip_segment(p, q, phi, c):
 
 
 def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
-    """Intersection of two convex regions."""
+    """Intersection of two convex regions; a POINT meets a region that lies
+    within Euclidean distance 1e-12 of it."""
     if a.kind == EMPTY or b.kind == EMPTY:
         return ConvexRegion.empty()
     if b.kind == POINT:
-        return b if region_contains(a, b.points[0]) else ConvexRegion.empty()
+        return b if region_contains_region(a, b, tol=1e-12) else ConvexRegion.empty()
     if a.kind == POINT:
-        return a if region_contains(b, a.points[0]) else ConvexRegion.empty()
+        return a if region_contains_region(b, a, tol=1e-12) else ConvexRegion.empty()
     if a.kind == SEGMENT:
         res = _clip_segment(a.points[0], a.points[1], *_edge_halfplanes(b))
         if res is None:
@@ -455,28 +455,6 @@ def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
         return intersect_regions(b, a)
     loop = _intersect_sorted(*_by_angle(_edge_halfplanes(a), _edge_halfplanes(b)))
     return ConvexRegion.empty() if loop is None else region_from_vertices(*loop)
-
-
-def _point_segment_distance(z, a, b):
-    d = b - a
-    L2 = abs(d) ** 2
-    t = max(0.0, min(1.0, ((z - a).real * d.real + (z - a).imag * d.imag) / L2)) if L2 else 0.0
-    return abs(z - (a + t * d))
-
-
-def region_contains(region: ConvexRegion, z, tol=1e-12) -> bool:
-    if region.kind == EMPTY:
-        return False
-    if region.kind in (POINT, SEGMENT):  # a POINT is a segment of length 0
-        return _point_segment_distance(z, region.points[0], region.points[-1]) <= max(tol, 1e-12)
-    pts = region.points
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        cr = (b - a).real * (z - a).imag - (b - a).imag * (z - a).real
-        if cr < -tol * abs(b - a):  # z more than tol outside the edge's line
-            return False
-    return True
 
 
 def _support_run(region: ConvexRegion):

@@ -35,10 +35,6 @@ class KippenhahnPolynomial:
     poly: ZetaPoly
 
     @property
-    def k(self):
-        return self.n // 2
-
-    @property
     def odd_flag(self):
         return self.n % 2 == 1
 

@@ -44,9 +44,6 @@ class XiParameters:
     def n(self):
         return len(self.xi) + 1
 
-    def reversed(self):
-        return XiParameters(tuple(reversed(self.xi)))
-
     def __iter__(self):
         return iter(self.xi)
 
@@ -81,10 +78,6 @@ class ReciprocalMatrix:
     @property
     def n(self):
         return len(self.superdiag) + 1
-
-    @property
-    def subdiag(self):
-        return tuple(1 / a for a in self.superdiag)
 
     def dense(self) -> np.ndarray:
         n = self.n
@@ -176,13 +169,6 @@ def exact_spectrum(n: int) -> SpectrumDescriptor:
     if n < 1:
         raise InvalidInputError(f"dimension must be positive, got {n}")
     return SpectrumDescriptor(tuple(2 * math.cos(j * math.pi / (n + 1)) for j in range(1, n + 1)))
-
-
-def matrix_to_json_dict(matrix: ReciprocalMatrix) -> dict:
-    return {
-        "n": matrix.n,
-        "superdiag": [[a.real, a.imag] for a in matrix.superdiag],
-    }
 
 
 def _json_numbers(value, what) -> list:

@@ -5,8 +5,10 @@ products of the w_j over non-adjacent index sets.  ``kippenhahn`` builds P_n
 by the determinant recurrence; these forms are kept here so tests can check
 it against an independent derivation.
 
-``oracle_brute_force`` searches elliptical decompositions of one xi, one
-candidate division at a time through ``ZetaPoly.divmod_monic``;
+``divides_linear`` and ``divides_quadratic`` divide P_n by the factor of one
+ellipse or of one displaced pair through ``ZetaPoly.divmod_monic``, with
+their own remainder threshold.  ``oracle_brute_force`` searches elliptical
+decompositions of one xi with them, one candidate division at a time;
 ``ellipses.brute_force_batch`` stacks every draw's divisions into one
 synthetic division, and tests check that it decides the same.
 
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor, rho_add, rho_mul, rho_trim
-from reciprange.ellipses import _sampson_distance, divides_linear, divides_quadratic_from_squares
+from reciprange.ellipses import _sampson_distance
 from reciprange.errors import UnsupportedDimensionError
 from reciprange.kippenhahn import closed_form_poly
 from reciprange.matrices import as_xi, exact_spectrum, imag_part_spectrum
@@ -62,11 +64,30 @@ def hand_written_poly(x, one) -> ZetaPoly:
     return poly
 
 
-def divides_quadratic(P, p, x_half, c):
+def _divides(P: ZetaPoly, factor: ZetaPoly, tol, scale):
+    """The quotient of P by the monic factor, or None unless the remainder's
+    largest coefficient is within tol * max(1, scale), scale defaulting to
+    the largest coefficient of P; tol = 0 asks for an exactly zero remainder."""
+    q, rem = P.divmod_monic(factor)
+    coeffs = [c for cs in rem.coeffs for c in cs]
+    if tol == 0:
+        return None if any(coeffs) else q
+    scale = P.max_abs_coeff() if scale is None else scale
+    return q if max((abs(float(c)) for c in coeffs), default=0.0) <= tol * max(1.0, float(scale)) else None
+
+
+def divides_linear(P: ZetaPoly, x_sq, c_sq, tol=1e-9, scale=None):
+    """Divide by zeta - (X^2 rho + c^2), the factor of an origin-centered
+    ellipse, in P's own ring; quotient on success, None otherwise."""
+    return _divides(P, linear_factor(x_sq, c_sq, one=P.coeffs[-1][0]), tol, scale)
+
+
+def divides_quadratic(P: ZetaPoly, p, x_half, c):
     """Divide by the displaced-pair quadratic of the congruent ellipses centered
     at +-p with half focal distance X and minor half-axis c, in the (p, X, c)
     terms of the paper; quotient on success, None otherwise."""
-    return divides_quadratic_from_squares(P, x_half * x_half + p * p, x_half * x_half - p * p, c * c)
+    factor = quadratic_factor(x_half * x_half + p * p, x_half * x_half - p * p, c * c, one=P.coeffs[-1][0])
+    return _divides(P, factor, 1e-9, None)
 
 
 def minor_axis_candidates(xi, tol=1e-9):
@@ -109,13 +130,13 @@ def oracle_brute_force(xi, tol=1e-9):
     n = xi.n
     if n not in (4, 5, 6):
         raise UnsupportedDimensionError(f"oracle covers n in 4..6, got {n}")
-    P = closed_form_poly(xi)
+    P = closed_form_poly(xi).poly
     spec = exact_spectrum(n)
     pos = sorted(spec.positive(), reverse=True)
     c2_cands = minor_axis_candidates(xi, tol)
     found = set()
 
-    pnorm = float(P.poly.max_abs_coeff())
+    pnorm = float(P.max_abs_coeff())
     xi_tol = tol * max([1.0] + [abs(float(v)) for v in xi])
 
     def accept(factors):
@@ -147,7 +168,7 @@ def oracle_brute_force(xi, tol=1e-9):
                 pairs.add((abs(p), X))
     for p, X in sorted(pairs):
         for c2 in c2_cands:
-            q = divides_quadratic_from_squares(P, X * X + p * p, X * X - p * p, c2, tol=tol, scale=pnorm)
+            q = _divides(P, quadratic_factor(X * X + p * p, X * X - p * p, c2), tol, pnorm)
             if q is None:
                 continue
             pair = (functools.partial(quadratic_factor, X * X + p * p, X * X - p * p), c2)

@@ -14,20 +14,20 @@ from numpy.testing import assert_allclose
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
 from geometry_oracle import hausdorff_point_sets
+from poly_oracle import divides_linear
 from reciprange.concentric6 import (
     audit_concentric_criterion,
     evaluate_criterion,
     find_concentric_instance,
 )
-from reciprange.conics import best_fit_ellipse_residual, residual_to_ellipse
+from reciprange.conics import best_fit_ellipse_residual, conic_sampson_residuals
 from reciprange.ellipses import (
     ALL_CONCENTRIC,
     DISPLACED_PAIR,
     MIXED_NONE,
+    XP_TABLE,
     brute_force_decompositions,
     classify,
-    divides_linear,
-    solve_Xp_table,
     verdict_matches_oracle,
 )
 from reciprange.geometry import EMPTY, POINT, region_contains_region
@@ -56,10 +56,10 @@ def test_criterion_1_golden_ratio_concentric():
 
     # exact-mode divisibility with identically zero remainder
     P = build_poly_from_scalars([Fraction(1)] * 3, Fraction(1))
-    q = divides_linear(P, PHI_X * PHI_X, PHI_X * PHI_X)
+    q = divides_linear(P, PHI_X * PHI_X, PHI_X * PHI_X, tol=0)
     assert q is not None
     inv = PHI_X - 1
-    q2 = divides_linear(q, inv * inv, inv * inv)
+    q2 = divides_linear(q, inv * inv, inv * inv, tol=0)
     assert q2 is not None and q2.degree == 0
     rep_exact = classify([Fraction(1)] * 3, mode="exact")
     assert rep_exact.verdict == ALL_CONCENTRIC
@@ -78,8 +78,10 @@ def test_criterion_2_displaced_pair():
 
     samples = envelope_points(matrix_from_xi([1.0, 0.0, 1.0]), 2048)
     pts = np.array([s.point for s in samples])
-    r_plus = residual_to_ellipse(pts, 0.5, math.sqrt(5) / 2, 1.0)
-    r_minus = residual_to_ellipse(pts, -0.5, math.sqrt(5) / 2, 1.0)
+    # the ellipses (x -+ 1/2)^2 / (9/4) + y^2 = 1 (major half-axis sqrt(1 + 5/4)),
+    # times 9: 4x^2 + 9y^2 -+ 4x - 8 = 0
+    r_plus = conic_sampson_residuals(pts, (4.0, 0.0, 9.0, -4.0, 0.0, -8.0))
+    r_minus = conic_sampson_residuals(pts, (4.0, 0.0, 9.0, 4.0, 0.0, -8.0))
     worst = float(np.max(np.minimum(r_plus, r_minus)))
     assert worst < 1e-8
     print(f"\nACCEPTANCE 2: PASS - noncon4 p=1/2 X=sqrt5/2 c=1, envelope residual {worst:.2e} < 1e-8")
@@ -118,11 +120,10 @@ def test_criterion_4_n5_drop_shaped():
 
 
 def test_criterion_5_n6_figures():
-    rows = solve_Xp_table()
     expected = {
-        "fig3": (list(FIG3), "de1", None, rows[5]),   # row (vi)
-        "fig4": (list(FIG4), "de3", K37, rows[5]),    # row (vi)
-        "fig5": (list(FIG5), "de3", K17, rows[1]),    # row (ii)
+        "fig3": (list(FIG3), "de1", None, XP_TABLE["vi"]),
+        "fig4": (list(FIG4), "de3", K37, XP_TABLE["vi"]),
+        "fig5": (list(FIG5), "de3", K17, XP_TABLE["ii"]),
     }
     details = []
     for name, (xi, crit, kval, (X0, X, p)) in expected.items():

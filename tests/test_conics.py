@@ -1,16 +1,9 @@
 import math
 
 import numpy as np
-import pytest
 
 from conftest import FIG1
-from reciprange.conics import (
-    best_fit_ellipse_residual,
-    conic_sampson_residuals,
-    ellipse_conic_coeffs,
-    fit_conic,
-    residual_to_ellipse,
-)
+from reciprange.conics import best_fit_ellipse_residual, conic_sampson_residuals, fit_conic
 from reciprange.kippenhahn import curve_components, envelope_points
 from reciprange.matrices import matrix_from_xi
 
@@ -24,6 +17,13 @@ def ellipse_points(center, half_focal, minor, m=200, noise=0.0, rng=None):
     return pts
 
 
+def ellipse_conic(center, half_focal, minor):
+    """(A, B, C, D, E, F) of ((x - center)/a)^2 + (y/minor)^2 - 1 times
+    a^2 minor^2, a^2 = minor^2 + half_focal^2."""
+    a_sq, c_sq = minor * minor + half_focal * half_focal, minor * minor
+    return c_sq, 0.0, a_sq, -2 * center * c_sq, 0.0, c_sq * center * center - a_sq * c_sq
+
+
 def test_fit_recovers_ellipse():
     pts = ellipse_points(0.5, 1.2, 0.8)
     coeffs = fit_conic(pts)
@@ -33,13 +33,13 @@ def test_fit_recovers_ellipse():
 
 def test_prescribed_conic_residual_zero_on_members():
     pts = ellipse_points(-0.3, 0.9, 1.4)
-    res = residual_to_ellipse(pts, -0.3, 0.9, 1.4)
+    res = conic_sampson_residuals(pts, ellipse_conic(-0.3, 0.9, 1.4))
     assert np.max(res) < 1e-12
 
 
 def test_sampson_approximates_geometric_offset():
     pts = ellipse_points(0.0, 0.0, 1.0)  # unit circle
-    res = residual_to_ellipse(pts * 1.01, 0.0, 0.0, 1.0)
+    res = conic_sampson_residuals(pts * 1.01, ellipse_conic(0.0, 0.0, 1.0))
     assert np.allclose(res, 0.01, atol=1e-3)
 
 
@@ -62,8 +62,3 @@ def test_elliptical_components_fit_cleanly():
     for c in comps:
         if c["kind"] == "loop":
             assert best_fit_ellipse_residual(c["points"]) < 1e-10
-
-
-def test_ellipse_conic_coeffs_normalized():
-    v = ellipse_conic_coeffs(0.5, 1.0, 0.5)
-    assert np.linalg.norm(v) == pytest.approx(1.0)

@@ -17,15 +17,15 @@ from reciprange.ellipses import (
     DEGENERATE_SPECTRUM,
     DISPLACED_PAIR,
     MIXED_NONE,
+    XP_TABLE,
+    _divide,
     brute_force_batch,
     brute_force_decompositions,
     classify,
-    divides_linear,
-    solve_Xp_table,
     verdict_matches_oracle,
 )
 from geometry_oracle import ellipse_region
-from poly_oracle import divides_quadratic, minor_axis_candidates, oracle_brute_force
+from poly_oracle import divides_linear, divides_quadratic, minor_axis_candidates, oracle_brute_force
 from reciprange.bipoly import ZetaPoly, linear_factor, quadratic_factor
 from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.geometry import intersect_regions, region_contains_region
@@ -40,7 +40,7 @@ K37 = 2 * math.cos(3 * math.pi / 7)
 # --- divisibility ---
 
 def test_divides_linear_con4_ones():
-    P = closed_form_poly([1.0, 1.0, 1.0])
+    P = closed_form_poly([1.0, 1.0, 1.0]).poly
     q = divides_linear(P, PHI**2, PHI**2)
     assert q is not None
     q2 = divides_linear(q, PHI**-2, PHI**-2)
@@ -48,29 +48,29 @@ def test_divides_linear_con4_ones():
 
 
 def test_divides_linear_n5_zero_xi():
-    P = closed_form_poly([0.0] * 4)
+    P = closed_form_poly([0.0] * 4).poly
     assert divides_linear(P, 1.0, 0.0) is not None  # zeta - rho
 
 
 def test_divides_linear_failure():
-    P = closed_form_poly([1.0, 0.0, 1.0])
+    P = closed_form_poly([1.0, 0.0, 1.0]).poly
     assert divides_linear(P, 1.0, 1.0) is None
 
 
 def test_divides_quadratic_noncon4():
-    P = closed_form_poly([1.0, 0.0, 1.0])
+    P = closed_form_poly([1.0, 0.0, 1.0]).poly
     q = divides_quadratic(P, 0.5, math.sqrt(5) / 2, 1.0)
     assert q is not None and q.degree == 0
 
 
 def test_divides_quadratic_noncon5_exact_params():
-    P = closed_form_poly(list(FIG2))
+    P = closed_form_poly(list(FIG2)).poly
     q = divides_quadratic(P, (SQRT3 - 1) / 2, (SQRT3 + 1) / 2, math.sqrt(FIG2[0]))
     assert q is not None and q.degree == 0
 
 
 def test_divides_quadratic_fails_for_drop():
-    P = closed_form_poly(list(FIG1))
+    P = closed_form_poly(list(FIG1)).poly
     for p, X in [((SQRT3 - 1) / 2, (SQRT3 + 1) / 2), ((SQRT3 + 1) / 2, (SQRT3 - 1) / 2)]:
         for c_sq in (0.5, 1.0, FIG1[0]):
             assert divides_quadratic(P, p, X, math.sqrt(c_sq)) is None
@@ -80,18 +80,21 @@ def test_exact_division_zero_remainder():
     P = build_poly_from_scalars([Fraction(1)] * 3, Fraction(1))
     from reciprange.numberfield import PHI as PHI_EXACT
 
-    q = divides_linear(P, PHI_EXACT * PHI_EXACT, PHI_EXACT * PHI_EXACT)
+    q = divides_linear(P, PHI_EXACT * PHI_EXACT, PHI_EXACT * PHI_EXACT, tol=0)
     assert q is not None
-    q2 = divides_linear(q, (PHI_EXACT - 1) * (PHI_EXACT - 1), (PHI_EXACT - 1) * (PHI_EXACT - 1))
+    q2 = divides_linear(q, (PHI_EXACT - 1) * (PHI_EXACT - 1), (PHI_EXACT - 1) * (PHI_EXACT - 1), tol=0)
     assert q2 is not None
 
 
 def test_divides_linear_tol_zero_means_exact():
+    # classify's division: tol = 0 (exact mode) asks for a zero remainder,
+    # whatever the coefficient type; any other tol is a threshold
     tiny = Fraction(1, 2**60)
     # zeta - (rho + 1) plus a constant remainder of 2^-60
     P = ZetaPoly([[Fraction(-1) + tiny, Fraction(-1)], [Fraction(1)]])
-    assert divides_linear(P, Fraction(1), Fraction(1), tol=0) is None
-    q = divides_linear(P, Fraction(1), Fraction(1), tol=1e-9)
+    factor = linear_factor(Fraction(1), Fraction(1), one=Fraction(1))
+    assert _divide(P, factor, P.max_abs_coeff(), tol=0) is None
+    q = _divide(P, factor, P.max_abs_coeff(), tol=1e-9)
     assert q is not None and q.coeffs == [[Fraction(1)]]
 
 
@@ -341,8 +344,8 @@ def test_oracle_finds_pairs_past_an_entry_within_tol_of_zero(xi, tol, criterion)
 # --- the Xp solution table ---
 
 def test_xp_table_rows():
-    rows = solve_Xp_table()
-    assert len(rows) == 6
+    rows = [XP_TABLE[r] for r in ("i", "ii", "iii", "iv", "v", "vi")]
+    assert len(XP_TABLE) == 6
     X0, X, p = rows[5]  # row (vi)
     assert X0 == pytest.approx(2 * math.cos(3 * math.pi / 7))
     assert X == pytest.approx(math.cos(math.pi / 7) + math.cos(2 * math.pi / 7))

@@ -15,6 +15,7 @@ from geometry_oracle import (
     oracle_deque_vertices,
     oracle_diameter,
     oracle_directed,
+    oracle_distances,
     oracle_halfplane_intersection,
     oracle_hausdorff,
     oracle_intersect_polygons,
@@ -41,7 +42,6 @@ from reciprange.geometry import (
     hausdorff_distance,
     intersect_regions,
     polygon_area,
-    region_contains,
     region_contains_region,
     region_from_vertices,
 )
@@ -182,17 +182,37 @@ def test_containment():
     small = disk_region(0.5)
     assert region_contains_region(d, small, tol=1e-9)
     assert not region_contains_region(small, d, tol=1e-3)
-    assert region_contains(d, 0.3 + 0.4j)
-    assert not region_contains(d, 1.2 + 0j, tol=1e-9)
+    assert region_contains_region(d, ConvexRegion(POINT, (0.3 + 0.4j,)))
+    assert not region_contains_region(d, ConvexRegion(POINT, (1.2 + 0j,)), tol=1e-9)
 
 
 @pytest.mark.parametrize("z, inside", [
-    (5e-5 - 5e-9j, False), (5e-5 - 5e-13j, True), (5e-5 + 5e-9j, True)])
+    (5e-5 - 5e-9j, False), (5e-5 - 5e-13j, True), (5e-5 + 5e-9j, True),
+    # 8e-13 outside both edge lines at a corner, 1.13e-12 from the square
+    (1e-4 + 1e-4j + 8e-13 * (1 + 1j), False)])
 def test_contains_small_square_slack_in_distance(z, inside):
-    # the slack is tol = 1e-12 in distance, whatever the edge length
+    # a POINT meets a region within Euclidean distance 1e-12, whatever the edge length
     square = ConvexRegion(POLYGON, *ccw_loop([0j, 1e-4 + 0j, 1e-4 + 1e-4j, 1e-4j]))
-    assert region_contains(square, z) == inside
     assert intersect_regions(ConvexRegion(POINT, (z,)), square).kind == (POINT if inside else EMPTY)
+    assert intersect_regions(square, ConvexRegion(POINT, (z,))).kind == (POINT if inside else EMPTY)
+
+
+def _segment(p, q):
+    return ConvexRegion(SEGMENT, (complex(p), complex(q)))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # the side lines of (1, 3) have normals at angle pi/2, whose cosine rounds
+    # to 6e-17, so along (0, 2) they are parallel only up to rounding
+    (_segment(0, 2), _segment(1, 3), (1, 2)),
+    (_segment(0, 2 + 2j), _segment(1 + 1j, 3 + 3j), (1 + 1j, 2 + 2j)),
+    (_segment(-0.5, 0.5), ConvexRegion(POLYGON, *ccw_loop([0j, 1 + 0j, 1 + 1j, 1j])), (0, 0.5)),
+])
+def test_collinear_segments_overlap(a, b, want):
+    for x, y in ((a, b), (b, a)):
+        got = intersect_regions(x, y)
+        assert got.kind == SEGMENT
+        assert sorted(got.points, key=lambda z: (z.real, z.imag)) == pytest.approx(want, abs=1e-12)
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
@@ -203,8 +223,8 @@ def test_hull_contains_all_points(pts):
     region = region_from_vertices(*ccw_loop(hull))
     if region.kind != POLYGON:
         return
-    for p in pts:
-        assert region_contains(region, p, tol=1e-9 * max(1.0, abs(p)))
+    pts = np.asarray(pts, dtype=complex)
+    assert np.all(oracle_distances(pts, region) <= 1e-9 * np.maximum(1.0, np.abs(pts)))
 
 
 def test_ellipse_region_area_and_degenerate():
