@@ -27,7 +27,8 @@ def main():
     print("Derived criterion (rational coefficients, times 7/7/49 gives the integer form):")
     for name, g in (("quadratic A", g2a), ("quadratic B", g2b), ("cubic", g3)):
         print(f"  {name}: {len(g)} terms")
-    print(f"scale factors vs quoted form: {res['quadratic_scale_factors']} and {res['cubic_scale_factor']}")
+    f1, f2 = res["quadratic_scale_factors"]
+    print(f"scale factors vs quoted form: {f1}, {f2} and {res['cubic_scale_factor']}")
     print(f"quoted coefficient of xi1*xi3*xi5: {res['printed_coefficient']}")
     print(f"reconstructed coefficient:         {res['reconstructed_coefficient']}")
     print("verdict:", "CONFIRMED" if res["confirmed"] else "CORRECTED")
@@ -38,7 +39,7 @@ def main():
     print(f"\nsample instance xi = {[round(v, 6) for v in xi]}")
     print(f"  criterion values (should vanish): {[f'{v:.2e}' for v in vals]}")
     print(f"  cubic with coefficient -4 instead: {wrong[2]:.3e}")
-    print(f"  squared minor half-axes: {[round(v, 6) for v in t]}")
+    print(f"  squared minor half-axes: {[round(float(v), 6) for v in t]}")
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ def main():
     for name, xi in CASES.items():
         m = matrix_from_xi(xi)
         comps = curve_components(envelope_points(m, args.grid))
-        foci = exact_spectrum(m.n).eigenvalues
+        foci = exact_spectrum(m.n)
         (outdir / f"{name}.svg").write_text(render_curve(comps, foci=foci))
         try:
             rep = classify(xi, tol=CLI_DEFAULT_TOL)

@@ -20,8 +20,6 @@ from .ellipses import (
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .geometry import ConvexRegion
 from .kippenhahn import (
-    KippenhahnPolynomial,
-    TangentLineEvent,
     closed_form_poly,
     curve_components,
     detect_multiple_tangents,
@@ -31,7 +29,6 @@ from .kippenhahn import (
 )
 from .matrices import (
     ReciprocalMatrix,
-    SpectrumDescriptor,
     XiParameters,
     build_from_superdiagonal,
     exact_spectrum,
@@ -49,10 +46,7 @@ __all__ = [
     "ConvexRegion",
     "EllipseComponent",
     "InvalidInputError",
-    "KippenhahnPolynomial",
     "ReciprocalMatrix",
-    "SpectrumDescriptor",
-    "TangentLineEvent",
     "UnsupportedDimensionError",
     "XiParameters",
     "build_from_superdiagonal",

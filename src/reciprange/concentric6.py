@@ -4,10 +4,10 @@ A 6x6 reciprocal matrix has curve components consisting of three origin-centered
 ellipses iff P_6 factors as prod_j (zeta - (s_j rho + t_j)) with
 s_j = 4 cos^2(j pi/7).  ``candidate_axes`` builds P_6 with the determinant
 recurrence of ``kippenhahn`` in the caller's ring and matches its coefficients
-with those of the product: three are linear in the t_j (solved by Cramer's
-rule) and three are polynomial consistency conditions on xi.  Run on symbolic
-xi over Q(2 cos(2 pi/7)), the same code eliminates t and turns those
-conditions into polynomials in xi alone with rational coefficients;
+with those of the product: three are linear in the t_j (solved by Lagrange
+interpolation at the s_j) and three are polynomial consistency conditions on
+xi.  Run on symbolic xi over Q(2 cos(2 pi/7)), the same code eliminates t and
+turns those conditions into polynomials in xi alone with rational coefficients;
 ``audit_concentric_criterion`` compares them with the commonly quoted integer
 form of the criterion, whose xi1*xi3*xi5 coefficient (-41) looks suspicious
 and is re-derived here from scratch.
@@ -28,33 +28,23 @@ from .numberfield import COS7, TWO_COS_PI7
 S_FLOAT = tuple(4 * math.cos(j * math.pi / 7) ** 2 for j in (1, 2, 3))
 
 
-def _cramer3(M, b):
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    D = det3(M)  # column k of M replaced by b, over D, is t_k
-    return [det3([[b[i] if j == k else M[i][j] for j in range(3)] for i in range(3)]) / D for k in range(3)]
-
-
 def candidate_axes(x, s, one):
     """Match P_6 of xi ``x`` with prod_j (zeta - s_j rho - t_j); returns (t, residuals).
 
     ``x``, ``s`` (the s_j = 4 cos^2(j pi/7)) and ``one`` share a ring: floats,
     mpmath numbers, Fractions with s in Q(2cos(2pi/7)), or polynomials in xi.
-    The coefficients of zeta^2, zeta rho and rho^2 are linear in t (rows 1,
-    e1(s) - s_j, e3(s)/s_j); the residuals e2(t), sum s_k t_i t_j and e3(t),
-    against zeta, rho and 1, all vanish iff the factorization exists.
+    The coefficients a = -[zeta^2], b = [zeta rho] and c = -[rho^2] of P_6
+    give sum_j t_j (y - s_k)(y - s_l) = a y^2 - b y + c ({j, k, l} = {1, 2, 3}),
+    so y = s_j gives each t_j by Lagrange interpolation.  The residuals e2(t),
+    sum s_k t_i t_j and e3(t), against zeta, rho and 1, all vanish iff the
+    factorization exists.
     """
     if len(x) != 5:
         raise ValueError("candidate_axes needs n = 6")
     P = build_poly_from_scalars(list(x), one).coeffs  # P[i][k]: coefficient of zeta^i rho^k
-    e1, e3 = s[0] + s[1] + s[2], s[0] * s[1] * s[2]
-    M = [[1, 1, 1], [e1 - sj for sj in s], [e3 / sj for sj in s]]  # in the ring of s
-    t = _cramer3(M, [-P[2][0], P[1][1], -P[0][2]])
+    a, b, c = -P[2][0], P[1][1], -P[0][2]
+    t = [(a * sj * sj - b * sj + c) / ((sj - sk) * (sj - sl))
+         for sj, sk, sl in ((s[0], s[1], s[2]), (s[1], s[2], s[0]), (s[2], s[0], s[1]))]
     residuals = (
         t[0] * t[1] + t[0] * t[2] + t[1] * t[2] - P[1][0],
         s[2] * t[0] * t[1] + s[1] * t[0] * t[2] + s[0] * t[1] * t[2] + P[0][1],

@@ -446,9 +446,9 @@ def _sampson_distance(xi, factors, xi_tol) -> float:
     in its c^2: the differences below are exact derivatives up to rounding.
     """
     x = [float(v) for v in as_xi(xi)]
-    P = closed_form_poly(x).poly
+    P = closed_form_poly(x)
     built = [build(c) for build, c in factors]
-    d_xi = [closed_form_poly(x[:j] + [x[j] + 1.0] + x[j + 1 :]).poly - P for j in range(len(x))]
+    d_xi = [closed_form_poly(x[:j] + [x[j] + 1.0] + x[j + 1 :]) - P for j in range(len(x))]
     d_c = [functools.reduce(ZetaPoly.__mul__, built[:i] + [build(c + 1) - build(c - 1)] + built[i + 1 :])
            for i, (build, c) in enumerate(factors)]
     rows = _coeff_rows([P - functools.reduce(ZetaPoly.__mul__, built)] + d_xi + d_c)
@@ -569,7 +569,7 @@ def brute_force_batch(xis, tol=DEFAULT_TOL):
         raise UnsupportedDimensionError(f"oracle covers n in 4..6, got {n}")
     if any(xi.n != n for xi in xis):
         raise InvalidInputError(f"one batch takes draws of one n, got {sorted({xi.n for xi in xis})}")
-    P = _coeff_rows([closed_form_poly(xi).poly for xi in xis]).reshape(len(xis), n // 2 + 1, -1)
+    P = _coeff_rows([closed_form_poly(xi) for xi in xis]).reshape(len(xis), n // 2 + 1, -1)
     thr = tol * np.maximum(1.0, np.max(np.abs(P), axis=(1, 2)))
     x = np.array([xi.xi for xi in xis])
     c2 = _minor_axis_candidates(x, tol)
@@ -578,7 +578,7 @@ def brute_force_batch(xis, tol=DEFAULT_TOL):
     def accept(b, factors):
         return _sampson_distance(xis[b], factors, xi_tol[b]) <= xi_tol[b]
 
-    pos = sorted(exact_spectrum(n).positive(), reverse=True)
+    pos = [v for v in exact_spectrum(n) if v > 1e-15]
     concentric = [_Level(linear_factor, ((v * v,),)) for v in pos]
     pairs = set()
     # the spectrum 2cos(j pi/(n+1)) is symmetric about 0: mirroring the positive

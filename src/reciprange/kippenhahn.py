@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,32 +26,14 @@ DEFAULT_GRID = 2048
 DEGENERATE_GAP = 1e-9
 
 
-@dataclass
-class KippenhahnPolynomial:
-    """P_n(zeta, rho) plus bookkeeping for the odd-n -lambda factor."""
-
-    n: int
-    poly: ZetaPoly
-
-    @property
-    def odd_flag(self):
-        return self.n % 2 == 1
-
-    def __call__(self, zeta, rho):
-        return self.poly(zeta, rho)
-
-    def char_value(self, lam, theta):
-        """det(Re(e^{i theta} A) - lam I) reconstructed from P_n."""
-        rho = math.cos(theta) ** 2
-        v = self.poly(lam * lam, rho)
-        return -lam * v if self.odd_flag else v
-
-
-def closed_form_poly(xi) -> KippenhahnPolynomial:
+def closed_form_poly(xi) -> ZetaPoly:
     """P_n(zeta, rho) in floats for n in 2..6, from the xi-parameters; other
-    rings go through ``build_poly_from_scalars``."""
-    xi = as_xi(xi)
-    return KippenhahnPolynomial(xi.n, build_poly_from_scalars([float(v) for v in xi], 1.0))
+    rings go through ``build_poly_from_scalars``.
+
+    det(Re(e^{i theta} A) - lam I) is P(lam * lam, cos(theta) ** 2), times
+    -lam for odd n.
+    """
+    return build_poly_from_scalars([float(v) for v in as_xi(xi)], 1.0)
 
 
 def build_poly_from_scalars(x, one) -> ZetaPoly:
@@ -237,20 +218,11 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     return samples[np.lexsort((samples.branch, samples.theta))]
 
 
-@dataclass(frozen=True)
-class TangentLineEvent:
-    """A horizontal line tangent to the curve at more than one point."""
-
-    theta: float
-    ordinate: float
-    multiplicity: int
-    shared_blocks: tuple  # ((0, k), (k, n)) for the zero-xi split index k, or ()
-
-
 def detect_multiple_tangents(xi, tol=1e-9) -> list:
-    """Horizontal multiple tangent lines of the curve, from the xi-parameters,
-    by the closed-form criteria for n in {4, 5, 6}.  For odd n the structurally
-    repeated ordinate 0 reflects the origin component and is not reported.
+    """Ordinates y of the horizontal lines Im z = y tangent to the curve at two
+    points, from the xi-parameters, by the closed-form criteria for n in
+    {4, 5, 6}.  For odd n the structurally repeated ordinate 0 reflects the
+    origin component and is not reported.
     """
     xi = as_xi(xi)
     n = xi.n
@@ -262,44 +234,37 @@ def detect_multiple_tangents(xi, tol=1e-9) -> list:
     def close(a, b):
         return abs(a - b) <= max(1e-12, tol * max(scale, abs(a), abs(b)))
 
-    events = []
+    ordinates = []
 
-    def add(ordinate, mult, split):
-        blocks = ((0, split), (split, n)) if split else ()
-        for o in (ordinate, -ordinate) if ordinate > 0 else (0.0,):
-            events.append(TangentLineEvent(math.pi / 2, o, mult, blocks))
+    def add(ordinate):
+        ordinates.extend((ordinate, -ordinate) if ordinate > 0 else (0.0,))
 
     if n == 4:
         if close(x[1], 0) and close(x[0], x[2]) and not close(x[0], 0):
-            add(math.sqrt((x[0] + x[2]) / 2), 2, 2)
-        if close(x[0], 0) and (x[1] > tol or x[2] > tol):
-            add(0.0, 2, 1)
-        elif close(x[2], 0) and (x[0] > tol or x[1] > tol):
-            add(0.0, 2, 3)
+            add(math.sqrt((x[0] + x[2]) / 2))
+        if (close(x[0], 0) and (x[1] > tol or x[2] > tol)) or (close(x[2], 0) and (x[0] > tol or x[1] > tol)):
+            add(0.0)
     elif n == 5:
         if close(x[0] + x[1], x[2] + x[3]) and not close(x[0] + x[1], 0) and (
             close(x[1], 0) or close(x[2], 0)
         ):
-            add(math.sqrt((x[0] + x[1] + x[2] + x[3]) / 2), 2, 2 if close(x[1], 0) else 3)
+            add(math.sqrt((x[0] + x[1] + x[2] + x[3]) / 2))
     elif n == 6:
-        odd_prod_zero = close(x[0], 0) or close(x[2], 0) or close(x[4], 0)
-        if odd_prod_zero:
-            split = 1 if close(x[0], 0) else (3 if close(x[2], 0) else 5)
-            add(0.0, 2, split)
+        if close(x[0], 0) or close(x[2], 0) or close(x[4], 0):
+            add(0.0)
         elif close(x[1], 0) and close(x[3], 0):
-            pairs = [(x[0], x[2], 2), (x[0], x[4], 2), (x[2], x[4], 4)]
             seen = []
-            for a, b, split in pairs:
+            for a, b in ((x[0], x[2]), (x[0], x[4]), (x[2], x[4])):
                 if close(a, b) and not any(close(a, s) for s in seen):
                     seen.append(a)
-                    add(math.sqrt((a + b) / 2), 2, split)
+                    add(math.sqrt((a + b) / 2))
         elif close(x[1], 0):
             if close(x[0] * x[3], (x[0] - x[4]) * (x[0] - x[2])):
-                add(math.sqrt(x[0]), 2, 2)
+                add(math.sqrt(x[0]))
         elif close(x[3], 0):
             if close(x[1] * x[4], (x[0] - x[4]) * (x[2] - x[4])):
-                add(math.sqrt(x[4]), 2, 4)
-    return events
+                add(math.sqrt(x[4]))
+    return ordinates
 
 
 def curve_components(samples, gap_factor=10.0) -> list:

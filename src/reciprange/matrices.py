@@ -149,26 +149,13 @@ def flip(matrix: ReciprocalMatrix) -> ReciprocalMatrix:
     return ReciprocalMatrix(tuple(1 / a for a in reversed(matrix.superdiag)))
 
 
-@dataclass(frozen=True)
-class SpectrumDescriptor:
-    """Eigenvalues 2 cos(j pi/(n+1)), j = 1..n, in decreasing order."""
-
-    eigenvalues: tuple
-
-    @property
-    def n(self):
-        return len(self.eigenvalues)
-
-    def positive(self):
-        return tuple(e for e in self.eigenvalues if e > 1e-15)
-
-
-def exact_spectrum(n: int) -> SpectrumDescriptor:
-    """Every reciprocal matrix of size n is similar to the Toeplitz tridiagonal
-    with unit off-diagonals, so its spectrum is {2 cos(j pi/(n+1))}."""
+def exact_spectrum(n: int) -> tuple:
+    """The eigenvalues 2 cos(j pi/(n+1)), j = 1..n, in decreasing order: every
+    reciprocal matrix of size n is similar to the Toeplitz tridiagonal with
+    unit off-diagonals."""
     if n < 1:
         raise InvalidInputError(f"dimension must be positive, got {n}")
-    return SpectrumDescriptor(tuple(2 * math.cos(j * math.pi / (n + 1)) for j in range(1, n + 1)))
+    return tuple(2 * math.cos(j * math.pi / (n + 1)) for j in range(1, n + 1))
 
 
 def _json_numbers(value, what) -> list:

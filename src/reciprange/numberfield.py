@@ -50,12 +50,6 @@ class NumberField:
         den = math.lcm(*(c.denominator for c in q))
         return self._element([c.numerator * (den // c.denominator) for c in q], den)
 
-    def zero(self):
-        return self()
-
-    def one(self):
-        return self(1)
-
     def gen(self):
         return self(0, 1)
 

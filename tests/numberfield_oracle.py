@@ -7,11 +7,12 @@ evaluation once.  The package stores integer numerators over one common
 denominator, inverts by Cramer's rule and rounds from an integer bracket of
 alpha, so the tests ask for exactly equal results from the two.
 
-``oracle_derive_rational_criterion`` eliminates t from the n = 6 matching
-equations with dict polynomials over ``ORACLE_COS7``.  Its six coefficient
-equations (sum, weighted sum and odd sum of xi against t; e2, weighted pair
-sum and odd product against the residuals) are derived by hand from the
-expansion of P_6.  ``concentric6.candidate_axes`` reads the same coefficients
+``oracle_axes`` solves the three n = 6 matching equations that are linear in
+t by Cramer's rule, with dict polynomials over ``ORACLE_COS7``, and
+``oracle_derive_rational_criterion`` puts that t into the other three.  The
+six coefficient equations (sum, weighted sum and odd sum of xi against t; e2,
+weighted pair sum and odd product against the residuals) are derived by hand
+from the expansion of P_6.  ``concentric6.candidate_axes`` reads the same coefficients
 off P_6 as the determinant recurrence builds it, so this hand derivation is
 the independent side: the audit's derived system must equal it.
 """
@@ -262,8 +263,9 @@ def _pvar(i):
     return {tuple(m): _C(1)}
 
 
-def oracle_derive_rational_criterion():
-    """Eliminate t exactly; returns three monomial->Fraction dicts (G2a, G2b, G3)."""
+def oracle_axes():
+    """The three t_k as dict polynomials in xi, by Cramer's rule on the linear
+    equations against zeta^2, zeta rho and rho^2."""
     X = [_pvar(i) for i in range(5)]
     s = _SX
     total = X[0]
@@ -295,7 +297,14 @@ def oracle_derive_rational_criterion():
             sign = _C(1 if (i + k) % 2 == 0 else -1)
             tk = _padd(tk, _pscale(b[i], minor * sign))
         T.append(_pscale(tk, Dinv))
+    return T
 
+
+def oracle_derive_rational_criterion():
+    """Eliminate t exactly; returns three monomial->Fraction dicts (G2a, G2b, G3)."""
+    X = [_pvar(i) for i in range(5)]
+    s = _SX
+    T = oracle_axes()
     e2xi = {}
     for (i, j) in [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]:
         e2xi = _padd(e2xi, _pmul(X[i], X[j]))

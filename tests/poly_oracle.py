@@ -130,9 +130,8 @@ def oracle_brute_force(xi, tol=1e-9):
     n = xi.n
     if n not in (4, 5, 6):
         raise UnsupportedDimensionError(f"oracle covers n in 4..6, got {n}")
-    P = closed_form_poly(xi).poly
-    spec = exact_spectrum(n)
-    pos = sorted(spec.positive(), reverse=True)
+    P = closed_form_poly(xi)
+    pos = sorted((v for v in exact_spectrum(n) if v > 1e-15), reverse=True)
     c2_cands = minor_axis_candidates(xi, tol)
     found = set()
 

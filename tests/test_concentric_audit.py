@@ -8,7 +8,9 @@ side that the derived system must equal.
 """
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +26,14 @@ from reciprange.concentric6 import (
     find_concentric_instance,
     quoted_criterion,
 )
-from numberfield_oracle import oracle_derive_rational_criterion
+from numberfield_oracle import ORACLE_COS7, oracle_axes, oracle_derive_rational_criterion
 from reciprange.ellipses import _mode_backend, classify
 from reciprange.kippenhahn import closed_form_poly
 from reciprange.bipoly import linear_factor
+from reciprange.numberfield import TWO_COS_PI7, FieldElement
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import audit_report  # noqa: E402
 
 
 def _axes(mode, xi):
@@ -38,11 +44,17 @@ def _axes(mode, xi):
 
 
 ORACLE_CRITERION = oracle_derive_rational_criterion()
+ORACLE_AXES = oracle_axes()
 
 
-def _evaluate(g, xi):
-    """A monomial -> Fraction dict at rational xi."""
-    return sum(c * math.prod(v**e for v, e in zip(xi, m)) for m, c in g.items())
+def _evaluate(g, xi, zero=0):
+    """A monomial -> coefficient dict at rational xi."""
+    return sum((c * math.prod(v**e for v, e in zip(xi, m)) for m, c in g.items()), zero)
+
+
+def _oracle_axes_at(xi):
+    """The oracle's t at rational xi, as coefficients of 1, a, a^2 in Q(a), a = 2cos(2pi/7)."""
+    return [_evaluate(t, xi, ORACLE_COS7(0)).coeffs for t in ORACLE_AXES]
 
 
 def test_exact_axes_for_all_ones():
@@ -90,8 +102,7 @@ def test_instance_satisfies_quoted_system_and_divides():
     assert abs(wrong[2]) > 1e-3 * scale
 
     # full divisibility: P6 = prod of the three linear factors
-    P = closed_form_poly(list(xi))
-    q = P.poly
+    q = closed_form_poly(list(xi))
     for sj, tj in zip(
         [4 * math.cos(j * math.pi / 7) ** 2 for j in (1, 2, 3)], t
     ):
@@ -126,5 +137,30 @@ def test_axes_agree_across_rings(numerators):
         t, residuals = _axes(mode, xi)
         assert_allclose([float(v) for v in t], [float(v) for v in te], rtol=1e-12, atol=1e-12 * scale)
         assert_allclose([float(v) for v in residuals], [float(v) for v in re_], rtol=0, atol=1e-12 * scale**3)
-    # the exact residuals are the oracle's hand-derived criterion at xi
+    # the exact axes and residuals are the oracle's hand-derived ones at xi
+    assert [v.coeffs for v in te] == _oracle_axes_at(xi)
     assert list(re_) == [_evaluate(g, xi) for g in ORACLE_CRITERION]
+
+
+@pytest.mark.parametrize("xi", [
+    [Fraction(1)] * 5,
+    [Fraction(9, 10), Fraction(13, 10), Fraction(2, 5), Fraction(2), Fraction(7, 10)],
+    [Fraction(0), Fraction(1, 3), Fraction(0), Fraction(5, 7), Fraction(0)],
+])
+def test_exact_axes_invert_once_per_axis(monkeypatch, xi):
+    """Lagrange interpolation at the s_j divides once per t_j: three inverses
+    in Q(2cos(2pi/7)), and t is the oracle's Cramer solution exactly."""
+    s = [TWO_COS_PI7[j] * TWO_COS_PI7[j] for j in (1, 2, 3)]
+    inverse, calls = FieldElement.inverse, []
+    monkeypatch.setattr(FieldElement, "inverse", lambda self: calls.append(self) or inverse(self))
+    t, _ = candidate_axes(xi, s, Fraction(1))
+    monkeypatch.undo()
+    assert len(calls) <= 3
+    assert [v.coeffs for v in t] == _oracle_axes_at(xi)
+
+
+def test_audit_report_prints_plain_numbers(capsys):
+    audit_report.main()
+    out = capsys.readouterr().out
+    assert "squared minor half-axes: [" in out
+    assert "np.float64(" not in out and "Fraction(" not in out

@@ -156,11 +156,12 @@ def test_flip_preserves_char_poly():
 
 
 def test_exact_spectrum_values():
-    s = exact_spectrum(4).eigenvalues
+    s = exact_spectrum(4)
+    assert s == tuple(sorted(s, reverse=True))
     assert_allclose(sorted(s), sorted([PHI, 1 / PHI, -1 / PHI, -PHI]), atol=1e-15)
-    s = exact_spectrum(5).eigenvalues
+    s = exact_spectrum(5)
     assert_allclose(sorted(s), sorted([math.sqrt(3), 1, 0, -1, -math.sqrt(3)]), atol=1e-15)
-    s = exact_spectrum(6).eigenvalues
+    s = exact_spectrum(6)
     expect = [2 * math.cos(j * math.pi / 7) for j in range(1, 7)]
     assert_allclose(sorted(s), sorted(expect), atol=1e-15)
 
@@ -175,7 +176,7 @@ def test_spectrum_formula_any_phases(xi, phase_seed):
     ]
     m = build_from_superdiagonal(entries)
     ev = np.sort(np.linalg.eigvals(m.dense()).real)
-    assert_allclose(ev, np.sort(exact_spectrum(n).eigenvalues), atol=1e-9)
+    assert_allclose(ev, np.sort(exact_spectrum(n)), atol=1e-9)
 
 
 def test_xi_invariance_of_char_poly(rng):

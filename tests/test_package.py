@@ -16,13 +16,17 @@ def uncalled_names():
     """The functions, classes and methods (dunders aside) that the package
     defines and that neither ``reciprange.__all__`` lists nor any line of
     the package, ``scripts/`` or ``perfbench/*.py`` names outside the
-    definition itself: code only the tests keep alive."""
+    definition itself: code only the tests keep alive.  A method counts as
+    named only by attribute access (``.name``), so a generic method name
+    that also names a local variable does not keep it alive."""
     texts = {path: path.read_text() for path in
              [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = texts[path].splitlines()
-        for node in ast.walk(ast.parse(texts[path])):
+        tree = ast.parse(texts[path])
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
@@ -31,7 +35,7 @@ def uncalled_names():
             start = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
             outside = lines[:start] + lines[node.end_lineno:]
             others = [t for p, t in texts.items() if p != path] + ["\n".join(outside)]
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            word = re.compile(rf"\.{re.escape(name)}\b" if id(node) in methods else rf"\b{re.escape(name)}\b")
             if not any(word.search(t) for t in others):
                 unused.append(f"{path.name}:{name}")
     return unused
