@@ -97,7 +97,7 @@ def _theta_array(theta_grid):
     return arr
 
 
-def _tridiagonal(xi, thetas):
+def _tridiagonal(xi, thetas, with_s=True):
     """Off-diagonals (T, n - 1) of the two tridiagonals behind the curve.
 
     Re(e^{i theta} A) has off-diagonals b_j with |b_j|^2 = xi_j + rho,
@@ -107,11 +107,14 @@ def _tridiagonal(xi, thetas):
     The same D turns Im(e^{i theta} A) into the Hermitian S, zero diagonal,
     off-diagonals (sin theta cos theta - i sqrt(xi_j (xi_j + 1)))/sqrt(xi_j + rho)
     (sin theta where b_j = 0).  So v = D u has v* A v = e^{-i theta} (u* T u + i u* S u).
-    Returns (t, s), the off-diagonals of T and of S.
+    Returns (t, s), the off-diagonals of T and of S; s is None unless ``with_s``.
     """
     x = np.asarray(as_xi(xi).xi, dtype=float)
-    cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    cos = np.cos(thetas)[:, None]
     t = np.sqrt(x + cos * cos)
+    if not with_s:
+        return t, None
+    sin = np.sin(thetas)[:, None]
     s = np.divide(sin * cos - 1j * np.sqrt(x * (x + 1)), t,
                   out=np.repeat(sin.astype(complex), x.size, axis=1), where=t > 0)
     return t, s
@@ -142,7 +145,7 @@ def eigencurves(xi, theta_grid=DEFAULT_GRID) -> tuple:
     """
     thetas = _theta_array(theta_grid)
     row = _fold(theta_grid, thetas.size)
-    t, _ = _tridiagonal(xi, thetas[: row.max() + 1])
+    t, _ = _tridiagonal(xi, thetas[: row.max() + 1], with_s=False)
     return thetas, np.linalg.eigvalsh(symmetric_tridiagonal(t))[row, ::-1]
 
 

@@ -21,6 +21,9 @@ from .matrices import as_xi, matrix_from_xi
 
 BOUND_SLACK = 1e-12
 
+# (key, lambdas) of rank_k_numeric's most recent eigen solve; one entry only
+_last_solve = (None, None)
+
 
 def _clip(xi, thetas, bounds) -> ConvexRegion:
     """The half-planes {Re(e^{i theta} z) <= bound} over the grid, clipped
@@ -43,13 +46,30 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     ``matrix`` is a ReciprocalMatrix, an XiParameters or a sequence of xi
     values; only its xi enter.  An even integer grid of m points takes
     floor(m/4) + 1 eigen solves (see ``eigencurves``), and the thetas and
-    bounds go to ``halfplane_intersection`` as arrays."""
+    bounds go to ``halfplane_intersection`` as arrays.
+
+    Consecutive calls on the same xi and grid share one solve, so Lambda_1,
+    Lambda_2, ... of one matrix in turn solve once: the eigenvalues of the
+    most recent call are kept, read-only, keyed by the xi, the grid's theta
+    values and whether the grid was a size (which picks the fold).  Only
+    that one entry is held, up to m * n floats (3.7 MB at the CLI's largest
+    grid, 65536, with n = 7); a call on other xi or another grid replaces
+    it, and a call that raises leaves it as it was."""
+    global _last_solve
     xi = as_xi(matrix)
     n = xi.n
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in 1..{n}, got {k}")
-    thetas, lam = eigencurves(xi, theta_grid)
-    return _clip(xi, thetas, lam[:, k - 1])
+    thetas = _theta_array(theta_grid)
+    key = (xi.xi, np.isscalar(theta_grid), thetas.tobytes())
+    held = _last_solve
+    if held[0] != key:
+        lam = eigencurves(xi, theta_grid)[1]
+        lam.flags.writeable = False
+        held = (key, lam)
+    region = _clip(xi, thetas, held[1][:, k - 1])
+    _last_solve = held  # only once the call has succeeded
+    return region
 
 
 def pencil_values(report: ClassificationReport, thetas) -> np.ndarray:

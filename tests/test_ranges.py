@@ -30,7 +30,7 @@ from reciprange.geometry import (
     hausdorff_distance,
     region_contains_region,
 )
-from reciprange.matrices import matrix_from_xi
+from reciprange.matrices import XiParameters, as_xi, build_from_superdiagonal, matrix_from_xi
 from reciprange.kippenhahn import eigencurves, envelope_points
 from reciprange.ranges import pencil_values, rank_k_analytic, rank_k_numeric, region_distance
 from test_ellipses import FAMILIES
@@ -528,3 +528,71 @@ def test_analytic_builds_only_requested_region(monkeypatch):
     for k in (3, 4):
         rank_k_analytic(rep, k)
     assert results == []
+
+
+def _fresh(matrix, k, grid):
+    """Lambda_k from its own eigen solve, as rank_k_numeric computes it."""
+    xi = as_xi(matrix)
+    thetas, lam = eigencurves(xi, grid)
+    return ranges._clip(xi, thetas, lam[:, k - 1])
+
+
+def _assert_same_region(got, want):
+    assert got == want
+    assert np.array_equal(got.normals, want.normals)
+
+
+def test_held_solve_never_changes_a_result(rng):
+    phases = np.exp(2j * np.pi * rng.random(4))
+    random_phase = build_from_superdiagonal(rng.uniform(0.3, 3.0, 4) * phases)
+    # the same xi as a list, an XiParameters and a matrix in a row, and FIG4
+    # (n = 6) between them, so calls alternate between hits and misses
+    mats = [random_phase, list(FIG2), XiParameters(FIG2), matrix_from_xi(list(FIG2)), FIG4, (1.0, PHI, 0.0)]
+    array_grid = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
+    for grids in ([2048], [2049], [array_grid], [2048, array_grid, array_grid + 1e-3, 2049]):
+        for k in range(1, 7):
+            for m in mats:
+                for grid in grids:
+                    if k <= as_xi(m).n:
+                        _assert_same_region(rank_k_numeric(m, k, grid), _fresh(m, k, grid))
+
+
+def test_one_solve_for_every_k(monkeypatch):
+    calls = []
+
+    def spy(xi, grid):
+        out = eigencurves(xi, grid)
+        calls.append(out[1])
+        return out
+
+    rank_k_numeric((2.0, 2.0), 1, 64)  # hold some other solve
+    monkeypatch.setattr(ranges, "eigencurves", spy)
+    for grid in (2048, 2049, np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)):
+        for xi in (FIG3, (0.9, 1.3, 0.4, 2.0, 0.7, 0.2)):
+            calls.clear()
+            for k in range(1, len(xi) + 2):
+                rank_k_numeric(xi, k, grid)
+            assert len(calls) == 1, (xi, grid)
+            assert not calls[0].flags.writeable
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: rank_k_numeric(FIG5, 0, 2048),
+    lambda: rank_k_numeric(FIG5, 1, 8.9),
+    lambda: rank_k_numeric(FIG5, 1, 4),
+    lambda: rank_k_numeric((1.0, math.nan, 1.0), 1, 2048),
+], ids=["k=0", "grid=8.9", "grid=4", "nan-xi"])
+def test_failed_call_keeps_the_held_solve(bad, monkeypatch):
+    calls = []
+
+    def spy(xi, grid):
+        calls.append(grid)
+        return eigencurves(xi, grid)
+
+    monkeypatch.setattr(ranges, "eigencurves", spy)
+    _assert_same_region(rank_k_numeric(FIG5, 1, 2048), _fresh(FIG5, 1, 2048))
+    with pytest.raises(InvalidInputError):
+        bad()
+    calls.clear()
+    _assert_same_region(rank_k_numeric(FIG5, 2, 2048), _fresh(FIG5, 2, 2048))
+    assert calls == []
