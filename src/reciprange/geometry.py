@@ -63,29 +63,36 @@ def polygon_area(pts) -> float:
     return float(np.sum(z.real * w.imag - w.real * z.imag)) / 2
 
 
-def _calipers(z, phi):
-    """Rotating calipers on a convex CCW loop, without a Python loop.
+def _antipodes(z, phi):
+    """(j0, width) of a convex CCW loop: the antipodal vertex z[j0[j]] of
+    every edge j and the least distance between two parallel supporting
+    lines, without a Python loop.
 
     phi[j], increasing, is the outward normal angle of edge j (z[j] to
-    z[j + 1]).  Returns (i, j, width): the farthest vertex pair z[i], z[j]
-    and the least distance between two parallel supporting lines.  Vertex j
-    supports the directions between phi[j - 1] and phi[j], so the antipodal
-    vertex of every edge, the support vertex of its negated normal, comes
-    from one searchsorted over phi: O(V log V).  Of an edge parallel to edge
-    i rounding may give either end.
+    z[j + 1]).  Vertex j supports the directions between phi[j - 1] and
+    phi[j], so the antipodal vertex of every edge, the support vertex of its
+    negated normal, comes from one searchsorted over phi: O(V log V).  Of an
+    edge parallel to edge j rounding may give either end.  The width is the
+    least distance of an edge's line from its antipodal vertex.
     """
+    j0 = np.searchsorted(phi, np.mod(phi + math.pi, TWO_PI)) % z.size
+    return j0, float(np.min((np.exp(-1j * phi) * (z - z[j0])).real))
+
+
+def _calipers(z, j0):
+    """Rotating calipers on a convex CCW loop: the farthest vertex pair
+    (i, j), from the antipodal vertex j0[e] of every edge e that _antipodes
+    gives.  Every antipodal pair has an endpoint of some edge and that edge's
+    antipodal vertex (or its successor, when the two edges are parallel), so
+    the pair is the farthest of 4V candidates: O(V)."""
     m = z.size
     i0 = np.arange(m)
     i1 = np.roll(i0, -1)
-    j0 = np.searchsorted(phi, np.mod(phi + math.pi, TWO_PI)) % m
     j1 = (j0 + 1) % m
-    width = float(np.min((np.exp(-1j * phi) * (z - z[j0])).real))
-    # every antipodal pair has an endpoint of some edge and that edge's antipodal
-    # vertex (or its successor, when the two edges are parallel)
     a = np.concatenate([i0, i1, i0, i1])
     b = np.concatenate([j0, j0, j1, j1])
     best = int(np.argmax(np.abs(z[a] - z[b])))
-    return int(a[best]), int(b[best]), width
+    return int(a[best]), int(b[best])
 
 
 def region_from_vertices(pts, normals) -> ConvexRegion:
@@ -97,28 +104,38 @@ def region_from_vertices(pts, normals) -> ConvexRegion:
     below WIDTH_EPS collapses to POINT; a width below WIDTH_EPS or an area
     below AREA_EPS collapses to SEGMENT along the diameter, each end the mean
     of the vertices whose projection on it lies within the loop's spread
-    across it of the extreme.  Area, diameter and width take O(V log V).
+    across it of the extreme.  Area and width take O(V log V).
+
+    Only a thin or tiny loop needs the diameter.  Each term of the width is
+    u . (z[e] - z[j0[e]]) for a unit u, at most |z[e] - z[j0[e]]| up to a
+    relative rounding of a few 1e-16, and that pair is among the candidates
+    of _calipers; the diameter measured along the pair it picks is at least
+    that pair's distance, up to the same rounding.  So a loop of width above
+    2 WIDTH_EPS has a diameter above WIDTH_EPS with room to spare, and with
+    an area of AREA_EPS or more it is a POLYGON without the diameter search.
     """
     z = np.asarray(pts, dtype=complex).ravel()
     phi = np.array(normals, dtype=float)
     phi.setflags(write=False)
-    i, j, width = _calipers(z, phi)
-    # every vertex projects between the diameter pair along its direction, so
-    # the extremes of that projection are the pair again
-    rel = (z - z[i]) * np.conj(z[j] - z[i])
-    along = rel.real
-    lo, hi = int(np.argmin(along)), int(np.argmax(along))
-    if abs(z[hi] - z[lo]) < WIDTH_EPS:
-        return ConvexRegion(POINT, (complex(z.mean()),))
-    if abs(polygon_area(z)) < AREA_EPS or width < WIDTH_EPS:
-        # on a thin strip the corners at each end tie for the extreme, so
-        # each end is the mean of the vertices whose projection lies within
-        # the loop's spread across the diameter of it, which rounding cannot
-        # flip; the ends keep the loop's order
-        reach = float(np.ptp(rel.imag))
-        ends = sorted((np.flatnonzero(along <= along[lo] + reach),
-                       np.flatnonzero(along >= along[hi] - reach)), key=lambda e: e[0])
-        return ConvexRegion(SEGMENT, tuple(complex(z[e].mean()) for e in ends))
+    j0, width = _antipodes(z, phi)
+    if not (width > 2 * WIDTH_EPS and abs(polygon_area(z)) >= AREA_EPS):
+        i, j = _calipers(z, j0)
+        # every vertex projects between the diameter pair along its direction,
+        # so the extremes of that projection are the pair again
+        rel = (z - z[i]) * np.conj(z[j] - z[i])
+        along = rel.real
+        lo, hi = int(np.argmin(along)), int(np.argmax(along))
+        if abs(z[hi] - z[lo]) < WIDTH_EPS:
+            return ConvexRegion(POINT, (complex(z.mean()),))
+        if abs(polygon_area(z)) < AREA_EPS or width < WIDTH_EPS:
+            # on a thin strip the corners at each end tie for the extreme, so
+            # each end is the mean of the vertices whose projection lies within
+            # the loop's spread across the diameter of it, which rounding
+            # cannot flip; the ends keep the loop's order
+            reach = float(np.ptp(rel.imag))
+            ends = sorted((np.flatnonzero(along <= along[lo] + reach),
+                           np.flatnonzero(along >= along[hi] - reach)), key=lambda e: e[0])
+            return ConvexRegion(SEGMENT, tuple(complex(z[e].mean()) for e in ends))
     return ConvexRegion(POLYGON, tuple(z.tolist()), phi)
 
 
@@ -262,7 +279,10 @@ def _intersect_sorted(phi, c):
     corner, as in the pencils of a numeric range that is a point or a thin
     strip, _prune first drops in whole-array rounds lines that the deque
     would pop, and the deque runs on the rest.  Python steps only at pops,
-    front cuts and turns of pi.  The emptiness certificate checks every line.
+    front cuts and turns of pi.  A set without any of these events, as the
+    tangent lines of a convex curve are, takes no per-line Python step at
+    all: its lines join as one run, and _deque gives the kept ones as a
+    slice.  The emptiness certificate checks every line.
     """
     # of half-planes with equal normals only the tightest can bound the set
     first = np.flatnonzero(np.concatenate(([True], np.diff(phi) > ANGLE_EPS)))
@@ -293,7 +313,7 @@ def _intersect_sorted(phi, c):
     vx, vy = _corner(np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1), lx, ly, lc)  # lines j-1, j
     # emptiness certificate: each half-plane holds at the vertex extreme in its
     # outward normal, which sits between the edges whose angles bracket it
-    extreme = np.searchsorted(phi[lines], phi) % lines.size
+    extreme = np.searchsorted(phi[lines], phi) % lx.size
     violation = ux * vx[extreme] + uy * vy[extreme] - c
     if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
         return None
@@ -301,11 +321,24 @@ def _intersect_sorted(phi, c):
 
 
 def _deque(phi, ux, uy, c, back):
-    """The lines (an index array) that the sorted-angle deque keeps of the
-    half-planes, or None when a turn of pi or more leaves nothing inside;
-    back[k - 2] says that line k does not cut the corner of lines k - 2, k - 1."""
-    X, Y, C, P = ux.tolist(), uy.tolist(), c.tolist(), phi.tolist()
-    T = len(C)
+    """The lines that the sorted-angle deque keeps of the half-planes, or None
+    when a turn of pi or more leaves nothing inside; back[k - 2] says that
+    line k does not cut the corner of lines k - 2, k - 1.
+
+    Lines 0 and 1 and the run after them, up to the first event (a line that
+    cuts the corner before it or turns pi or more) or front cut, join first.
+    In an event-free set that run is every line: no Python step runs per
+    line, and the closing step, the same for every set, reads the few lines
+    it tests straight from the arrays; the lines kept come as a slice.  Else
+    the loop goes on from the run's end and the lines come as an index array.
+    """
+    T = c.size
+    # stops lists turns from k = 2 on; the turn at k = 1 ends the set at once
+    if T < 3 or phi[1] - phi[0] >= math.pi:
+        return None
+    # the scalar tests read lines from the arrays until the loop needs many
+    # of them, then from lists of Python floats, which round as float64 does
+    X, Y, C, P = ux, uy, c, phi
 
     def outside(k, i, j):
         """Is the corner of lines i and j outside half-plane k beyond rounding?
@@ -331,31 +364,36 @@ def _deque(phi, ux, uy, c, back):
     # more from the line before take the scalar step
     stops = (np.flatnonzero(~back | (np.diff(phi)[1:] >= math.pi)) + 2).tolist() + [T]
 
-    dq = deque()
-    k = 0
-    while k < T:
-        if len(dq) > 1 and dq[-1] == k - 1 and dq[-2] == k - 2:
-            j = first_cut(k, stops[bisect_left(stops, k)], dq[0], dq[1])
-            dq.extend(range(k, j))
-            if j == T:
-                break
-            k = j
-        while len(dq) > 1 and outside(k, dq[-2], dq[-1]):
-            dq.pop()
-        while len(dq) > 1 and outside(k, dq[0], dq[1]):
-            dq.popleft()
-        # a turn of pi or more between neighbouring edges leaves nothing inside
-        if dq and P[k] - P[dq[-1]] >= math.pi:
-            return None
-        dq.append(k)
-        k += 1
-    while len(dq) > 2 and outside(dq[0], dq[-2], dq[-1]):
-        dq.pop()
-    while len(dq) > 2 and outside(dq[-1], dq[0], dq[1]):
-        dq.popleft()
-    if len(dq) < 3 or P[dq[0]] + TWO_PI - P[dq[-1]] >= math.pi:
+    # lines 0, 1 and the run after them join up to the first event or front cut
+    k = first_cut(2, stops[0], 0, 1)
+    dq = range(k)
+    if k < T:
+        X, Y, C, P = ux.tolist(), uy.tolist(), c.tolist(), phi.tolist()
+        dq = deque(dq)
+        while k < T:
+            while len(dq) > 1 and outside(k, dq[-2], dq[-1]):
+                dq.pop()
+            while len(dq) > 1 and outside(k, dq[0], dq[1]):
+                dq.popleft()
+            # a turn of pi or more between neighbouring edges leaves nothing inside
+            if P[k] - P[dq[-1]] >= math.pi:
+                return None
+            dq.append(k)
+            k += 1
+            if dq[-1] == k - 1 and dq[-2] == k - 2:
+                j = first_cut(k, stops[bisect_left(stops, k)], dq[0], dq[1])
+                dq.extend(range(k, j))
+                k = j
+        dq = np.fromiter(dq, dtype=np.intp, count=len(dq))
+    # the closing step trims positions lo..hi - 1 of the deque
+    lo, hi = 0, len(dq)
+    while hi - lo > 2 and outside(dq[lo], dq[hi - 2], dq[hi - 1]):
+        hi -= 1
+    while hi - lo > 2 and outside(dq[hi - 1], dq[lo], dq[lo + 1]):
+        lo += 1
+    if hi - lo < 3 or P[dq[lo]] + TWO_PI - P[dq[hi - 1]] >= math.pi:
         return None
-    return np.fromiter(dq, dtype=np.intp, count=len(dq))
+    return slice(lo, hi) if isinstance(dq, range) else dq[lo:hi]
 
 
 def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:

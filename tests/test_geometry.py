@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from geometry_oracle import (
     oracle_region_from_vertices,
     oracle_width,
 )
+from reciprange import geometry
 from reciprange.cli import SEED_CORPUS
 from reciprange.ellipses import classify
 from reciprange.errors import InvalidInputError
@@ -33,6 +35,7 @@ from reciprange.geometry import (
     SEGMENT,
     TWO_PI,
     ConvexRegion,
+    _antipodes,
     _by_angle,
     _calipers,
     _edge_halfplanes,
@@ -374,12 +377,13 @@ _loop_shapes = st.one_of(
 @example(np.array([0, 1, 1.25 + 1j, 0.25 + 1j]), 0.3014614839273489, 0j)
 def test_calipers_match_oracle(shape, tilt, center):
     # the hull makes each loop strictly convex and CCW after the move, as
-    # _calipers asks; width and diameter agree with the oracle to 1e-12 of
-    # the loop's diameter, the scale of the rounding in both
+    # _antipodes and _calipers ask; width and diameter agree with the oracle
+    # to 1e-12 of the loop's diameter, the scale of the rounding in both
     hull = convex_hull(center + complex(math.cos(tilt), math.sin(tilt)) * shape)
     assume(is_ccw_loop(hull))
     z, phi = map(np.array, ccw_loop(hull))
-    i, j, width = _calipers(z, phi)
+    j0, width = _antipodes(z, phi)
+    i, j = _calipers(z, j0)
     p, q = oracle_diameter(z)
     diameter = abs(z[p] - z[q])
     assert abs(abs(z[i] - z[j]) - diameter) <= 1e-12 * diameter
@@ -765,3 +769,53 @@ def test_deque_skips_change_no_decision(lines, boxed):
     got, want = _intersect_sorted(phi, c), oracle_deque_vertices(phi, c)
     assert (got is None) == (want is None)
     assert got is None or all(map(np.array_equal, got, want))
+
+
+def _ellipse_lines(m, center, a, b, tilt):
+    """The tangent lines of an ellipse, half-axes a and b turned by tilt about
+    center, at m normal angles evenly spaced over the circle."""
+    phi = TWO_PI * np.arange(m) / m
+    t = phi - tilt
+    return phi, (np.exp(-1j * phi) * center).real + np.hypot(a * np.cos(t), b * np.sin(t))
+
+
+# the tangent lines of an ellipse make an event-free set: no line cuts the
+# corner of the two before it or the front corner of lines 0 and 1, and no
+# turn reaches pi, so every line joins the deque at once.  Three corners are
+# then taken one at a time: that of lines 0 and 1, for the front test of the
+# whole run, and one for each test of the closing step, which pops nothing.
+# The box lines, far outside, cut corners of the lines around them and take
+# the general loop
+@pytest.mark.parametrize("boxed", [False, True])
+@pytest.mark.parametrize("ellipse", [(0j, 1.0, 1.0, 0.0), (0.3 - 0.2j, 2.0, 0.05, 0.7), (1 + 1j, 0.5, 0.2, 2.0)])
+@pytest.mark.parametrize("m", [8, 9, 2048, 2049, 4097])
+def test_event_free_sets_match_oracle(m, ellipse, boxed):
+    phi, c = _by_angle(_ellipse_lines(m, *ellipse), *([(_BOX_PHI, np.full(4, 10.0))] if boxed else []))
+    calls = 0
+    corner = geometry._corner
+
+    def count(*args):
+        nonlocal calls
+        calls += np.ndim(args[0]) == 0
+        return corner(*args)
+
+    with mock.patch.object(geometry, "_corner", count):
+        got = _intersect_sorted(phi, c)
+    want = oracle_deque_vertices(phi, c)
+    assert got is not None and all(map(np.array_equal, got, want))
+    if not boxed:
+        assert got[1].size == m and calls == 3
+
+
+# three or four lines whose only turn of pi or more lies between lines 0 and
+# 1: the deque meets it before any event, so the set ends there, empty or
+# unbounded, however the lines after it join
+@pytest.mark.parametrize("bounds", [(1.0, 1.0, 1.0, 1.0), (1.0, -2.0, 0.5, 3.0), (1.0, 1.0, 50.0, 50.0),
+                                    (-1.0, 1.0, 50.0, 50.0)])
+@pytest.mark.parametrize("turns", [(math.pi, 0.4), (math.pi + 1e-9, 0.4), (math.pi + 0.5, 0.4),
+                                   (math.pi, 0.3, 0.5), (math.pi + 0.2, 0.3, 0.5)])
+@pytest.mark.parametrize("offset", [0.0, 0.2])
+def test_turn_between_first_lines_matches_oracle(offset, turns, bounds):
+    phi = offset + np.cumsum((0.0,) + turns)
+    c = np.array(bounds[:phi.size])
+    assert _intersect_sorted(phi, c) is None and oracle_deque_vertices(phi, c) is None

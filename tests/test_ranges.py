@@ -484,6 +484,34 @@ def test_thin_family_ranges_match_oracle_kind(n, t, rev, grid):
     assert got.kind == rank_k_analytic(classify(list(xi)), k, grid).kind, (xi, grid)
 
 
+# region_from_vertices searches for the diameter (_calipers) only where the
+# loop may be a POINT or a SEGMENT: a width above 2 WIDTH_EPS with an area of
+# AREA_EPS or more is a POLYGON at once.  Lambda_1..3 of (1, 1, 1, 1, 1) and
+# the strips off theta = pi/2, about 1e-3 wide, of (1, phi, 0) at k = 2 and
+# of FIG3 at k = 3 take that exit; the fans of the CI step, a point and (at
+# grid 2048) a segment, search, and each kind is the oracle's
+@pytest.mark.parametrize("xi, k, grid, kind", [
+    *[((1.0,) * 5, k, 2048, POLYGON) for k in (1, 2, 3)],
+    *[((1.0, PHI, 0.0), 2, grid, POLYGON) for grid in (2047, 2049, 2050, 4097)],
+    *[((1.866, 0.0, 1.0, 0.866), 3, grid, POINT) for grid in (2048, 2049)],
+    ((0.801938, 1.0, 0.0, 1.0, 0.801938), 3, 2048, SEGMENT),
+    ((0.801938, 1.0, 0.0, 1.0, 0.801938), 3, 2049, POLYGON),
+])
+def test_diameter_search_only_for_thin_loops(xi, k, grid, kind):
+    calls = 0
+    calipers = geometry._calipers
+
+    def count(*args):
+        nonlocal calls
+        calls += 1
+        return calipers(*args)
+
+    with mock.patch.object(geometry, "_calipers", count):
+        got, vertices = _range_and_vertices(xi, k, grid)
+    assert got.kind == oracle_region_from_vertices(vertices).kind == kind
+    assert (calls > 0) == (kind != POLYGON)
+
+
 def test_numeric_fine_grid_memory():
     tracemalloc.start()
     try:
