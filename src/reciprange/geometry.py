@@ -24,6 +24,9 @@ from .errors import InvalidInputError
 
 AREA_EPS = 1e-14
 WIDTH_EPS = 1e-8
+# a loop holding the disk of this radius about 0 is wider than 2 WIDTH_EPS and
+# larger than AREA_EPS with a factor 2 to spare: a POLYGON
+FAT_INRADIUS = 2 * max(WIDTH_EPS, math.sqrt(AREA_EPS / math.pi))
 ANGLE_EPS = 1e-12  # outward normals closer than this count as equal
 CERT_EPS = 1e-10  # relative violation the emptiness certificate tolerates
 SIDE_EPS = 1e-14  # a corner outside a line by less than this, relative, lies on it
@@ -95,7 +98,7 @@ def _calipers(z, j0):
     return int(a[best]), int(b[best])
 
 
-def region_from_vertices(pts, normals) -> ConvexRegion:
+def region_from_vertices(pts, normals, inradius=0.0) -> ConvexRegion:
     """Classify a convex CCW vertex loop into POLYGON/SEGMENT/POINT.
 
     normals[j], increasing, is the outward normal angle of edge j (pts[j] to
@@ -113,10 +116,18 @@ def region_from_vertices(pts, normals) -> ConvexRegion:
     that pair's distance, up to the same rounding.  So a loop of width above
     2 WIDTH_EPS has a diameter above WIDTH_EPS with room to spare, and with
     an area of AREA_EPS or more it is a POLYGON without the diameter search.
+
+    ``inradius`` is the radius of a disk about 0 that the caller knows lies
+    inside the loop (0 if none).  The width is then at least 2 inradius and
+    the area at least pi inradius^2, so above FAT_INRADIUS, which leaves a
+    factor 2 in both for the rounding of the vertices, the loop is a POLYGON
+    without the width, the area or the diameter.
     """
     z = np.asarray(pts, dtype=complex).ravel()
     phi = np.array(normals, dtype=float)
     phi.setflags(write=False)
+    if inradius > FAT_INRADIUS:
+        return ConvexRegion(POLYGON, tuple(z.tolist()), phi)
     j0, width = _antipodes(z, phi)
     if not (width > 2 * WIDTH_EPS and abs(polygon_area(z)) >= AREA_EPS):
         i, j = _calipers(z, j0)
@@ -282,7 +293,9 @@ def _intersect_sorted(phi, c):
     front cuts and turns of pi.  A set without any of these events, as the
     tangent lines of a convex curve are, takes no per-line Python step at
     all: its lines join as one run, and _deque gives the kept ones as a
-    slice.  The emptiness certificate checks every line.
+    slice.  When some bound is 0 or less, the emptiness certificate then
+    checks every line against the vertices; when every bound is positive, 0
+    lies inside every half-plane, the set is not empty, and it is skipped.
     """
     # of half-planes with equal normals only the tightest can bound the set
     first = np.flatnonzero(np.concatenate(([True], np.diff(phi) > ANGLE_EPS)))
@@ -311,12 +324,13 @@ def _intersect_sorted(phi, c):
         lines = live[lines]
     lx, ly, lc = ux[lines], uy[lines], c[lines]
     vx, vy = _corner(np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1), lx, ly, lc)  # lines j-1, j
-    # emptiness certificate: each half-plane holds at the vertex extreme in its
-    # outward normal, which sits between the edges whose angles bracket it
-    extreme = np.searchsorted(phi[lines], phi) % lx.size
-    violation = ux * vx[extreme] + uy * vy[extreme] - c
-    if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
-        return None
+    if np.min(c) <= 0:
+        # emptiness certificate: each half-plane holds at the vertex extreme in
+        # its outward normal, which sits between the edges whose angles bracket it
+        extreme = np.searchsorted(phi[lines], phi) % lx.size
+        violation = ux * vx[extreme] + uy * vy[extreme] - c
+        if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
+            return None
     return vx + 1j * vy, phi[lines]
 
 
@@ -399,7 +413,9 @@ def _deque(phi, ux, uy, c, back):
 def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:
     """Intersection of the centered square of half-width box_halfwidth with the
     half-planes {z : Re(e^{i thetas[j]} z) <= bounds[j]}, given as two arrays:
-    O(T) past the angle sort, which is linear on a theta grid.
+    O(T) past the angle sort, which is linear on a theta grid.  The least
+    bound, if positive, is the radius of a disk about 0 inside every
+    half-plane, which region_from_vertices takes as the loop's inradius.
 
     Raises InvalidInputError unless thetas and bounds are finite 1-D arrays of
     one length and box_halfwidth is finite and positive."""
@@ -413,9 +429,9 @@ def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:
     r = float(box_halfwidth)
     if not 0 < r < math.inf:
         raise InvalidInputError(f"box half-width must be finite and positive, got {box_halfwidth}")
-    phi = np.mod(-thetas, TWO_PI)
-    loop = _intersect_sorted(*_by_angle((phi, bounds), (_BOX_PHI, np.full(4, r))))
-    return ConvexRegion.empty() if loop is None else region_from_vertices(*loop)
+    phi, c = _by_angle((np.mod(-thetas, TWO_PI), bounds), (_BOX_PHI, np.full(4, r)))
+    loop = _intersect_sorted(phi, c)
+    return ConvexRegion.empty() if loop is None else region_from_vertices(*loop, float(np.min(c)))
 
 
 def convex_hull(points):

@@ -7,6 +7,9 @@ eigenvalues; ``rank_k_analytic`` takes them, for a positive classification,
 from ``pencil_values``, the closed-form eigenvalues its ellipse components
 imply.  Both clip the k-th largest bound on one theta grid through the one
 kernel ``halfplane_intersection``, so neither needs the criterion table.
+For 2k >= n + 1 the spectrum's symmetry about 0 mostly decides Lambda_k
+without the clip: by the verdict in ``rank_k_analytic``, by the solve's own
+values in ``rank_k_numeric``.
 """
 
 from __future__ import annotations
@@ -25,28 +28,64 @@ BOUND_SLACK = 1e-12
 _last_solve = (None, None)
 
 
+def _check_grid(thetas):
+    if thetas.size < 8:
+        raise InvalidInputError("theta grid needs at least 8 points")
+
+
+def _slack(bounds) -> float:
+    """The margin _clip adds to every bound: BOUND_SLACK relative to the
+    largest, or absolute below 1."""
+    return BOUND_SLACK * max(1.0, float(np.max(np.abs(bounds))))
+
+
 def _clip(xi, thetas, bounds) -> ConvexRegion:
     """The half-planes {Re(e^{i theta} z) <= bound} over the grid, clipped
     from a box exceeding the numerical radius of the canonical representative
     of ``xi`` (whose range every matrix with these xi shares).  The slack
     absorbs eigensolver noise so degenerate (segment/point) intersections
     keep their exact extent."""
-    if thetas.size < 8:
-        raise InvalidInputError("theta grid needs at least 8 points")
+    _check_grid(thetas)
     entries = matrix_from_xi(xi).superdiag
     r = 2 + max(abs(a) for a in entries) + max(1 / abs(a) for a in entries)
-    slack = BOUND_SLACK * max(1.0, float(np.max(np.abs(bounds))))
-    return halfplane_intersection(thetas, bounds + slack, r)
+    return halfplane_intersection(thetas, bounds + _slack(bounds), r)
+
+
+def _origin_region(bounds, paired, past_middle):
+    """Lambda_k for 2k >= n + 1 where its own bounds decide it, else None.
+
+    If every |lambda_k(theta)| is within _clip's slack, every half-plane
+    _clip would cut holds 0 and its line passes within twice the slack of
+    0: the POINT {0}.  If ``paired`` (row j + m/2 of the grid is
+    theta_j + pi) and past_middle (2k > n + 1), two rows pi apart whose
+    bounds, each widened by the slack, sum below 0 bound disjoint
+    half-planes: EMPTY.  Both read the solve's values; anything else is
+    left to the clip."""
+    slack = _slack(bounds)
+    if np.max(np.abs(bounds)) <= slack:
+        return ConvexRegion(POINT, (0j,))
+    if paired and past_middle:
+        half = bounds.size // 2
+        if np.any(bounds[:half] + bounds[half:] < -2 * slack):
+            return ConvexRegion.empty()
+    return None
 
 
 def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
-    """Lambda_k as the intersection of a bounding box with the supporting
-    half-planes {Re(e^{i theta} z) <= lambda_k(theta)} over the grid.
+    """Lambda_k as the intersection of the supporting half-planes
+    {Re(e^{i theta} z) <= lambda_k(theta)} over the grid, clipped from a box.
 
     ``matrix`` is a ReciprocalMatrix, an XiParameters or a sequence of xi
     values; only its xi enter.  An even integer grid of m points takes
     floor(m/4) + 1 eigen solves (see ``eigencurves``), and the thetas and
     bounds go to ``halfplane_intersection`` as arrays.
+
+    The spectrum of Re(e^{i theta} A) is symmetric about 0, so for
+    2k >= n + 1 the solve itself usually shows the answer, and the clip is
+    skipped (see ``_origin_region``): the POINT {0} when every |lambda_k|
+    is within the clip's slack, and, on an even integer grid, whose rows
+    theta and theta + pi are both on it, EMPTY when 2k > n + 1 and two such
+    rows bound disjoint half-planes.  Every other case is clipped.
 
     Consecutive calls on the same xi and grid share one solve, so Lambda_1,
     Lambda_2, ... of one matrix in turn solve once: the eigenvalues of the
@@ -61,13 +100,20 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in 1..{n}, got {k}")
     thetas = _theta_array(theta_grid)
-    key = (xi.xi, np.isscalar(theta_grid), thetas.tobytes())
+    _check_grid(thetas)
+    sized = np.isscalar(theta_grid)
+    key = (xi.xi, sized, thetas.tobytes())
     held = _last_solve
     if held[0] != key:
         lam = eigencurves(xi, theta_grid)[1]
         lam.flags.writeable = False
         held = (key, lam)
-    region = _clip(xi, thetas, held[1][:, k - 1])
+    bounds = held[1][:, k - 1]
+    region = None
+    if 2 * k >= n + 1:
+        region = _origin_region(bounds, sized and thetas.size % 2 == 0, 2 * k > n + 1)
+    if region is None:
+        region = _clip(xi, thetas, bounds)
     _last_solve = held  # only once the call has succeeded
     return region
 

@@ -30,6 +30,7 @@ from reciprange.errors import InvalidInputError
 from reciprange.geometry import (
     _BOX_PHI,
     EMPTY,
+    FAT_INRADIUS,
     POINT,
     POLYGON,
     SEGMENT,
@@ -777,6 +778,28 @@ def _ellipse_lines(m, center, a, b, tilt):
     phi = TWO_PI * np.arange(m) / m
     t = phi - tilt
     return phi, (np.exp(-1j * phi) * center).real + np.hypot(a * np.cos(t), b * np.sin(t))
+
+
+# tangent lines of ellipses whose inradius about 0 lies on either side of
+# FAT_INRADIUS, some of them thin strips, some of area below AREA_EPS
+_tiny = st.floats(-4.0, 3.0).map(lambda e: 2**e * FAT_INRADIUS)
+_tiny_ellipse_lines = st.builds(_ellipse_lines, st.integers(8, 300), _centers.map(lambda z: z * FAT_INRADIUS / 16),
+                                _tiny, _tiny, _offsets)
+
+
+@given(_line_sets | _tiny_ellipse_lines, st.booleans())
+# a disk of inradius 0.4 FAT_INRADIUS has an area below AREA_EPS: a SEGMENT
+@example(_ellipse_lines(64, 0j, 0.4 * FAT_INRADIUS, 0.4 * FAT_INRADIUS, 0.0), False)
+@example(_ellipse_lines(64, 0j, 1.01 * FAT_INRADIUS, 1.01 * FAT_INRADIUS, 0.0), True)
+def test_inradius_gate_changes_no_decision(lines, boxed):
+    # the disk about 0 of radius min(c) lies inside every half-plane; a loop
+    # classified with it as inradius is the loop classified without
+    phi, c = lines
+    phi, c = _by_angle((np.mod(phi, TWO_PI), c), *([(_BOX_PHI, np.full(4, 10.0))] if boxed else []))
+    loop = _intersect_sorted(phi, c)
+    if loop is not None:
+        fast, full = region_from_vertices(*loop, float(np.min(c))), region_from_vertices(*loop)
+        assert fast == full and np.array_equal(fast.normals, full.normals)
 
 
 # the tangent lines of an ellipse make an event-free set: no line cuts the

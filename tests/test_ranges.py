@@ -320,7 +320,8 @@ def test_numpy_integer_grid_sizes_pass():
 @pytest.mark.parametrize("xi", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, PHI, 0.0), (0.0, 0.0, 0.0),
                                 FIG1, FIG2, FIG3, FIG4, FIG5, (1.0,) * 5])
 def test_numeric_matches_clipping_oracle(xi, monkeypatch):
-    # the very half-planes rank_k_numeric builds, clipped one by one
+    # the very half-planes _clip builds from the solve, clipped one by one,
+    # against rank_k_numeric, which skips the clip where the solve decides
     seen = []
     kernel = ranges.halfplane_intersection
 
@@ -332,6 +333,8 @@ def test_numeric_matches_clipping_oracle(xi, monkeypatch):
     m = matrix_from_xi(list(xi))
     for k in range(1, m.n + 1):
         got = rank_k_numeric(m, k, 512)
+        seen.clear()
+        _fresh(m, k, 512)
         want = oracle_halfplane_intersection(*seen.pop())
         assert got.kind == want.kind, (xi, k)
         assert oracle_hausdorff(got, want) <= 1e-9, (xi, k)
@@ -343,7 +346,7 @@ _paper_or_drawn = st.sampled_from([FIG1, FIG2, FIG3, FIG4, FIG5, (1.0, 0.0, 1.0)
 
 @given(_paper_or_drawn, st.sampled_from([127, 128, 513, 2048]), st.data())
 def test_numeric_skips_change_no_decision(xi, grid, data):
-    # the deque of one rank_k_numeric call, on the very lines it used,
+    # the deque of one clip of the solve's bounds, on the very lines it used,
     # against its one-step-per-line oracle: vertices and lines kept
     k = data.draw(st.integers(1, len(xi) + 1))
     calls = []
@@ -355,7 +358,7 @@ def test_numeric_skips_change_no_decision(xi, grid, data):
         return got
 
     with mock.patch.object(geometry, "_intersect_sorted", spy):
-        rank_k_numeric(xi, k, grid)
+        _fresh(xi, k, grid)
     assert len(calls) == 1
     got, want = calls[0]
     assert (got is None) == (want is None)
@@ -363,7 +366,8 @@ def test_numeric_skips_change_no_decision(xi, grid, data):
 
 
 def _kernel_lines(xi, k, grid):
-    """The sorted (phi, c) arrays rank_k_numeric hands to _intersect_sorted."""
+    """The sorted (phi, c) arrays that _clip, on the bounds of the eigen
+    solve, hands to _intersect_sorted (rank_k_numeric's point fans skip it)."""
     seen = []
     kernel = geometry._intersect_sorted
 
@@ -372,7 +376,7 @@ def _kernel_lines(xi, k, grid):
         return kernel(phi, c)
 
     with mock.patch.object(geometry, "_intersect_sorted", spy):
-        rank_k_numeric(xi, k, grid)
+        _fresh(xi, k, grid)
     return seen[0]
 
 
@@ -403,7 +407,9 @@ def test_pruned_fans_match_deque_oracle(xi, grid):
 @pytest.mark.parametrize("xi, bound", [(FIG2, 560), (FIG3, 520)])
 def test_fan_scalar_steps_bounded(xi, bound):
     # one scalar step per line made ~5,600 (n = 5) and ~5,200 (FIG3) scalar
-    # corners at grid 2048; the pruning rounds leave a tenth of that at most
+    # corners at grid 2048; the pruning rounds leave a tenth of that at most.
+    # rank_k_numeric does not clip the n = 5 point, so the solve's bounds are
+    # clipped directly
     calls = 0
     corner = geometry._corner
 
@@ -413,9 +419,9 @@ def test_fan_scalar_steps_bounded(xi, bound):
         return corner(*args)
 
     with mock.patch.object(geometry, "_corner", count):
-        region = rank_k_numeric(xi, 3, 2048)
-    assert region.kind == (POINT if len(xi) == 4 else SEGMENT)
-    assert calls <= bound
+        region = _fresh(xi, 3, 2048)
+    assert region.kind == rank_k_numeric(xi, 3, 2048).kind == (POINT if len(xi) == 4 else SEGMENT)
+    assert 0 < calls <= bound
 
 
 @pytest.mark.parametrize("grid", [512, 2048, 2050])
@@ -430,8 +436,8 @@ def test_numeric_d2_symmetric(xi, grid):
             assert hausdorff_distance(r, _mirrored(r, conjugate)) <= 1e-12, (xi, k)
 
 
-def _range_and_vertices(xi, k, grid):
-    """rank_k_numeric(xi, k, grid) and the vertices its deque returned."""
+def _range_and_vertices(xi, k, grid, numeric=rank_k_numeric):
+    """numeric(xi, k, grid) and the vertices its deque returned."""
     seen = []
     kernel = geometry._intersect_sorted
 
@@ -440,7 +446,7 @@ def _range_and_vertices(xi, k, grid):
         return seen[-1]
 
     with mock.patch.object(geometry, "_intersect_sorted", spy):
-        region = rank_k_numeric(xi, k, grid)
+        region = numeric(xi, k, grid)
     return region, seen[0][0]
 
 
@@ -489,7 +495,10 @@ def test_thin_family_ranges_match_oracle_kind(n, t, rev, grid):
 # AREA_EPS or more is a POLYGON at once.  Lambda_1..3 of (1, 1, 1, 1, 1) and
 # the strips off theta = pi/2, about 1e-3 wide, of (1, phi, 0) at k = 2 and
 # of FIG3 at k = 3 take that exit; the fans of the CI step, a point and (at
-# grid 2048) a segment, search, and each kind is the oracle's
+# grid 2048) a segment, search, and each kind is the oracle's.  The loops
+# that exit so hold a disk about 0 of radius above FAT_INRADIUS, so they do
+# not take the width (_antipodes) either.  rank_k_numeric does not clip the
+# point fan, so the solve's bounds are clipped directly
 @pytest.mark.parametrize("xi, k, grid, kind", [
     *[((1.0,) * 5, k, 2048, POLYGON) for k in (1, 2, 3)],
     *[((1.0, PHI, 0.0), 2, grid, POLYGON) for grid in (2047, 2049, 2050, 4097)],
@@ -498,18 +507,21 @@ def test_thin_family_ranges_match_oracle_kind(n, t, rev, grid):
     ((0.801938, 1.0, 0.0, 1.0, 0.801938), 3, 2049, POLYGON),
 ])
 def test_diameter_search_only_for_thin_loops(xi, k, grid, kind):
-    calls = 0
-    calipers = geometry._calipers
+    calls = {"_calipers": 0, "_antipodes": 0}
 
-    def count(*args):
-        nonlocal calls
-        calls += 1
-        return calipers(*args)
+    def counted(name):
+        real = getattr(geometry, name)
 
-    with mock.patch.object(geometry, "_calipers", count):
-        got, vertices = _range_and_vertices(xi, k, grid)
-    assert got.kind == oracle_region_from_vertices(vertices).kind == kind
-    assert (calls > 0) == (kind != POLYGON)
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    with mock.patch.object(geometry, "_calipers", counted("_calipers")), \
+            mock.patch.object(geometry, "_antipodes", counted("_antipodes")):
+        got, vertices = _range_and_vertices(xi, k, grid, _fresh)
+    assert got.kind == oracle_region_from_vertices(vertices).kind == rank_k_numeric(xi, k, grid).kind == kind
+    assert (calls["_calipers"] > 0) == (calls["_antipodes"] > 0) == (kind != POLYGON)
 
 
 def test_numeric_fine_grid_memory():
@@ -566,6 +578,12 @@ def _fresh(matrix, k, grid):
 
 
 def _assert_same_region(got, want):
+    """got, from rank_k_numeric, is want, from _fresh, but for the POINT {0}
+    that rank_k_numeric reads off its solve, where the clip's point lies
+    within rounding of 0."""
+    if got.kind == want.kind == POINT and got.points == (0j,):
+        assert abs(want.points[0]) <= 1e-8
+        return
     assert got == want
     assert np.array_equal(got.normals, want.normals)
 
@@ -624,3 +642,70 @@ def test_failed_call_keeps_the_held_solve(bad, monkeypatch):
     calls.clear()
     _assert_same_region(rank_k_numeric(FIG5, 2, 2048), _fresh(FIG5, 2, 2048))
     assert calls == []
+
+
+def test_guards_precede_the_origin_fast_path():
+    # Lambda_3 of n = 5 is the POINT {0} from the solve, but not on a grid too
+    # small to clip nor for a k out of range
+    assert rank_k_numeric(FIG2, 3, 8) == ConvexRegion(POINT, (0j,))
+    with pytest.raises(InvalidInputError, match="at least 8 points"):
+        rank_k_numeric(FIG2, 3, 4)
+    with pytest.raises(InvalidInputError, match="at least 8 points"):
+        rank_k_numeric(FIG2, 4, 4)
+    with pytest.raises(InvalidInputError, match="k must be"):
+        rank_k_numeric(FIG2, 6, 4)
+
+
+_xi_with_zeros = st.integers(3, 7).flatmap(
+    lambda n: st.lists(st.just(0.0) | st.floats(0.0, 2.5), min_size=n - 1, max_size=n - 1)).map(tuple)
+
+
+@given(_xi_with_zeros, st.sampled_from([127, 128, 2048, 2049]))
+def test_origin_fast_paths_change_no_decision(xi, grid):
+    # at every k, 2k > n + 1 too, rank_k_numeric's point and empty ranges
+    # from the solve are the clip's, and so is every clipped range; every
+    # loop the clips make is classified the same with its inradius as without
+    loops = []
+    kernel = geometry._intersect_sorted
+
+    def spy(phi, c):
+        loops.append((kernel(phi, c), float(np.min(c))))
+        return loops[-1][0]
+
+    for k in range(1, len(xi) + 2):
+        got = rank_k_numeric(xi, k, grid)
+        with mock.patch.object(geometry, "_intersect_sorted", spy):
+            want = _fresh(xi, k, grid)
+        _assert_same_region(got, want)
+    for loop, inradius in loops:
+        if loop is not None:
+            fast, full = geometry.region_from_vertices(*loop, inradius), geometry.region_from_vertices(*loop)
+            assert fast == full and np.array_equal(fast.normals, full.normals)
+
+
+def _slack_units(fill, rows=None):
+    """Bounds on a grid of 16 in units of BOUND_SLACK: fill, and rows[j] at
+    row j (rows j and j + 8 are pi apart)."""
+    b = np.full(16, float(fill))
+    for j, v in (rows or {}).items():
+        b[j] = v
+    return b * ranges.BOUND_SLACK
+
+
+# rank_k_numeric's fast path on bounds near its thresholds: where it decides,
+# the clip of the same bounds gives the same kind; the last case's rows 3
+# and 11 sum to -1.9 slack, so the widened half-planes overlap in a strip and
+# the clip gives a POINT, not EMPTY
+@pytest.mark.parametrize("bounds, paired, past_middle, kind, clipped", [
+    (_slack_units(0.9, {1: -0.9, 4: -0.9, 9: -0.9}), True, True, POINT, POINT),
+    (_slack_units(0.0, {3: 1.1}), True, True, None, POINT),
+    (_slack_units(-1.5), True, True, EMPTY, EMPTY),
+    (_slack_units(-1.5), False, True, None, EMPTY),
+    (_slack_units(-1.5), True, False, None, EMPTY),
+    (_slack_units(0.9, {3: -0.7, 11: -1.2}), True, True, None, POINT),
+])
+def test_origin_region_decides_as_the_clip(bounds, paired, past_middle, kind, clipped):
+    got = ranges._origin_region(bounds, paired, past_middle)
+    assert (None if got is None else got.kind) == kind
+    thetas = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    assert ranges._clip((1.0, 1.0, 1.0), thetas, bounds).kind == clipped
