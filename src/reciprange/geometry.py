@@ -24,8 +24,8 @@ from .errors import InvalidInputError
 
 AREA_EPS = 1e-14
 WIDTH_EPS = 1e-8
-# a loop holding the disk of this radius about 0 is wider than 2 WIDTH_EPS and
-# larger than AREA_EPS with a factor 2 to spare: a POLYGON
+# a loop holding the disk of this radius about 0 is wider than WIDTH_EPS and
+# larger than AREA_EPS with a factor 4 to spare: a POLYGON
 FAT_INRADIUS = 2 * max(WIDTH_EPS, math.sqrt(AREA_EPS / math.pi))
 ANGLE_EPS = 1e-12  # outward normals closer than this count as equal
 CERT_EPS = 1e-10  # relative violation the emptiness certificate tolerates
@@ -66,36 +66,29 @@ def polygon_area(pts) -> float:
     return float(np.sum(z.real * w.imag - w.real * z.imag)) / 2
 
 
-def _antipodes(z, phi):
-    """(j0, width) of a convex CCW loop: the antipodal vertex z[j0[j]] of
-    every edge j and the least distance between two parallel supporting
-    lines, without a Python loop.
+def _calipers(z, phi):
+    """Rotating calipers on a convex CCW loop, without a Python loop.
 
     phi[j], increasing, is the outward normal angle of edge j (z[j] to
-    z[j + 1]).  Vertex j supports the directions between phi[j - 1] and
-    phi[j], so the antipodal vertex of every edge, the support vertex of its
-    negated normal, comes from one searchsorted over phi: O(V log V).  Of an
-    edge parallel to edge j rounding may give either end.  The width is the
-    least distance of an edge's line from its antipodal vertex.
+    z[j + 1]).  Returns (i, j, width): the farthest vertex pair z[i], z[j]
+    and the least distance between two parallel supporting lines.  Vertex j
+    supports the directions between phi[j - 1] and phi[j], so the antipodal
+    vertex of every edge, the support vertex of its negated normal, comes
+    from one searchsorted over phi: O(V log V).  Of an edge parallel to edge
+    i rounding may give either end.
     """
-    j0 = np.searchsorted(phi, np.mod(phi + math.pi, TWO_PI)) % z.size
-    return j0, float(np.min((np.exp(-1j * phi) * (z - z[j0])).real))
-
-
-def _calipers(z, j0):
-    """Rotating calipers on a convex CCW loop: the farthest vertex pair
-    (i, j), from the antipodal vertex j0[e] of every edge e that _antipodes
-    gives.  Every antipodal pair has an endpoint of some edge and that edge's
-    antipodal vertex (or its successor, when the two edges are parallel), so
-    the pair is the farthest of 4V candidates: O(V)."""
     m = z.size
     i0 = np.arange(m)
     i1 = np.roll(i0, -1)
+    j0 = np.searchsorted(phi, np.mod(phi + math.pi, TWO_PI)) % m
     j1 = (j0 + 1) % m
+    width = float(np.min((np.exp(-1j * phi) * (z - z[j0])).real))
+    # every antipodal pair has an endpoint of some edge and that edge's antipodal
+    # vertex (or its successor, when the two edges are parallel)
     a = np.concatenate([i0, i1, i0, i1])
     b = np.concatenate([j0, j0, j1, j1])
     best = int(np.argmax(np.abs(z[a] - z[b])))
-    return int(a[best]), int(b[best])
+    return int(a[best]), int(b[best]), width
 
 
 def region_from_vertices(pts, normals, inradius=0.0) -> ConvexRegion:
@@ -107,46 +100,37 @@ def region_from_vertices(pts, normals, inradius=0.0) -> ConvexRegion:
     below WIDTH_EPS collapses to POINT; a width below WIDTH_EPS or an area
     below AREA_EPS collapses to SEGMENT along the diameter, each end the mean
     of the vertices whose projection on it lies within the loop's spread
-    across it of the extreme.  Area and width take O(V log V).
-
-    Only a thin or tiny loop needs the diameter.  Each term of the width is
-    u . (z[e] - z[j0[e]]) for a unit u, at most |z[e] - z[j0[e]]| up to a
-    relative rounding of a few 1e-16, and that pair is among the candidates
-    of _calipers; the diameter measured along the pair it picks is at least
-    that pair's distance, up to the same rounding.  So a loop of width above
-    2 WIDTH_EPS has a diameter above WIDTH_EPS with room to spare, and with
-    an area of AREA_EPS or more it is a POLYGON without the diameter search.
+    across it of the extreme.  Area, diameter and width take O(V log V).
 
     ``inradius`` is the radius of a disk about 0 that the caller knows lies
-    inside the loop (0 if none).  The width is then at least 2 inradius and
-    the area at least pi inradius^2, so above FAT_INRADIUS, which leaves a
-    factor 2 in both for the rounding of the vertices, the loop is a POLYGON
-    without the width, the area or the diameter.
+    inside the loop (0 if none).  The width, and so the diameter, is then at
+    least 2 inradius and the area at least pi inradius^2, so above
+    FAT_INRADIUS, which leaves a factor 4 in both for the rounding of the
+    vertices, the loop is a POLYGON without the width, the area or the
+    diameter.
     """
     z = np.asarray(pts, dtype=complex).ravel()
     phi = np.array(normals, dtype=float)
     phi.setflags(write=False)
     if inradius > FAT_INRADIUS:
         return ConvexRegion(POLYGON, tuple(z.tolist()), phi)
-    j0, width = _antipodes(z, phi)
-    if not (width > 2 * WIDTH_EPS and abs(polygon_area(z)) >= AREA_EPS):
-        i, j = _calipers(z, j0)
-        # every vertex projects between the diameter pair along its direction,
-        # so the extremes of that projection are the pair again
-        rel = (z - z[i]) * np.conj(z[j] - z[i])
-        along = rel.real
-        lo, hi = int(np.argmin(along)), int(np.argmax(along))
-        if abs(z[hi] - z[lo]) < WIDTH_EPS:
-            return ConvexRegion(POINT, (complex(z.mean()),))
-        if abs(polygon_area(z)) < AREA_EPS or width < WIDTH_EPS:
-            # on a thin strip the corners at each end tie for the extreme, so
-            # each end is the mean of the vertices whose projection lies within
-            # the loop's spread across the diameter of it, which rounding
-            # cannot flip; the ends keep the loop's order
-            reach = float(np.ptp(rel.imag))
-            ends = sorted((np.flatnonzero(along <= along[lo] + reach),
-                           np.flatnonzero(along >= along[hi] - reach)), key=lambda e: e[0])
-            return ConvexRegion(SEGMENT, tuple(complex(z[e].mean()) for e in ends))
+    i, j, width = _calipers(z, phi)
+    # every vertex projects between the diameter pair along its direction, so
+    # the extremes of that projection are the pair again
+    rel = (z - z[i]) * np.conj(z[j] - z[i])
+    along = rel.real
+    lo, hi = int(np.argmin(along)), int(np.argmax(along))
+    if abs(z[hi] - z[lo]) < WIDTH_EPS:
+        return ConvexRegion(POINT, (complex(z.mean()),))
+    if abs(polygon_area(z)) < AREA_EPS or width < WIDTH_EPS:
+        # on a thin strip the corners at each end tie for the extreme, so
+        # each end is the mean of the vertices whose projection lies within
+        # the loop's spread across the diameter of it, which rounding cannot
+        # flip; the ends keep the loop's order
+        reach = float(np.ptp(rel.imag))
+        ends = sorted((np.flatnonzero(along <= along[lo] + reach),
+                       np.flatnonzero(along >= along[hi] - reach)), key=lambda e: e[0])
+        return ConvexRegion(SEGMENT, tuple(complex(z[e].mean()) for e in ends))
     return ConvexRegion(POLYGON, tuple(z.tolist()), phi)
 
 

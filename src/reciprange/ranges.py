@@ -8,8 +8,8 @@ from ``pencil_values``, the closed-form eigenvalues its ellipse components
 imply.  Both clip the k-th largest bound on one theta grid through the one
 kernel ``halfplane_intersection``, so neither needs the criterion table.
 For 2k >= n + 1 the spectrum's symmetry about 0 mostly decides Lambda_k
-without the clip: by the verdict in ``rank_k_analytic``, by the solve's own
-values in ``rank_k_numeric``.
+without the clip: by the verdict in ``rank_k_analytic``; in
+``rank_k_numeric`` the solve's own values show the point {0}.
 """
 
 from __future__ import annotations
@@ -51,26 +51,6 @@ def _clip(xi, thetas, bounds) -> ConvexRegion:
     return halfplane_intersection(thetas, bounds + _slack(bounds), r)
 
 
-def _origin_region(bounds, paired, past_middle):
-    """Lambda_k for 2k >= n + 1 where its own bounds decide it, else None.
-
-    If every |lambda_k(theta)| is within _clip's slack, every half-plane
-    _clip would cut holds 0 and its line passes within twice the slack of
-    0: the POINT {0}.  If ``paired`` (row j + m/2 of the grid is
-    theta_j + pi) and past_middle (2k > n + 1), two rows pi apart whose
-    bounds, each widened by the slack, sum below 0 bound disjoint
-    half-planes: EMPTY.  Both read the solve's values; anything else is
-    left to the clip."""
-    slack = _slack(bounds)
-    if np.max(np.abs(bounds)) <= slack:
-        return ConvexRegion(POINT, (0j,))
-    if paired and past_middle:
-        half = bounds.size // 2
-        if np.any(bounds[:half] + bounds[half:] < -2 * slack):
-            return ConvexRegion.empty()
-    return None
-
-
 def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     """Lambda_k as the intersection of the supporting half-planes
     {Re(e^{i theta} z) <= lambda_k(theta)} over the grid, clipped from a box.
@@ -80,12 +60,13 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     floor(m/4) + 1 eigen solves (see ``eigencurves``), and the thetas and
     bounds go to ``halfplane_intersection`` as arrays.
 
-    The spectrum of Re(e^{i theta} A) is symmetric about 0, so for
-    2k >= n + 1 the solve itself usually shows the answer, and the clip is
-    skipped (see ``_origin_region``): the POINT {0} when every |lambda_k|
-    is within the clip's slack, and, on an even integer grid, whose rows
-    theta and theta + pi are both on it, EMPTY when 2k > n + 1 and two such
-    rows bound disjoint half-planes.  Every other case is clipped.
+    The spectrum of Re(e^{i theta} A) is symmetric about 0, so for odd n
+    every lambda_{(n+1)/2} is 0 up to rounding.  On an integer grid, whose
+    normals go round the circle in steps of at most pi/4, bounds all within
+    the clip's slack of 0 give the POINT {0} (exactly ``0j``) without the
+    clip: every half-plane the clip would cut holds 0, and its line passes
+    within twice the slack of it.  Every other case is clipped, an explicit
+    grid's point and every EMPTY range (2k > n + 1) included.
 
     Consecutive calls on the same xi and grid share one solve, so Lambda_1,
     Lambda_2, ... of one matrix in turn solve once: the eigenvalues of the
@@ -109,10 +90,9 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
         lam.flags.writeable = False
         held = (key, lam)
     bounds = held[1][:, k - 1]
-    region = None
-    if 2 * k >= n + 1:
-        region = _origin_region(bounds, sized and thetas.size % 2 == 0, 2 * k > n + 1)
-    if region is None:
+    if sized and np.max(np.abs(bounds)) <= _slack(bounds):
+        region = ConvexRegion(POINT, (0j,))
+    else:
         region = _clip(xi, thetas, bounds)
     _last_solve = held  # only once the call has succeeded
     return region

@@ -36,7 +36,6 @@ from reciprange.geometry import (
     SEGMENT,
     TWO_PI,
     ConvexRegion,
-    _antipodes,
     _by_angle,
     _calipers,
     _edge_halfplanes,
@@ -378,13 +377,12 @@ _loop_shapes = st.one_of(
 @example(np.array([0, 1, 1.25 + 1j, 0.25 + 1j]), 0.3014614839273489, 0j)
 def test_calipers_match_oracle(shape, tilt, center):
     # the hull makes each loop strictly convex and CCW after the move, as
-    # _antipodes and _calipers ask; width and diameter agree with the oracle
-    # to 1e-12 of the loop's diameter, the scale of the rounding in both
+    # _calipers asks; width and diameter agree with the oracle to 1e-12 of
+    # the loop's diameter, the scale of the rounding in both
     hull = convex_hull(center + complex(math.cos(tilt), math.sin(tilt)) * shape)
     assume(is_ccw_loop(hull))
     z, phi = map(np.array, ccw_loop(hull))
-    j0, width = _antipodes(z, phi)
-    i, j = _calipers(z, j0)
+    i, j, width = _calipers(z, phi)
     p, q = oracle_diameter(z)
     diameter = abs(z[p] - z[q])
     assert abs(abs(z[i] - z[j]) - diameter) <= 1e-12 * diameter

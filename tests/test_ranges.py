@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
@@ -491,14 +491,13 @@ def test_thin_family_ranges_match_oracle_kind(n, t, rev, grid):
 
 
 # region_from_vertices searches for the diameter (_calipers) only where the
-# loop may be a POINT or a SEGMENT: a width above 2 WIDTH_EPS with an area of
-# AREA_EPS or more is a POLYGON at once.  Lambda_1..3 of (1, 1, 1, 1, 1) and
-# the strips off theta = pi/2, about 1e-3 wide, of (1, phi, 0) at k = 2 and
-# of FIG3 at k = 3 take that exit; the fans of the CI step, a point and (at
-# grid 2048) a segment, search, and each kind is the oracle's.  The loops
-# that exit so hold a disk about 0 of radius above FAT_INRADIUS, so they do
-# not take the width (_antipodes) either.  rank_k_numeric does not clip the
-# point fan, so the solve's bounds are clipped directly
+# loop may be a POINT or a SEGMENT: a loop that holds a disk about 0 of
+# radius above FAT_INRADIUS is a POLYGON at once.  Lambda_1..3 of
+# (1, 1, 1, 1, 1) and the strips off theta = pi/2, about 1e-3 wide, of
+# (1, phi, 0) at k = 2 and of FIG3 at k = 3 hold such a disk; the fans of
+# the CI step, a point and (at grid 2048) a segment, search, and each kind is
+# the oracle's.  rank_k_numeric does not clip the point fan, so the solve's
+# bounds are clipped directly
 @pytest.mark.parametrize("xi, k, grid, kind", [
     *[((1.0,) * 5, k, 2048, POLYGON) for k in (1, 2, 3)],
     *[((1.0, PHI, 0.0), 2, grid, POLYGON) for grid in (2047, 2049, 2050, 4097)],
@@ -507,21 +506,17 @@ def test_thin_family_ranges_match_oracle_kind(n, t, rev, grid):
     ((0.801938, 1.0, 0.0, 1.0, 0.801938), 3, 2049, POLYGON),
 ])
 def test_diameter_search_only_for_thin_loops(xi, k, grid, kind):
-    calls = {"_calipers": 0, "_antipodes": 0}
+    calls = []
+    calipers = geometry._calipers
 
-    def counted(name):
-        real = getattr(geometry, name)
+    def count(*args):
+        calls.append(args)
+        return calipers(*args)
 
-        def count(*args):
-            calls[name] += 1
-            return real(*args)
-        return count
-
-    with mock.patch.object(geometry, "_calipers", counted("_calipers")), \
-            mock.patch.object(geometry, "_antipodes", counted("_antipodes")):
+    with mock.patch.object(geometry, "_calipers", count):
         got, vertices = _range_and_vertices(xi, k, grid, _fresh)
     assert got.kind == oracle_region_from_vertices(vertices).kind == rank_k_numeric(xi, k, grid).kind == kind
-    assert (calls["_calipers"] > 0) == (calls["_antipodes"] > 0) == (kind != POLYGON)
+    assert (len(calls) > 0) == (kind != POLYGON)
 
 
 def test_numeric_fine_grid_memory():
@@ -660,11 +655,18 @@ _xi_with_zeros = st.integers(3, 7).flatmap(
     lambda n: st.lists(st.just(0.0) | st.floats(0.0, 2.5), min_size=n - 1, max_size=n - 1)).map(tuple)
 
 
-@given(_xi_with_zeros, st.sampled_from([127, 128, 2048, 2049]))
+# explicit grids: one whose normals miss half the circle, where the box
+# bounds the point fans' half-planes to a POLYGON, and a full circle
+_HALF_CIRCLE = np.linspace(0.0, math.pi, 8)
+_FULL_CIRCLE = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
+
+
+@given(_xi_with_zeros, st.sampled_from([127, 128, 2048, 2049, _HALF_CIRCLE, _FULL_CIRCLE]))
+@example(FIG2, _HALF_CIRCLE)
 def test_origin_fast_paths_change_no_decision(xi, grid):
-    # at every k, 2k > n + 1 too, rank_k_numeric's point and empty ranges
-    # from the solve are the clip's, and so is every clipped range; every
-    # loop the clips make is classified the same with its inradius as without
+    # at every k, 2k > n + 1 too, rank_k_numeric's point from the solve is
+    # the clip's, and so is every clipped range; every loop the clips make is
+    # classified the same with its inradius as without
     loops = []
     kernel = geometry._intersect_sorted
 
@@ -685,27 +687,28 @@ def test_origin_fast_paths_change_no_decision(xi, grid):
 
 def _slack_units(fill, rows=None):
     """Bounds on a grid of 16 in units of BOUND_SLACK: fill, and rows[j] at
-    row j (rows j and j + 8 are pi apart)."""
+    row j."""
     b = np.full(16, float(fill))
     for j, v in (rows or {}).items():
         b[j] = v
     return b * ranges.BOUND_SLACK
 
 
-# rank_k_numeric's fast path on bounds near its thresholds: where it decides,
-# the clip of the same bounds gives the same kind; the last case's rows 3
-# and 11 sum to -1.9 slack, so the widened half-planes overlap in a strip and
-# the clip gives a POINT, not EMPTY
-@pytest.mark.parametrize("bounds, paired, past_middle, kind, clipped", [
-    (_slack_units(0.9, {1: -0.9, 4: -0.9, 9: -0.9}), True, True, POINT, POINT),
-    (_slack_units(0.0, {3: 1.1}), True, True, None, POINT),
-    (_slack_units(-1.5), True, True, EMPTY, EMPTY),
-    (_slack_units(-1.5), False, True, None, EMPTY),
-    (_slack_units(-1.5), True, False, None, EMPTY),
-    (_slack_units(0.9, {3: -0.7, 11: -1.2}), True, True, None, POINT),
+# rank_k_numeric's point from the solve on bounds near its threshold: where
+# it decides, the clip of the same bounds gives the same kind, and bounds
+# that only the clip decides, EMPTY ones too, go to the clip
+@pytest.mark.parametrize("bounds, decided, kind", [
+    (_slack_units(0.9, {1: -0.9, 4: -0.9, 9: -0.9}), True, POINT),
+    (_slack_units(0.0, {3: 1.1}), False, POINT),
+    (_slack_units(-1.5), False, EMPTY),
 ])
-def test_origin_region_decides_as_the_clip(bounds, paired, past_middle, kind, clipped):
-    got = ranges._origin_region(bounds, paired, past_middle)
-    assert (None if got is None else got.kind) == kind
+def test_origin_point_decides_as_the_clip(bounds, decided, kind, monkeypatch):
     thetas = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
-    assert ranges._clip((1.0, 1.0, 1.0), thetas, bounds).kind == clipped
+    lam = np.repeat(bounds[:, None], 4, axis=1)
+    clip, clips = ranges._clip, []
+    monkeypatch.setattr(ranges, "_last_solve", (None, None))
+    monkeypatch.setattr(ranges, "eigencurves", lambda xi, grid: (thetas, lam))
+    monkeypatch.setattr(ranges, "_clip", lambda *args: clips.append(args) or clip(*args))
+    got = rank_k_numeric((1.0, 1.0, 1.0), 2, 16)
+    assert got.kind == clip((1.0, 1.0, 1.0), thetas, bounds).kind == kind
+    assert (clips == []) == decided == (got.points == (0j,))
