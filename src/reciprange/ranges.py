@@ -44,8 +44,7 @@ def _clip(xi, thetas, bounds) -> ConvexRegion:
     from a box exceeding the numerical radius of the canonical representative
     of ``xi`` (whose range every matrix with these xi shares).  The slack
     absorbs eigensolver noise so degenerate (segment/point) intersections
-    keep their exact extent."""
-    _check_grid(thetas)
+    keep their exact extent.  Both callers check the grid first."""
     entries = matrix_from_xi(xi).superdiag
     r = 2 + max(abs(a) for a in entries) + max(1 / abs(a) for a in entries)
     return halfplane_intersection(thetas, bounds + _slack(bounds), r)
@@ -118,7 +117,8 @@ def rank_k_analytic(report: ClassificationReport, k, theta_grid=DEFAULT_GRID) ->
 
     The spectrum of Re(e^{i theta} A) is symmetric about 0, so whatever the
     verdict, odd n gives Lambda_{(n+1)/2} = {0} and 2k > n + 1 gives EMPTY;
-    both are returned without clipping.
+    both are returned without clipping, once k, the verdict and the grid
+    have passed the checks every k makes.
     """
     n = report.n
     if not 1 <= k <= n:
@@ -126,6 +126,7 @@ def rank_k_analytic(report: ClassificationReport, k, theta_grid=DEFAULT_GRID) ->
     if report.verdict not in (ALL_CONCENTRIC, DISPLACED_PAIR):
         raise InvalidInputError(f"no analytic range for verdict {report.verdict}")
     thetas = _theta_array(theta_grid)
+    _check_grid(thetas)
     if 2 * k == n + 1:
         return ConvexRegion(POINT, (0j,))
     if 2 * k > n + 1:

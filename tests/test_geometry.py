@@ -684,8 +684,10 @@ def test_distances_match_oracle_verify_corpus():
 # of up to 2048 lines with noise on their bounds, whose lines _prune drops
 # in rounds before the deque runs; polygon edges next to copies turned about
 # 1e-11; triangles with their bounds moved across emptiness, some with their
-# normals reversed; and two bundles of lines whose normals lie pi or more
-# apart, an empty or unbounded set that the deque ends at a turn of pi
+# normals reversed; two bundles of lines whose normals lie pi or more
+# apart, an empty or unbounded set that the deque ends at a turn of pi; and
+# the lines of lenses of two ellipses, 64 to 8192 of them, with and without
+# noise, whose junctions span more lines than the walk's first window
 def _support(pts, phi):
     """h(u) = max Re(conj(u) z) over the points, u = e^{i phi}, for each phi."""
     return np.max((np.exp(-1j * phi)[:, None] * np.asarray(pts)[None, :]).real, axis=1)
@@ -715,6 +717,30 @@ def _noisy_fan_lines(p, length, axis, m, offset, slack, noise, seed):
     pencil is redundant, the set that _prune thins before the deque runs."""
     phi, c = _fan_lines(p, length, axis, m, offset, slack)
     return phi, c + noise * max(1.0, float(np.max(np.abs(c)))) * np.random.default_rng(seed).standard_normal(m)
+
+
+def _ellipse_lines(m, center, a, b, tilt):
+    """The tangent lines of an ellipse, half-axes a and b turned by tilt about
+    center, at m normal angles evenly spaced over the circle."""
+    phi = TWO_PI * np.arange(m) / m
+    t = phi - tilt
+    return phi, (np.exp(-1j * phi) * center).real + np.hypot(a * np.cos(t), b * np.sin(t))
+
+
+def _lens_lines(m, first, second, noise, seed):
+    """At m normal angles evenly spaced over the circle, the tighter of the
+    tangent lines of two ellipses, each (center, a, b, tilt), with every bound
+    off by about noise relative to the largest: the lines of a lens, as
+    lambda_k gives them where it kinks.  Around each corner of the lens the
+    lines of either ellipse pass outside the other, and each pops the line
+    before it and lines of the run before: a junction, which spans more lines
+    the larger m is."""
+    phi, c = _ellipse_lines(m, *first)
+    c = np.minimum(c, _ellipse_lines(m, *second)[1])
+    return phi, c + noise * max(1.0, float(np.max(np.abs(c)))) * np.random.default_rng(seed).standard_normal(m)
+
+
+_ellipses = st.tuples(_centers.map(lambda z: z / 4), st.floats(0.2, 2.0), st.floats(0.05, 1.0), _offsets)
 
 
 def _turned_lines(poly, turn):
@@ -751,6 +777,8 @@ _line_sets = st.one_of(
               st.sampled_from([1, -1]), st.floats(-1.0, 1.0) | st.sampled_from([0.0, -1e-13])),
     st.builds(_bundle_lines, _offsets, st.lists(st.floats(0, 1), min_size=1, max_size=5),
               st.lists(st.floats(0, 1), min_size=1, max_size=5), st.lists(_bounds, min_size=10, max_size=10)),
+    st.builds(_lens_lines, st.sampled_from([2048, 8192]) | st.integers(64, 8192), _ellipses, _ellipses,
+              st.sampled_from([0.0, 1e-16, 3e-16, 1e-15]), st.integers(0, 2**32 - 1)),
 )
 
 
@@ -761,6 +789,9 @@ _line_sets = st.one_of(
 # at the smallest normal float, changed both
 @example(_fan_lines(2.225073858507e-311 + 0j, 0.0, 0.0, 51, 0.0, 0.0), False)
 @example(_noisy_fan_lines(0.00075 + 0.001j, 0.0, 0.0, 1288, 0.8046875, 1e-13, 1e-16, 1288), False)
+# a lens of four junctions, each walked over hundreds of lines before and
+# after its event line, far past the walk's first window
+@example(_lens_lines(8192, (0.1, 1.0, 0.5, 0.3), (-0.2 + 0.1j, 0.8, 0.6, 1.2), 1e-16, 0), True)
 def test_deque_skips_change_no_decision(lines, boxed):
     phi, c = lines
     sets = [(np.mod(phi, TWO_PI), c)] + ([(_BOX_PHI, np.full(4, 10.0))] if boxed else [])
@@ -768,14 +799,6 @@ def test_deque_skips_change_no_decision(lines, boxed):
     got, want = _intersect_sorted(phi, c), oracle_deque_vertices(phi, c)
     assert (got is None) == (want is None)
     assert got is None or all(map(np.array_equal, got, want))
-
-
-def _ellipse_lines(m, center, a, b, tilt):
-    """The tangent lines of an ellipse, half-axes a and b turned by tilt about
-    center, at m normal angles evenly spaced over the circle."""
-    phi = TWO_PI * np.arange(m) / m
-    t = phi - tilt
-    return phi, (np.exp(-1j * phi) * center).real + np.hypot(a * np.cos(t), b * np.sin(t))
 
 
 # tangent lines of ellipses whose inradius about 0 lies on either side of
@@ -802,9 +825,10 @@ def test_inradius_gate_changes_no_decision(lines, boxed):
 
 # the tangent lines of an ellipse make an event-free set: no line cuts the
 # corner of the two before it or the front corner of lines 0 and 1, and no
-# turn reaches pi, so every line joins the deque at once.  Three corners are
-# then taken one at a time: that of lines 0 and 1, for the front test of the
-# whole run, and one for each test of the closing step, which pops nothing.
+# turn reaches pi, so every line joins the deque at once.  Two corners are
+# then taken one at a time, one for each test of the closing step, which pops
+# nothing; the front test of the whole run reads the corner of lines 0 and 1
+# from the array of neighbouring lines' corners.
 # The box lines, far outside, cut corners of the lines around them and take
 # the general loop
 @pytest.mark.parametrize("boxed", [False, True])
@@ -825,7 +849,7 @@ def test_event_free_sets_match_oracle(m, ellipse, boxed):
     want = oracle_deque_vertices(phi, c)
     assert got is not None and all(map(np.array_equal, got, want))
     if not boxed:
-        assert got[1].size == m and calls == 3
+        assert got[1].size == m and calls == 2
 
 
 # three or four lines whose only turn of pi or more lies between lines 0 and

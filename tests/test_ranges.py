@@ -424,6 +424,27 @@ def test_fan_scalar_steps_bounded(xi, bound):
     assert 0 < calls <= bound
 
 
+@pytest.mark.parametrize("xi, k, bound", [((1.0, 0.0, 1.0), 2, 607 // 3), (FIG5, 3, 591 // 3)])
+def test_lens_scalar_steps_bounded(xi, k, bound):
+    # lambda_k of these lenses kinks at theta = pi/2 and 3pi/2, where each of
+    # ~75 lines pops the line before it and tail lines: one scalar step per
+    # test made 607 and 591 scalar corners at grid 2048.  The junction walk
+    # reads the tail's corners from the array of neighbouring corners and
+    # tests the front once as an array, so a third of that is left at most
+    calls = 0
+    corner = geometry._corner
+
+    def count(*args):
+        nonlocal calls
+        calls += isinstance(args[0], float)
+        return corner(*args)
+
+    with mock.patch.object(geometry, "_corner", count):
+        region = rank_k_numeric(xi, k, 2048)
+    assert region.kind == POLYGON
+    assert 0 < calls <= bound
+
+
 @pytest.mark.parametrize("grid", [512, 2048, 2050])
 @pytest.mark.parametrize("xi", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, PHI, 0.0), (0.0, 0.0, 0.0),
                                 FIG1, FIG2, FIG3, FIG4, FIG5, (1.0,) * 5])
@@ -649,6 +670,14 @@ def test_guards_precede_the_origin_fast_path():
         rank_k_numeric(FIG2, 4, 4)
     with pytest.raises(InvalidInputError, match="k must be"):
         rank_k_numeric(FIG2, 6, 4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_analytic_checks_the_grid_for_every_k(k):
+    # n = 4: Lambda_3 and Lambda_4 are EMPTY from the verdict alone, but a
+    # grid too small to clip is refused for them as for the clipped k = 1, 2
+    with pytest.raises(InvalidInputError, match="at least 8 points"):
+        rank_k_analytic(classify([1, 1, 1]), k, 4)
 
 
 _xi_with_zeros = st.integers(3, 7).flatmap(
