@@ -105,19 +105,27 @@ def _load_xi(ns, curve=True) -> XiParameters:
     return xi
 
 
+def _write(path, text):
+    """Write text to the file at path; a path that cannot be written (no such
+    directory, a directory, a full device) is an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InvalidInputError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _emit(ns, obj):
     text = jsonio.dumps(obj, indent=2)
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
+        _write(ns.out, text)
     else:
         sys.stdout.write(text)
 
 
 def _write_svg(ns, text):
     if ns.svg:
-        with open(ns.svg, "w") as fh:
-            fh.write(text)
+        _write(ns.svg, text)
 
 
 def cmd_classify(ns) -> int:
@@ -162,6 +170,8 @@ def cmd_verify(ns) -> int:
         raise UnsupportedDimensionError(f"verify covers n in 4..6, got {ns.n}")
     _check_grid(ns)
     check_tolerance(ns.tolerance)
+    if ns.seed < 0:
+        raise InvalidInputError(f"--seed must be non-negative, got {ns.seed}")
     rng = np.random.default_rng(ns.seed)
     checks = []
     dims = [4, 5, 6] if ns.n is None else [ns.n]

@@ -28,11 +28,9 @@ WIDTH_EPS = 1e-8
 # larger than AREA_EPS with a factor 4 to spare: a POLYGON
 FAT_INRADIUS = 2 * max(WIDTH_EPS, math.sqrt(AREA_EPS / math.pi))
 ANGLE_EPS = 1e-12  # outward normals closer than this count as equal
-CERT_EPS = 1e-10  # relative violation the emptiness certificate tolerates
 SIDE_EPS = 1e-14  # a corner outside a line by less than this, relative, lies on it
 PRUNE_MIN = 16  # _prune runs while a round drops at least this many lines
 PRUNE_MARGIN = 16.0  # _prune drops a line that the deque's test pops by this many times its slack
-STAIR_WINDOW = 64  # lines on either side of a junction that _staircase reads first
 TWO_PI = 2 * math.pi
 TINY = sys.float_info.min  # the smallest normal float
 _BOX_PHI = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
@@ -287,10 +285,8 @@ def _intersect_sorted(phi, c):
     and the lines after it pop a staircase of lines; _deque walks each such
     junction with one scalar corner for each line after the event line,
     reading every other corner from the corners of neighbouring lines
-    computed here for the back test.  When some bound is 0 or less, the
-    emptiness certificate then checks every line against the vertices; when
-    every bound is positive, 0 lies inside every half-plane, the set is not
-    empty, and it is skipped.
+    computed here for the back test.  The deque's turn tests and closing
+    step decide emptiness on their own.
     """
     # of half-planes with equal normals only the tightest can bound the set
     first = np.flatnonzero(np.concatenate(([True], np.diff(phi) > ANGLE_EPS)))
@@ -323,66 +319,44 @@ def _intersect_sorted(phi, c):
         lines = live[lines]
     lx, ly, lc = ux[lines], uy[lines], c[lines]
     vx, vy = _corner(np.roll(lx, 1), np.roll(ly, 1), np.roll(lc, 1), lx, ly, lc)  # lines j-1, j
-    if np.min(c) <= 0:
-        # emptiness certificate: each half-plane holds at the vertex extreme in
-        # its outward normal, which sits between the edges whose angles bracket it
-        extreme = np.searchsorted(phi[lines], phi) % lx.size
-        violation = ux * vx[extreme] + uy * vy[extreme] - c
-        if np.max(violation) > CERT_EPS * max(1.0, float(np.max(np.abs(c)))):
-            return None
     return vx + 1j * vy, phi[lines]
 
 
-def _staircase(ux, uy, c, cx, cy, s0, k):
+def _staircase(X, Y, C, CX, CY, s0, k):
     """Where the deque's back pops end at a junction: (t, i), or None.
 
-    The deque ends with the consecutive lines s0..k - 1 (s0 <= k - 2), and
-    line k cuts the corner of lines k - 2, k - 1.  Line k pops tail lines,
-    then each line after it pops the line before it and more tail lines,
-    until a line i + 1 (< T) leaves line i standing: the deque then ends with
-    lines s0..t, i, i + 1.  The walk makes the scalar loop's back tests in its
-    order, but reads the corner of tail lines t - 1, t as cx[t - 1], cy[t - 1],
-    the corners of neighbouring lines, and the lines from lists of a window
-    lo..hi - 1 around k, which doubles on a side whenever the walk reaches its
-    end.  None when the walk needs the line before s0 or a line past the last.
+    X, Y, C hold the lines (u_x, u_y, c) and CX, CY the corners of
+    neighbouring lines, j with j + 1 at CX[j], CY[j], read in place as
+    Python floats.  The deque ends with the consecutive lines s0..k - 1
+    (s0 <= k - 2), and line k cuts the corner of lines k - 2, k - 1.  Line k
+    pops tail lines, then each line after it pops the line before it and
+    more tail lines, until a line i + 1 (< T) leaves line i standing: the
+    deque then ends with lines s0..t, i, i + 1.  The walk makes the scalar
+    loop's back tests in its order, but reads the corner of tail lines
+    t - 1, t from the corners of neighbouring lines.  None when the walk
+    needs the line before s0 or a line past the last.
     """
-    T = c.size
-    w = STAIR_WINDOW
-    lo, hi = max(s0, k - w), min(T, k + w)
-    X, Y, C = ux[lo:hi].tolist(), uy[lo:hi].tolist(), c[lo:hi].tolist()
-    CX, CY = cx[lo:k].tolist(), cy[lo:k].tolist()
-    t, x = k - 1 - lo, k - lo  # window positions of the tail's last line and the incoming line
+    T = len(C)
+    t, x = k - 1, k  # the tail's last line and the incoming line
     u, v, b = X[x], Y[x], C[x]
     ab = abs(b)
     while True:
         # pop tail lines while their corner lies outside line x
         while True:
-            if t == 0:  # the next test needs the corner of line lo with the one before it
-                if lo == s0:
-                    return None
-                d = min(lo - s0, k - lo)
-                part = slice(lo - d, lo)
-                X[:0], Y[:0], C[:0] = ux[part].tolist(), uy[part].tolist(), c[part].tolist()
-                CX[:0], CY[:0] = cx[part].tolist(), cy[part].tolist()
-                lo, t, x = lo - d, d, x + d
+            if t == s0:  # the next test needs the corner of line s0 with the one before it
+                return None
             p, q = CX[t - 1], CY[t - 1]
             if not u * p + v * q - b > SIDE_EPS * (abs(p) + abs(q) + ab):
                 break
             t -= 1
         i, x = x, x + 1
-        if x == hi - lo:
-            if hi == T:
-                return None
-            part = slice(hi, min(T, 2 * hi - k))
-            X += ux[part].tolist()
-            Y += uy[part].tolist()
-            C += c[part].tolist()
-            hi = part.stop
+        if x == T:
+            return None
         u, v, b = X[x], Y[x], C[x]
         ab = abs(b)
         p, q = _corner(X[t], Y[t], C[t], X[i], Y[i], C[i])
         if not u * p + v * q - b > SIDE_EPS * (abs(p) + abs(q) + ab):
-            return t + lo, i + lo
+            return t, i
 
 
 def _deque(phi, ux, uy, c, back, cx, cy):
@@ -401,7 +375,8 @@ def _deque(phi, ux, uy, c, back, cx, cy):
     starts a junction, as at the kinks of a lens-shaped Lambda_k: it and each
     line after it pop the line before them and lines of the run, until one
     is left standing.  _staircase walks the junction with the scalar loop's
-    back tests; the front test, against the corner of lines 0 and 1, and the
+    back tests, reading lines and corners in place through memoryviews built
+    once per call; the front test, against the corner of lines 0 and 1, and the
     turn of pi then run once over the lines the walk took, the front test as
     one array with the run after them.  A set whose events are all such
     junctions keeps its lines as a few runs, joined once: (1, 0, 1), k = 2
@@ -448,10 +423,11 @@ def _deque(phi, ux, uy, c, back, cx, cy):
     front = cx[0], cy[0]
     k = first_cut(2, stops[0], *front)
     runs = [0]
+    walk_rows = memoryview(ux), memoryview(uy), memoryview(c), memoryview(cx), memoryview(cy)
     while k < T:
         if stops[bisect_left(stops, k)] != k:  # a front cut
             break
-        walk = _staircase(ux, uy, c, cx, cy, runs[-1], k)
+        walk = _staircase(*walk_rows, runs[-1], k)
         if walk is None:
             break
         t, i = walk

@@ -18,7 +18,10 @@ whether points make such a loop (a hull of a nearly straight cloud from
 ``oracle_deque_vertices`` is not independent: it is the package's
 sorted-angle deque with one Python step per line.  The package skips the
 steps that change nothing and first drops, in whole-array rounds, lines
-that the deque would pop; the tests ask for bitwise-equal results.
+that the deque would pop; the tests ask for bitwise-equal results.  It
+also checks every line against the vertex extreme in its normal, an
+emptiness certificate the package leaves to the deque's own tests, so a set
+that only the certificate finds empty would show as a mismatch.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import numpy as np
 from reciprange.geometry import (
     ANGLE_EPS,
     AREA_EPS,
-    CERT_EPS,
     EMPTY,
     POINT,
     POLYGON,
@@ -44,6 +46,8 @@ from reciprange.geometry import (
     ConvexRegion,
     _corner,
 )
+
+CERT_EPS = 1e-10  # relative violation the oracle's emptiness certificate tolerates
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import math
+import os
 import re
 import xml.etree.ElementTree as ET
 
@@ -308,6 +309,42 @@ def test_verify_unsupported_dimension(capsys, tmp_path, n):
     code = main(["verify", "--n", n, "--out", str(tmp_path / "v.json")])
     assert code == 3 and not (tmp_path / "v.json").exists()
     assert f"verify covers n in 4..6, got {n}" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_is_an_input_error(capsys, tmp_path):
+    # numpy's default_rng used to raise "expected non-negative integer": a traceback, exit 1
+    code = main(["verify", "--n", "4", "--seed", "-1", "--out", str(tmp_path / "v.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and not (tmp_path / "v.json").exists()
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
+
+
+#: every command and the option through which it writes a file
+WRITERS = [("classify", "--out"), ("curve", "--out"), ("curve", "--svg"),
+           ("range", "--out"), ("range", "--svg"), ("verify", "--out")]
+
+
+def _unwritable(kind, tmp_path):
+    """(path, reason): a path that open() refuses, or whose write fails."""
+    if kind == "missing directory":
+        return str(tmp_path / "missing" / "x"), "No such file or directory"
+    if kind == "directory":
+        return str(tmp_path), "Is a directory"
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    return "/dev/full", "No space left on device"
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "directory", "full device"])
+@pytest.mark.parametrize("command,option", WRITERS)
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, command, option, kind):
+    # these used to end in a traceback with exit 1
+    path, reason = _unwritable(kind, tmp_path)
+    source = ["--n", "4"] if command == "verify" else ["--xi", "1,0,1"]
+    grid = [] if command == "classify" else ["--grid", "64"]
+    code = main(with_k(command, *source, *grid, option, path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
 
 
 #: the options each command reads

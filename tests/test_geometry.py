@@ -687,7 +687,7 @@ def test_distances_match_oracle_verify_corpus():
 # normals reversed; two bundles of lines whose normals lie pi or more
 # apart, an empty or unbounded set that the deque ends at a turn of pi; and
 # the lines of lenses of two ellipses, 64 to 8192 of them, with and without
-# noise, whose junctions span more lines than the walk's first window
+# noise, whose junctions span hundreds of lines
 def _support(pts, phi):
     """h(u) = max Re(conj(u) z) over the points, u = e^{i phi}, for each phi."""
     return np.max((np.exp(-1j * phi)[:, None] * np.asarray(pts)[None, :]).real, axis=1)
@@ -782,6 +782,36 @@ _line_sets = st.one_of(
 )
 
 
+def _opposite_lines(phi, c, width):
+    """Two half-planes with opposite normals, bounds c and width - c: a strip
+    of that width, empty when it is negative."""
+    return np.array([phi, phi + math.pi]), np.array([c, width - c])
+
+
+def _equilateral_lines(bound):
+    """Three half-planes at normals 2pi/3 apart, each with this bound: a
+    triangle about 0, the point 0 at bound 0, empty below it."""
+    return 0.1 + TWO_PI / 3 * np.arange(3), np.full(3, bound)
+
+
+# sets that touch or just miss: the deque's turn and closing tests decide
+# their emptiness without an emptiness certificate, as the oracle keeps one
+_TOUCHING = ([_opposite_lines(0.3, 1.0, w) for w in (-1e-13, -1e-15, 0.0, 1e-15)]
+             + [_equilateral_lines(b) for b in (-1e-15, 0.0, 1e-15)])
+# ten lines (with the box) at which the deque's turn comparison after a
+# junction walk, P[i + 1] - P[t] >= pi, fires
+_TURN_GUARD = (np.array([1.52, 3.81, 5.26, 7.31]), np.array([5.9, 1.97, 1.46, 6.96])), True
+
+
+def _examples(cases):
+    """A hypothesis @example for each (lines, boxed) of cases."""
+    def add(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return add
+
+
 @given(_line_sets, st.booleans())
 # a pencil through a subnormal point, where every slack underflows, and one
 # whose bounds are as noisy as its slack, where the deque's pops (front pops
@@ -790,8 +820,10 @@ _line_sets = st.one_of(
 @example(_fan_lines(2.225073858507e-311 + 0j, 0.0, 0.0, 51, 0.0, 0.0), False)
 @example(_noisy_fan_lines(0.00075 + 0.001j, 0.0, 0.0, 1288, 0.8046875, 1e-13, 1e-16, 1288), False)
 # a lens of four junctions, each walked over hundreds of lines before and
-# after its event line, far past the walk's first window
+# after its event line
 @example(_lens_lines(8192, (0.1, 1.0, 0.5, 0.3), (-0.2 + 0.1j, 0.8, 0.6, 1.2), 1e-16, 0), True)
+@example(*_TURN_GUARD)
+@_examples((lines, boxed) for lines in _TOUCHING for boxed in (False, True))
 def test_deque_skips_change_no_decision(lines, boxed):
     phi, c = lines
     sets = [(np.mod(phi, TWO_PI), c)] + ([(_BOX_PHI, np.full(4, 10.0))] if boxed else [])
@@ -799,6 +831,33 @@ def test_deque_skips_change_no_decision(lines, boxed):
     got, want = _intersect_sorted(phi, c), oracle_deque_vertices(phi, c)
     assert (got is None) == (want is None)
     assert got is None or all(map(np.array_equal, got, want))
+
+
+def test_turn_guard_fires_and_changes_no_decision():
+    # after a junction walk that ends with lines t, i, i + 1, the deque stops
+    # walking when lines t and i + 1 turn pi or more; here it does, and the
+    # scalar loop then gives the oracle's result
+    (phi, c), boxed = _TURN_GUARD
+    phi, c = _by_angle((np.mod(phi, TWO_PI), c), *([(_BOX_PHI, np.full(4, 10.0))] if boxed else []))
+    turns = []
+    deque_, staircase = geometry._deque, geometry._staircase
+
+    def spy_deque(P, *args):
+        turns.append(P)
+        return deque_(P, *args)
+
+    def spy_staircase(*args):
+        walk = staircase(*args)
+        if walk is not None:
+            t, i = walk
+            turns.append(turns[0][i + 1] - turns[0][t])
+        return walk
+
+    with mock.patch.object(geometry, "_deque", spy_deque), mock.patch.object(geometry, "_staircase", spy_staircase):
+        got = _intersect_sorted(phi, c)
+    assert any(turn >= math.pi for turn in turns[1:])
+    want = oracle_deque_vertices(phi, c)
+    assert got is not None and want is not None and all(map(np.array_equal, got, want))
 
 
 # tangent lines of ellipses whose inradius about 0 lies on either side of
