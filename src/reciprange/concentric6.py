@@ -266,14 +266,15 @@ def _xi_candidates_from_t(t):
     return out
 
 
-def find_concentric_instance(seed=0, require_positive=True, max_tries=5000):
+def find_concentric_instance(seed=0):
     """Find xi > 0 with three concentric elliptical components by root-finding.
 
-    Draws (t1, t2), solves the scalar consistency condition for t3 by bisection,
-    and reconstructs xi.  Returns (xi, t) with t the squared minor half-axes.
+    Draws (t1, t2), up to 5000 times, solves the scalar consistency condition
+    for t3 by bisection, and reconstructs xi, keeping the first whose every
+    xi is at least 1e-3.  Returns (xi, t) with t the squared minor half-axes.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(5000):
         t1, t2 = rng.uniform(0.1, 4.0, 2)
         grid = np.linspace(1e-4, 6.0, 200)
         vals = [_consistency(t1, t2, g) for g in grid]
@@ -291,7 +292,7 @@ def find_concentric_instance(seed=0, require_positive=True, max_tries=5000):
                     a, fa = m, fm
             t3 = (a + b) / 2
             for xi in _xi_candidates_from_t((t1, t2, t3)):
-                if require_positive and min(xi) < 1e-3:
+                if min(xi) < 1e-3:
                     continue
                 return xi, tuple(sorted((t1, t2, t3), reverse=True))
     raise RuntimeError("no instance found; widen the search")

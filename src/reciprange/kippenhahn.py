@@ -20,7 +20,7 @@ import numpy as np
 
 from .bipoly import ZetaPoly, rho_trim
 from .errors import InvalidInputError, UnsupportedDimensionError
-from .matrices import ReciprocalMatrix, as_xi, symmetric_tridiagonal
+from .matrices import ReciprocalMatrix, as_xi, check_xi_bound, symmetric_tridiagonal
 
 DEFAULT_GRID = 2048
 DEGENERATE_GAP = 1e-9
@@ -97,27 +97,19 @@ def _theta_array(theta_grid):
     return arr
 
 
-def _tridiagonal(xi, thetas, with_s=True):
-    """Off-diagonals (T, n - 1) of the two tridiagonals behind the curve.
+def _tridiagonal(xi, thetas):
+    """Off-diagonals (T, n - 1) of the real symmetric T(rho) behind the curve.
 
     Re(e^{i theta} A) has off-diagonals b_j with |b_j|^2 = xi_j + rho,
     rho = cos^2 theta, whatever the entry phases, so the diagonal unitary D
     with d_{j+1} = d_j conj(b_j)/|b_j| (phase 1 where b_j = 0) turns it into
-    the real symmetric T(rho): zero diagonal, off-diagonals sqrt(xi_j + rho).
-    The same D turns Im(e^{i theta} A) into the Hermitian S, zero diagonal,
-    off-diagonals (sin theta cos theta - i sqrt(xi_j (xi_j + 1)))/sqrt(xi_j + rho)
-    (sin theta where b_j = 0).  So v = D u has v* A v = e^{-i theta} (u* T u + i u* S u).
-    Returns (t, s), the off-diagonals of T and of S; s is None unless ``with_s``.
+    T(rho): zero diagonal, off-diagonals sqrt(xi_j + rho).  Any finite xi
+    gives finite values; the S that D makes of Im(e^{i theta} A) is built in
+    ``envelope_points``, the one caller that needs it.
     """
     x = np.asarray(as_xi(xi).xi, dtype=float)
     cos = np.cos(thetas)[:, None]
-    t = np.sqrt(x + cos * cos)
-    if not with_s:
-        return t, None
-    sin = np.sin(thetas)[:, None]
-    s = np.divide(sin * cos - 1j * np.sqrt(x * (x + 1)), t,
-                  out=np.repeat(sin.astype(complex), x.size, axis=1), where=t > 0)
-    return t, s
+    return np.sqrt(x + cos * cos)
 
 
 def _fold(theta_grid, m):
@@ -145,7 +137,7 @@ def eigencurves(xi, theta_grid=DEFAULT_GRID) -> tuple:
     """
     thetas = _theta_array(theta_grid)
     row = _fold(theta_grid, thetas.size)
-    t, _ = _tridiagonal(xi, thetas[: row.max() + 1], with_s=False)
+    t = _tridiagonal(xi, thetas[: row.max() + 1])
     return thetas, np.linalg.eigvalsh(symmetric_tridiagonal(t))[row, ::-1]
 
 
@@ -171,17 +163,28 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     float signs of cos and sin at the two grid angles pick the symmetry, so
     the grid's 3 pi/2 is the image of its pi/2 under theta -> theta + pi when
     their cos differ in sign.  An explicit theta array is solved row by row.
+    xi above MAX_XI, where S's xi (xi + 1) overflows, is refused.
     """
+    xi = as_xi(xi)
+    check_xi_bound(xi, "envelope_points takes")
     thetas = _theta_array(theta_grid)
     row = _fold(theta_grid, thetas.size)
     # row i is its solved row under the symmetry that carries the float signs
     # of cos and sin: rev where cos changes sign, conj where one of them does
-    cos, sin = np.signbit(np.cos(thetas)), np.signbit(np.sin(thetas))
-    rev = cos != cos[row]
-    conj = rev ^ (sin != sin[row])
+    neg_cos, neg_sin = np.signbit(np.cos(thetas)), np.signbit(np.sin(thetas))
+    rev = neg_cos != neg_cos[row]
+    conj = rev ^ (neg_sin != neg_sin[row])
     base = thetas[: row.max() + 1]  # the solved rows
-    t, s = _tridiagonal(xi, base)
-    n = t.shape[1] + 1
+    t = _tridiagonal(xi, base)
+    # D of _tridiagonal turns Im(e^{i theta} A) into the Hermitian S: zero
+    # diagonal, off-diagonals (sin theta cos theta - i sqrt(xi_j (xi_j + 1)))
+    # / sqrt(xi_j + rho), or sin theta where sqrt(xi_j + rho) = 0; so v = D u
+    # has v* A v = e^{-i theta} (u* T u + i u* S u)
+    x = np.asarray(xi.xi, dtype=float)
+    cos, sin = np.cos(base)[:, None], np.sin(base)[:, None]
+    s = np.divide(sin * cos - 1j * np.sqrt(x * (x + 1)), t,
+                  out=np.repeat(sin.astype(complex), x.size, axis=1), where=t > 0)
+    n = x.size + 1
     w, U = np.linalg.eigh(symmetric_tridiagonal(t))  # ascending
     w, U = w[:, ::-1], U[:, :, ::-1]
     # u real: u* T u = lambda and u* S u = u.Re(S)u

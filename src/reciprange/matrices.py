@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-#: largest xi the float computations take: the curve core forms xi (xi + 1),
+#: largest xi the float computations take: envelope_points forms xi (xi + 1),
 #: and P_n of classify products of xi, which overflow a float above about
 #: 1.3e154
 MAX_XI = 1e150

@@ -14,6 +14,8 @@ without the clip: by the verdict in ``rank_k_analytic``; in
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .ellipses import ALL_CONCENTRIC, DISPLACED_PAIR, ClassificationReport
@@ -24,13 +26,25 @@ from .matrices import as_xi, matrix_from_xi
 
 BOUND_SLACK = 1e-12
 
-# (key, lambdas) of rank_k_numeric's most recent eigen solve; one entry only
-_last_solve = (None, None)
 
-
-def _check_grid(thetas):
+def _thetas(n, k, theta_grid):
+    """The grid's thetas, once k is in 1..n and the grid has the 8 points a
+    clip needs: the checks both rank_k functions make at every k."""
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"k must be in 1..{n}, got {k}")
+    thetas = _theta_array(theta_grid)
     if thetas.size < 8:
         raise InvalidInputError("theta grid needs at least 8 points")
+    return thetas
+
+
+@functools.lru_cache(maxsize=1)
+def _lambdas(xi, grid):
+    """The read-only eigenvalues of ``eigencurves`` for the xi tuple on an
+    integer grid size, or on an explicit grid given as its theta bytes."""
+    lam = eigencurves(xi, grid if isinstance(grid, int) else np.frombuffer(grid))[1]
+    lam.flags.writeable = False
+    return lam
 
 
 def _slack(bounds) -> float:
@@ -44,7 +58,7 @@ def _clip(xi, thetas, bounds) -> ConvexRegion:
     from a box exceeding the numerical radius of the canonical representative
     of ``xi`` (whose range every matrix with these xi shares).  The slack
     absorbs eigensolver noise so degenerate (segment/point) intersections
-    keep their exact extent.  Both callers check the grid first."""
+    keep their exact extent.  Both callers check the grid first (``_thetas``)."""
     entries = matrix_from_xi(xi).superdiag
     r = 2 + max(abs(a) for a in entries) + max(1 / abs(a) for a in entries)
     return halfplane_intersection(thetas, bounds + _slack(bounds), r)
@@ -67,34 +81,15 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     within twice the slack of it.  Every other case is clipped, an explicit
     grid's point and every EMPTY range (2k > n + 1) included.
 
-    Consecutive calls on the same xi and grid share one solve, so Lambda_1,
-    Lambda_2, ... of one matrix in turn solve once: the eigenvalues of the
-    most recent call are kept, read-only, keyed by the xi, the grid's theta
-    values and whether the grid was a size (which picks the fold).  Only
-    that one entry is held, up to m * n floats (3.7 MB at the CLI's largest
-    grid, 65536, with n = 7); a call on other xi or another grid replaces
-    it, and a call that raises leaves it as it was."""
-    global _last_solve
+    Calls on the same xi and grid share one read-only solve, held by a
+    one-entry memo, so Lambda_1, Lambda_2, ... of one matrix solve once."""
     xi = as_xi(matrix)
-    n = xi.n
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k must be in 1..{n}, got {k}")
-    thetas = _theta_array(theta_grid)
-    _check_grid(thetas)
+    thetas = _thetas(xi.n, k, theta_grid)
     sized = np.isscalar(theta_grid)
-    key = (xi.xi, sized, thetas.tobytes())
-    held = _last_solve
-    if held[0] != key:
-        lam = eigencurves(xi, theta_grid)[1]
-        lam.flags.writeable = False
-        held = (key, lam)
-    bounds = held[1][:, k - 1]
+    bounds = _lambdas(xi.xi, thetas.size if sized else thetas.tobytes())[:, k - 1]
     if sized and np.max(np.abs(bounds)) <= _slack(bounds):
-        region = ConvexRegion(POINT, (0j,))
-    else:
-        region = _clip(xi, thetas, bounds)
-    _last_solve = held  # only once the call has succeeded
-    return region
+        return ConvexRegion(POINT, (0j,))
+    return _clip(xi, thetas, bounds)
 
 
 def pencil_values(report: ClassificationReport, thetas) -> np.ndarray:
@@ -121,12 +116,9 @@ def rank_k_analytic(report: ClassificationReport, k, theta_grid=DEFAULT_GRID) ->
     have passed the checks every k makes.
     """
     n = report.n
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k must be in 1..{n}, got {k}")
+    thetas = _thetas(n, k, theta_grid)
     if report.verdict not in (ALL_CONCENTRIC, DISPLACED_PAIR):
         raise InvalidInputError(f"no analytic range for verdict {report.verdict}")
-    thetas = _theta_array(theta_grid)
-    _check_grid(thetas)
     if 2 * k == n + 1:
         return ConvexRegion(POINT, (0j,))
     if 2 * k > n + 1:

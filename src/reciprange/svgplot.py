@@ -51,10 +51,8 @@ class _Frame:
         return " ".join([f"{_NUM},{_NUM}"] * x.size) % tuple(np.column_stack((x, y)).ravel().tolist())
 
 
-def _polyline(frame, pts, color, width=1.5, close=True):
-    coords = frame.coords(pts)
-    tag = "polygon" if close else "polyline"
-    return f'<{tag} points="{coords}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+def _polygon(frame, pts, color):
+    return f'<polygon points="{frame.coords(pts)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
 def _axes(frame):
@@ -112,7 +110,7 @@ def render_curve(components, foci=(), region=None) -> str:
         if comp["kind"] == "point":
             body.append(_marker(frame, comp["points"][0], "#000000", 2.5))
             continue
-        body.append(_polyline(frame, comp["points"], CURVE_COLORS[ci % len(CURVE_COLORS)]))
+        body.append(_polygon(frame, comp["points"], CURVE_COLORS[ci % len(CURVE_COLORS)]))
         ci += 1
     for f in foci:
         body.append(_marker(frame, complex(f), "#444444", 2.0))

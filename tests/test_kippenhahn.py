@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from conftest import FIG5
 from dense_oracle import oracle_eigencurves, oracle_envelope_points
 from poly_oracle import block_split_tangent_ordinates, hand_written_poly
-from reciprange.errors import UnsupportedDimensionError
+from reciprange.errors import InvalidInputError, UnsupportedDimensionError
 from reciprange.kippenhahn import (
     build_poly_from_scalars,
     closed_form_poly,
@@ -22,11 +22,13 @@ from reciprange.kippenhahn import (
     samples_to_json,
 )
 from reciprange.matrices import (
+    MAX_XI,
     build_from_superdiagonal,
     exact_spectrum,
     imag_part_spectrum,
     matrix_from_xi,
 )
+from reciprange.ranges import rank_k_numeric
 
 PHI = (math.sqrt(5) + 1) / 2
 
@@ -472,3 +474,15 @@ def test_samples_json_schema():
     for got, want in ((out["theta"], samples.theta), (out["branch"], samples.branch),
                       (out["re"], samples.point.real), (out["im"], samples.point.imag)):
         assert np.array_equal(got, want)
+
+
+def test_envelope_points_refuses_xi_above_max_xi():
+    # S's off-diagonals take sqrt(xi (xi + 1)), which overflows above about
+    # 1.34e154 and made every sample NaN; T's sqrt(xi + rho) does not, so the
+    # eigenvalues and the ranges clipped from them stay finite
+    big = (1e160, 1.0, 1.0)
+    with pytest.raises(InvalidInputError, match="the largest xi envelope_points takes"):
+        envelope_points(big, 64)
+    assert np.isfinite(eigencurves(big, 64)[1]).all()
+    assert np.isfinite(rank_k_numeric(big, 1, 64).points).all()
+    assert np.isfinite(envelope_points((MAX_XI, 1.0, 1.0), 64).point).all()

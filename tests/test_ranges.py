@@ -638,6 +638,24 @@ def test_one_solve_for_every_k(monkeypatch):
             assert not calls[0].flags.writeable
 
 
+def test_held_solve_is_keyed_by_grid_size_or_theta_bytes(monkeypatch):
+    # a numpy integer size shares the solve of the same int; an explicit
+    # array of the very same thetas is solved again, row by row, not folded
+    calls = []
+
+    def spy(xi, grid):
+        calls.append(grid)
+        return eigencurves(xi, grid)
+
+    monkeypatch.setattr(ranges, "eigencurves", spy)
+    array_grid = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
+    assert np.array_equal(array_grid, eigencurves(FIG3, 2048)[0])
+    for k, grid in zip((1, 2, 1, 2, 3), (2048, np.int64(2048), array_grid, array_grid.copy(), np.int64(2048))):
+        _assert_same_region(rank_k_numeric(FIG3, k, grid), _fresh(FIG3, k, grid))
+    assert len(calls) == 3 and calls[0] == calls[2] == 2048
+    assert np.array_equal(calls[1], array_grid)
+
+
 @pytest.mark.parametrize("bad", [
     lambda: rank_k_numeric(FIG5, 0, 2048),
     lambda: rank_k_numeric(FIG5, 1, 8.9),
@@ -731,11 +749,12 @@ def _slack_units(fill, rows=None):
     (_slack_units(0.0, {3: 1.1}), False, POINT),
     (_slack_units(-1.5), False, EMPTY),
 ])
-def test_origin_point_decides_as_the_clip(bounds, decided, kind, monkeypatch):
+def test_origin_point_decides_as_the_clip(bounds, decided, kind, monkeypatch, request):
     thetas = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
     lam = np.repeat(bounds[:, None], 4, axis=1)
     clip, clips = ranges._clip, []
-    monkeypatch.setattr(ranges, "_last_solve", (None, None))
+    ranges._lambdas.cache_clear()
+    request.addfinalizer(ranges._lambdas.cache_clear)  # hold no made-up solve after the test
     monkeypatch.setattr(ranges, "eigencurves", lambda xi, grid: (thetas, lam))
     monkeypatch.setattr(ranges, "_clip", lambda *args: clips.append(args) or clip(*args))
     got = rank_k_numeric((1.0, 1.0, 1.0), 2, 16)
