@@ -25,6 +25,8 @@ from .ellipses import (
 from .errors import InvalidInputError, UnsupportedDimensionError
 from .geometry import EMPTY
 from .kippenhahn import (
+    DEFAULT_GRID,
+    MIN_GRID,
     closed_form_poly,
     curve_components,
     detect_multiple_tangents,
@@ -44,7 +46,6 @@ from .ranges import rank_k_analytic, rank_k_numeric, region_distance
 from .svgplot import render_curve
 
 CLI_DEFAULT_TOL = 1e-6  # criterion match tolerance for caption-grade inputs
-MIN_GRID = 8
 #: largest --grid: the eigen solve holds grid * n^2 real values (the stacked
 #: tridiagonals T(rho) and their eigenvectors) and the envelope samples
 #: grid * n records, so larger grids only exhaust memory
@@ -290,7 +291,7 @@ ARGUMENTS = {
     "matrix": {"dest": "matrix_path", "help": "JSON matrix file"},
     "n": {"type": int, "help": "expected dimension"},
     "k": {"type": int, "help": "rank index"},
-    "grid": {"type": int, "default": 2048, "help": f"theta grid size, {MIN_GRID}..{MAX_GRID}"},
+    "grid": {"type": int, "default": DEFAULT_GRID, "help": f"theta grid size, {MIN_GRID}..{MAX_GRID}"},
     "mode": {"choices": ("float", "exact", "extended"), "default": "float"},
     "svg": {"help": "write an SVG figure here"},
     "out": {"help": "write JSON output here (default stdout)"},

@@ -33,7 +33,6 @@ PRUNE_MIN = 16  # _prune runs while a round drops at least this many lines
 PRUNE_MARGIN = 16.0  # _prune drops a line that the deque's test pops by this many times its slack
 TWO_PI = 2 * math.pi
 TINY = sys.float_info.min  # the smallest normal float
-_BOX_PHI = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 
 POLYGON = "POLYGON"
 SEGMENT = "SEGMENT"
@@ -476,15 +475,18 @@ def _deque(phi, ux, uy, c, back, cx, cy):
     return slice(lo, hi) if isinstance(dq, range) else dq[lo:hi]
 
 
-def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:
-    """Intersection of the centered square of half-width box_halfwidth with the
-    half-planes {z : Re(e^{i thetas[j]} z) <= bounds[j]}, given as two arrays:
-    O(T) past the angle sort, which is linear on a theta grid.  The least
-    bound, if positive, is the radius of a disk about 0 inside every
-    half-plane, which region_from_vertices takes as the loop's inradius.
+def halfplane_intersection(thetas, bounds) -> ConvexRegion:
+    """Intersection of the half-planes {z : Re(e^{i thetas[j]} z) <= bounds[j]},
+    given as two arrays: O(T) past the angle sort, which is linear on a theta
+    grid.  The least bound, if positive, is the radius of a disk about 0
+    inside every half-plane, which region_from_vertices takes as the loop's
+    inradius.
 
+    The half-planes must bound the intersection: no gap of pi or more between
+    neighbouring normals, as on a grid of MIN_GRID or more equispaced thetas.
+    This is not checked, and a set that breaks it gives no meaningful result.
     Raises InvalidInputError unless thetas and bounds are finite 1-D arrays of
-    one length and box_halfwidth is finite and positive."""
+    one length."""
     thetas = np.asarray(thetas, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     if thetas.ndim != 1 or bounds.shape != thetas.shape:
@@ -492,12 +494,8 @@ def halfplane_intersection(thetas, bounds, box_halfwidth) -> ConvexRegion:
                                 f"got shapes {thetas.shape} and {bounds.shape}")
     if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(bounds))):
         raise InvalidInputError("thetas and bounds must be finite")
-    r = float(box_halfwidth)
-    if not 0 < r < math.inf:
-        raise InvalidInputError(f"box half-width must be finite and positive, got {box_halfwidth}")
-    phi, c = _by_angle((np.mod(-thetas, TWO_PI), bounds), (_BOX_PHI, np.full(4, r)))
-    loop = _intersect_sorted(phi, c)
-    return ConvexRegion.empty() if loop is None else region_from_vertices(*loop, float(np.min(c)))
+    loop = _intersect_sorted(*_by_angle((np.mod(-thetas, TWO_PI), bounds)))
+    return ConvexRegion.empty() if loop is None else region_from_vertices(*loop, float(np.min(bounds)))
 
 
 def convex_hull(points):

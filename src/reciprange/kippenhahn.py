@@ -23,6 +23,7 @@ from .errors import InvalidInputError, UnsupportedDimensionError
 from .matrices import ReciprocalMatrix, as_xi, check_xi_bound, symmetric_tridiagonal
 
 DEFAULT_GRID = 2048
+MIN_GRID = 8  # the fewest thetas a clip of Lambda_k takes: normals pi/4 apart at most
 DEGENERATE_GAP = 1e-9
 
 
@@ -76,25 +77,15 @@ def determinant_poly_eval(matrix: ReciprocalMatrix, theta: float, lam: float) ->
 
 
 def _theta_array(theta_grid):
-    """The theta grid: a size m gives m equispaced points on [0, 2 pi); an
-    explicit grid must be a finite, non-empty 1-D array."""
-    if np.isscalar(theta_grid):
-        try:
-            m = operator.index(theta_grid)
-        except TypeError:
-            raise InvalidInputError(f"theta grid size must be an integer, got {theta_grid!r}") from None
-        if m < 1:
-            raise InvalidInputError("theta grid must be non-empty")
-        return np.linspace(0.0, 2 * math.pi, m, endpoint=False)
-    try:
-        arr = np.asarray(theta_grid, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError("theta grid must be an integer size or an array of angles") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError(f"theta grid must be a non-empty 1-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("theta grid holds a non-finite angle")
-    return arr
+    """The m equispaced thetas on [0, 2 pi) of a grid size m, an integer
+    (numpy integers included)."""
+    # np.isscalar, as operator.index takes a 0-d integer array
+    if not (np.isscalar(theta_grid) and hasattr(theta_grid, "__index__")):
+        raise InvalidInputError(f"theta grid size must be an integer, got {theta_grid!r:.60}")
+    m = operator.index(theta_grid)
+    if m < 1:
+        raise InvalidInputError("theta grid must be non-empty")
+    return np.linspace(0.0, 2 * math.pi, m, endpoint=False)
 
 
 def _tridiagonal(xi, thetas):
@@ -112,15 +103,14 @@ def _tridiagonal(xi, thetas):
     return np.sqrt(x + cos * cos)
 
 
-def _fold(theta_grid, m):
-    """The solved row each of m grid rows copies: an integer grid folds row i
-    onto min(i, m - i), and for even m once more onto min(r, m/2 - r), all of
-    the same cos^2 theta; an explicit theta array maps every row to itself."""
+def _fold(m):
+    """The solved row each row of the m-point grid copies: row i folds onto
+    min(i, m - i), and for even m once more onto min(r, m/2 - r), all of the
+    same cos^2 theta."""
     row = np.arange(m)
-    if np.isscalar(theta_grid):
-        row = np.minimum(row, m - row)
-        if m % 2 == 0:
-            row = np.minimum(row, m // 2 - row)
+    row = np.minimum(row, m - row)
+    if m % 2 == 0:
+        row = np.minimum(row, m // 2 - row)
     return row
 
 
@@ -130,13 +120,12 @@ def eigencurves(xi, theta_grid=DEFAULT_GRID) -> tuple:
     ``xi`` is an XiParameters, a sequence of xi values or a ReciprocalMatrix.
     Returns (thetas, lambdas) with lambdas of shape (T, n); column j-1 is the
     j-th largest eigenvalue curve.  The rows depend on theta only through
-    rho = cos^2 theta, so an integer grid solves T(rho) on theta in [0, pi/2]
-    only ([0, pi] for odd m) and copies each row to its mirrors (see
-    ``_fold``), which are then bitwise equal.  An explicit theta array is
-    solved row by row.
+    rho = cos^2 theta, so the grid of size ``theta_grid`` is solved on theta
+    in [0, pi/2] only ([0, pi] for odd m) and each row is copied to its
+    mirrors (see ``_fold``), which are then bitwise equal.
     """
     thetas = _theta_array(theta_grid)
-    row = _fold(theta_grid, thetas.size)
+    row = _fold(thetas.size)
     t = _tridiagonal(xi, thetas[: row.max() + 1])
     return thetas, np.linalg.eigvalsh(symmetric_tridiagonal(t))[row, ::-1]
 
@@ -154,21 +143,22 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     tangency points, ordered by the compression's eigenvalue mu ascending;
     they are flagged degenerate and carry the cluster's mean eigenvalue.
 
-    An integer grid is solved on theta in [0, pi/2] only ([0, pi] for odd m)
-    and the other rows are mirrored from it (see ``_fold``), by
+    The grid of size ``theta_grid`` is solved on theta in [0, pi/2] only
+    ([0, pi] for odd m) and the other rows are mirrored from it (see
+    ``_fold``), by
     z(-theta, j) = conj z(theta, j) and z(pi - theta, j) = conj z(theta, n + 1 - j):
     eigenvalues copy their row, points and degenerate flags follow the branch
     reversal, and a conjugated row lists each degenerate cluster in reverse,
     as conjugation negates mu.  Mirrored samples are bitwise equal.  The
     float signs of cos and sin at the two grid angles pick the symmetry, so
     the grid's 3 pi/2 is the image of its pi/2 under theta -> theta + pi when
-    their cos differ in sign.  An explicit theta array is solved row by row.
-    xi above MAX_XI, where S's xi (xi + 1) overflows, is refused.
+    their cos differ in sign.  xi above MAX_XI, where S's xi (xi + 1)
+    overflows, is refused.
     """
     xi = as_xi(xi)
     check_xi_bound(xi, "envelope_points takes")
     thetas = _theta_array(theta_grid)
-    row = _fold(theta_grid, thetas.size)
+    row = _fold(thetas.size)
     # row i is its solved row under the symmetry that carries the float signs
     # of cos and sin: rev where cos changes sign, conj where one of them does
     neg_cos, neg_sin = np.signbit(np.cos(thetas)), np.signbit(np.sin(thetas))

@@ -171,7 +171,8 @@ def _json_numbers(value, what) -> list:
 
 
 def matrix_from_json_dict(obj) -> ReciprocalMatrix:
-    """Accept {"n", "superdiag": [[re, im], ...]} or {"xi": [...]}; the forms are exclusive."""
+    """Accept {"n", "superdiag": [[re, im], ...]} or {"n", "xi": [...]}; the
+    forms are exclusive, and "n", where given, must match."""
     if not isinstance(obj, dict):
         raise InvalidInputError("matrix JSON must be an object")
     has_sd = "superdiag" in obj
@@ -179,11 +180,13 @@ def matrix_from_json_dict(obj) -> ReciprocalMatrix:
     if has_sd == has_xi:
         raise InvalidInputError('matrix JSON needs exactly one of "superdiag" or "xi"')
     if has_xi:
-        return matrix_from_xi(_json_numbers(obj["xi"], '"xi"'))
-    pairs = obj["superdiag"]
-    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise InvalidInputError('"superdiag" must be an array of [re, im] pairs')
-    entries = [complex(*_json_numbers(p, '"superdiag" entry')) for p in pairs]
-    if "n" in obj and obj["n"] != len(entries) + 1:
-        raise InvalidInputError(f'"n"={obj["n"]!r} inconsistent with {len(entries)} superdiagonal entries')
-    return build_from_superdiagonal(entries)
+        values, what = _json_numbers(obj["xi"], '"xi"'), "xi values"
+    else:
+        pairs = obj["superdiag"]
+        if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise InvalidInputError('"superdiag" must be an array of [re, im] pairs')
+        values = [complex(*_json_numbers(p, '"superdiag" entry')) for p in pairs]
+        what = "superdiagonal entries"
+    if "n" in obj and obj["n"] != len(values) + 1:
+        raise InvalidInputError(f'"n"={obj["n"]!r} inconsistent with {len(values)} {what}')
+    return matrix_from_xi(values) if has_xi else build_from_superdiagonal(values)

@@ -21,28 +21,28 @@ import numpy as np
 from .ellipses import ALL_CONCENTRIC, DISPLACED_PAIR, ClassificationReport
 from .errors import InvalidInputError
 from .geometry import POINT, ConvexRegion, halfplane_intersection, hausdorff_distance
-from .kippenhahn import DEFAULT_GRID, _theta_array, eigencurves
-from .matrices import as_xi, matrix_from_xi
+from .kippenhahn import DEFAULT_GRID, MIN_GRID, _theta_array, eigencurves
+from .matrices import as_xi
 
 BOUND_SLACK = 1e-12
 
 
 def _thetas(n, k, theta_grid):
-    """The grid's thetas, once k is in 1..n and the grid has the 8 points a
-    clip needs: the checks both rank_k functions make at every k."""
+    """The grid's thetas, once k is in 1..n and the grid has the MIN_GRID
+    points a clip needs: the checks both rank_k functions make at every k."""
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in 1..{n}, got {k}")
     thetas = _theta_array(theta_grid)
-    if thetas.size < 8:
-        raise InvalidInputError("theta grid needs at least 8 points")
+    if thetas.size < MIN_GRID:
+        raise InvalidInputError(f"theta grid needs at least {MIN_GRID} points")
     return thetas
 
 
 @functools.lru_cache(maxsize=1)
-def _lambdas(xi, grid):
-    """The read-only eigenvalues of ``eigencurves`` for the xi tuple on an
-    integer grid size, or on an explicit grid given as its theta bytes."""
-    lam = eigencurves(xi, grid if isinstance(grid, int) else np.frombuffer(grid))[1]
+def _lambdas(xi, m):
+    """The read-only eigenvalues of ``eigencurves`` for the xi tuple on the
+    grid of size m."""
+    lam = eigencurves(xi, m)[1]
     lam.flags.writeable = False
     return lam
 
@@ -53,43 +53,40 @@ def _slack(bounds) -> float:
     return BOUND_SLACK * max(1.0, float(np.max(np.abs(bounds))))
 
 
-def _clip(xi, thetas, bounds) -> ConvexRegion:
-    """The half-planes {Re(e^{i theta} z) <= bound} over the grid, clipped
-    from a box exceeding the numerical radius of the canonical representative
-    of ``xi`` (whose range every matrix with these xi shares).  The slack
-    absorbs eigensolver noise so degenerate (segment/point) intersections
-    keep their exact extent.  Both callers check the grid first (``_thetas``)."""
-    entries = matrix_from_xi(xi).superdiag
-    r = 2 + max(abs(a) for a in entries) + max(1 / abs(a) for a in entries)
-    return halfplane_intersection(thetas, bounds + _slack(bounds), r)
+def _clip(thetas, bounds) -> ConvexRegion:
+    """The intersection of the half-planes {Re(e^{i theta} z) <= bound} over
+    the grid.  The slack absorbs eigensolver noise so degenerate
+    (segment/point) intersections keep their exact extent.  Both callers
+    check the grid first (``_thetas``): its normals step by 2 pi/m <= pi/4,
+    so the half-planes bound the intersection on their own."""
+    return halfplane_intersection(thetas, bounds + _slack(bounds))
 
 
 def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     """Lambda_k as the intersection of the supporting half-planes
-    {Re(e^{i theta} z) <= lambda_k(theta)} over the grid, clipped from a box.
+    {Re(e^{i theta} z) <= lambda_k(theta)} over the grid.
 
     ``matrix`` is a ReciprocalMatrix, an XiParameters or a sequence of xi
-    values; only its xi enter.  An even integer grid of m points takes
+    values; only its xi enter.  An even grid of m points takes
     floor(m/4) + 1 eigen solves (see ``eigencurves``), and the thetas and
     bounds go to ``halfplane_intersection`` as arrays.
 
     The spectrum of Re(e^{i theta} A) is symmetric about 0, so for odd n
-    every lambda_{(n+1)/2} is 0 up to rounding.  On an integer grid, whose
-    normals go round the circle in steps of at most pi/4, bounds all within
-    the clip's slack of 0 give the POINT {0} (exactly ``0j``) without the
-    clip: every half-plane the clip would cut holds 0, and its line passes
-    within twice the slack of it.  Every other case is clipped, an explicit
-    grid's point and every EMPTY range (2k > n + 1) included.
+    every lambda_{(n+1)/2} is 0 up to rounding.  The grid's normals go round
+    the circle in steps of at most pi/4, so bounds all within the clip's
+    slack of 0 give the POINT {0} (exactly ``0j``) without the clip: every
+    half-plane the clip would cut holds 0, and its line passes within twice
+    the slack of it.  Every other case is clipped, every EMPTY range
+    (2k > n + 1) included.
 
     Calls on the same xi and grid share one read-only solve, held by a
     one-entry memo, so Lambda_1, Lambda_2, ... of one matrix solve once."""
     xi = as_xi(matrix)
     thetas = _thetas(xi.n, k, theta_grid)
-    sized = np.isscalar(theta_grid)
-    bounds = _lambdas(xi.xi, thetas.size if sized else thetas.tobytes())[:, k - 1]
-    if sized and np.max(np.abs(bounds)) <= _slack(bounds):
+    bounds = _lambdas(xi.xi, thetas.size)[:, k - 1]
+    if np.max(np.abs(bounds)) <= _slack(bounds):
         return ConvexRegion(POINT, (0j,))
-    return _clip(xi, thetas, bounds)
+    return _clip(thetas, bounds)
 
 
 def pencil_values(report: ClassificationReport, thetas) -> np.ndarray:
@@ -123,7 +120,7 @@ def rank_k_analytic(report: ClassificationReport, k, theta_grid=DEFAULT_GRID) ->
         return ConvexRegion(POINT, (0j,))
     if 2 * k > n + 1:
         return ConvexRegion.empty()
-    return _clip(report.xi, thetas, pencil_values(report, thetas)[:, k - 1])
+    return _clip(thetas, pencil_values(report, thetas)[:, k - 1])
 
 
 def region_distance(a: ConvexRegion, b: ConvexRegion) -> float:

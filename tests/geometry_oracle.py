@@ -13,7 +13,9 @@ ellipses by their support functions and needs neither.  ``ccw_loop`` gives
 a convex loop known by its points alone the edge normals that a package
 POLYGON keeps of the half-planes it was cut from; ``is_ccw_loop`` tells
 whether points make such a loop (a hull of a nearly straight cloud from
-``convex_hull`` may not).
+``convex_hull`` may not).  ``box_lines`` gives the lines of a centred
+square, which the kernel tests add to sets that would not bound a region
+alone: ``halfplane_intersection`` adds no box of its own.
 
 ``oracle_deque_vertices`` is not independent: it is the package's
 sorted-angle deque with one Python step per line.  The package skips the
@@ -48,6 +50,8 @@ from reciprange.geometry import (
 )
 
 CERT_EPS = 1e-10  # relative violation the oracle's emptiness certificate tolerates
+# the outward normal angles of the centred square of ``box_lines``
+_BOX_PHI = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,11 @@ def oracle_diameter(arr):
         if d[i, j] > best:
             best, pair = d[i, j], (lo + i, j)
     return pair
+
+
+def box_lines(halfwidth):
+    """(phi, c) of the four lines of the centred square of this half-width."""
+    return _BOX_PHI, np.full(4, float(halfwidth))
 
 
 def oracle_region_from_vertices(pts) -> ConvexRegion:

@@ -156,6 +156,7 @@ def test_largest_xi_gives_a_finite_curve(capsys):
     '{"superdiag": [[2, "0"]]}',
     '{"n": "x", "superdiag": [[2, 0]]}',
     '{"superdiag": [[1e200, 0], [2, 0]]}',
+    '{"n": 7, "xi": [1.0, 2.0]}',  # curve and range exited 0 and classify 3 on an n = 3 matrix
 ])
 @pytest.mark.parametrize("command", ["classify", "curve", "range"])
 def test_malformed_matrix_file_is_an_input_error(capsys, tmp_path, command, text):

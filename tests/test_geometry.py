@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import FIG3
 from geometry_oracle import (
     HalfPlane,
+    box_lines,
     ccw_loop,
     ellipse_region,
     is_ccw_loop,
@@ -28,7 +29,6 @@ from reciprange.cli import SEED_CORPUS
 from reciprange.ellipses import classify
 from reciprange.errors import InvalidInputError
 from reciprange.geometry import (
-    _BOX_PHI,
     EMPTY,
     FAT_INRADIUS,
     POINT,
@@ -53,8 +53,10 @@ from reciprange.ranges import rank_k_analytic, rank_k_numeric
 
 
 def _intersect(hps, box_halfwidth):
-    """halfplane_intersection of a list of HalfPlanes, passed as two arrays."""
-    return halfplane_intersection([hp.theta for hp in hps], [hp.bound for hp in hps], box_halfwidth)
+    """halfplane_intersection of a list of HalfPlanes and the lines of the
+    centred square of half-width box_halfwidth, passed as two arrays."""
+    phi, c = box_lines(box_halfwidth)
+    return halfplane_intersection([hp.theta for hp in hps] + (-phi).tolist(), [hp.bound for hp in hps] + c.tolist())
 
 
 def disk_region(radius=1.0, center=0j, m=256):
@@ -78,20 +80,16 @@ def test_empty_intersection():
 _SIXTEEN = np.linspace(0, 2 * math.pi, 16, endpoint=False)
 
 
-@pytest.mark.parametrize("thetas, bounds, box", [
-    (_SIXTEEN, np.where(np.arange(16) == 3, np.nan, 1.0), 1.0),  # gave POINT (1-0.199j)
-    (_SIXTEEN, np.where(np.arange(16) == 3, np.inf, 1.0), 10.0),
-    (np.where(np.arange(16) == 3, np.nan, _SIXTEEN), np.ones(16), 10.0),  # gave a POLYGON
-    (_SIXTEEN, np.ones(15), 10.0),  # raised IndexError
-    (_SIXTEEN[:, None], np.ones((16, 1)), 10.0),
-    (_SIXTEEN, np.ones(16), 0.0),
-    (_SIXTEEN, np.ones(16), -1.0),
-    (_SIXTEEN, np.ones(16), math.inf),
-    (_SIXTEEN, np.ones(16), math.nan),
+@pytest.mark.parametrize("thetas, bounds", [
+    (_SIXTEEN, np.where(np.arange(16) == 3, np.nan, 1.0)),  # gave POINT (1-0.199j) in a box of half-width 1
+    (_SIXTEEN, np.where(np.arange(16) == 3, np.inf, 1.0)),
+    (np.where(np.arange(16) == 3, np.nan, _SIXTEEN), np.ones(16)),  # gave a POLYGON
+    (_SIXTEEN, np.ones(15)),  # raised IndexError
+    (_SIXTEEN[:, None], np.ones((16, 1))),
 ])
-def test_halfplane_intersection_rejects_invalid_input(thetas, bounds, box):
+def test_halfplane_intersection_rejects_invalid_input(thetas, bounds):
     with pytest.raises(InvalidInputError):
-        halfplane_intersection(thetas, bounds, box)
+        halfplane_intersection(thetas, bounds)
 
 
 def test_point_demotion():
@@ -826,7 +824,7 @@ def _examples(cases):
 @_examples((lines, boxed) for lines in _TOUCHING for boxed in (False, True))
 def test_deque_skips_change_no_decision(lines, boxed):
     phi, c = lines
-    sets = [(np.mod(phi, TWO_PI), c)] + ([(_BOX_PHI, np.full(4, 10.0))] if boxed else [])
+    sets = [(np.mod(phi, TWO_PI), c)] + ([box_lines(10.0)] if boxed else [])
     phi, c = _by_angle(*sets)
     got, want = _intersect_sorted(phi, c), oracle_deque_vertices(phi, c)
     assert (got is None) == (want is None)
@@ -838,7 +836,7 @@ def test_turn_guard_fires_and_changes_no_decision():
     # walking when lines t and i + 1 turn pi or more; here it does, and the
     # scalar loop then gives the oracle's result
     (phi, c), boxed = _TURN_GUARD
-    phi, c = _by_angle((np.mod(phi, TWO_PI), c), *([(_BOX_PHI, np.full(4, 10.0))] if boxed else []))
+    phi, c = _by_angle((np.mod(phi, TWO_PI), c), *([box_lines(10.0)] if boxed else []))
     turns = []
     deque_, staircase = geometry._deque, geometry._staircase
 
@@ -875,7 +873,7 @@ def test_inradius_gate_changes_no_decision(lines, boxed):
     # the disk about 0 of radius min(c) lies inside every half-plane; a loop
     # classified with it as inradius is the loop classified without
     phi, c = lines
-    phi, c = _by_angle((np.mod(phi, TWO_PI), c), *([(_BOX_PHI, np.full(4, 10.0))] if boxed else []))
+    phi, c = _by_angle((np.mod(phi, TWO_PI), c), *([box_lines(10.0)] if boxed else []))
     loop = _intersect_sorted(phi, c)
     if loop is not None:
         fast, full = region_from_vertices(*loop, float(np.min(c))), region_from_vertices(*loop)
@@ -894,7 +892,7 @@ def test_inradius_gate_changes_no_decision(lines, boxed):
 @pytest.mark.parametrize("ellipse", [(0j, 1.0, 1.0, 0.0), (0.3 - 0.2j, 2.0, 0.05, 0.7), (1 + 1j, 0.5, 0.2, 2.0)])
 @pytest.mark.parametrize("m", [8, 9, 2048, 2049, 4097])
 def test_event_free_sets_match_oracle(m, ellipse, boxed):
-    phi, c = _by_angle(_ellipse_lines(m, *ellipse), *([(_BOX_PHI, np.full(4, 10.0))] if boxed else []))
+    phi, c = _by_angle(_ellipse_lines(m, *ellipse), *([box_lines(10.0)] if boxed else []))
     calls = 0
     corner = geometry._corner
 

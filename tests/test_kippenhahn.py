@@ -113,15 +113,14 @@ def test_recurrence_matches_hand_written_forms(x):
 
 def test_eigencurves_n2():
     m = build_from_superdiagonal([2])
-    _, lam = eigencurves(m, np.array([0.0]))
+    _, lam = eigencurves(m, 1)  # theta = 0
     assert_allclose(lam[0], [1.25, -1.25])
 
 
 def test_eigencurves_all_zero_scaled_spectrum(rng):
     for n in (3, 4, 5):
         m = matrix_from_xi([0.0] * (n - 1))
-        thetas = rng.uniform(0, 2 * np.pi, 8)
-        _, lam = eigencurves(m, thetas)
+        thetas, lam = eigencurves(m, rng.integers(8, 64))
         spec = np.sort(exact_spectrum(n))[::-1]
         for t, row in zip(thetas, lam):
             assert_allclose(row, np.sort(np.cos(t) * spec)[::-1], atol=1e-12)
@@ -129,24 +128,23 @@ def test_eigencurves_all_zero_scaled_spectrum(rng):
 
 def test_eigencurves_n4_quadruple():
     m = matrix_from_xi([1.0, 0.0, 1.0])
-    _, lam = eigencurves(m, np.array([math.pi / 2]))
-    assert_allclose(lam[0], [1, 1, -1, -1], atol=1e-12)
+    _, lam = eigencurves(m, 4)  # theta = 0, pi/2, pi, 3 pi/2
+    assert_allclose(lam[1], [1, 1, -1, -1], atol=1e-12)
 
 
 @given(st.sampled_from([2, 3, 4, 5, 6]), st.data())
 def test_eigencurve_antisymmetry(n, data):
     xi = data.draw(poly_xi(n))
     m = matrix_from_xi(xi)
-    thetas = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    _, lam = eigencurves(m, thetas)
-    _, lam_pi = eigencurves(m, thetas + np.pi)
-    assert_allclose(lam_pi, -lam[:, ::-1], atol=1e-9)
+    thetas, lam = eigencurves(m, 16)
+    assert_allclose(oracle_eigencurves(m, thetas + np.pi), -lam[:, ::-1], atol=1e-9)
 
 
 @pytest.mark.parametrize("m", [8, 9, 10, 11, 2048, 2050])
 def test_eigencurves_grid_fold(m, rng):
     # lambda depends on theta only through cos^2 theta: rows j, m - j and, for
-    # even m, m/2 - j come from one solve, and each matches its own solve
+    # even m, m/2 - j come from one solve, and each matches the dense solve
+    # of its own theta
     for n in (2, 5, 6, 7):
         xi = rng.uniform(0.0, 2.5, n - 1)
         thetas, lam = eigencurves(xi, m)
@@ -154,7 +152,7 @@ def test_eigencurves_grid_fold(m, rng):
         assert np.array_equal(lam, lam[(m - j) % m])
         if m % 2 == 0:
             assert np.array_equal(lam, lam[(m // 2 - j) % m])
-        _, each = eigencurves(xi, thetas)
+        each = oracle_eigencurves(matrix_from_xi(xi), thetas)
         assert np.all(np.abs(lam - each) <= 1e-14 * np.max(np.abs(each), axis=1, keepdims=True))
 
 
@@ -182,8 +180,8 @@ def _close(got, want, tol=1e-12):
 
 def _assert_matches_dense(matrix, grid=64):
     """Same (theta, branch) rows and degenerate flags; every value within
-    1e-12 max(1, |value|) of the oracle's.  ``grid`` is a size or an array."""
-    thetas = np.linspace(0, 2 * np.pi, grid, endpoint=False) if np.isscalar(grid) else grid
+    1e-12 max(1, |value|) of the oracle's on the grid of size ``grid``."""
+    thetas = np.linspace(0, 2 * np.pi, grid, endpoint=False)
     _, lam = eigencurves(matrix, grid)
     assert _close(lam, oracle_eigencurves(matrix, thetas))
     got = envelope_points(matrix, grid)
@@ -270,16 +268,6 @@ def test_envelope_points_exact_symmetry(args, m):
     assert (keep | flips).all() and (keep & flips).sum() >= m - 2
     assert np.array_equal(P[half][flips], P[:, ::-1][flips])
     assert np.array_equal(L[half], L) and np.array_equal(D[half], D[:, ::-1])
-
-
-def test_explicit_theta_arrays_match_dense_oracle(rng):
-    # an explicit grid is solved row by row: unsorted angles, repeats, both
-    # signs, and the float pi/2 and 3 pi/2 of a folded grid
-    grid = np.concatenate((rng.uniform(-7.0, 7.0, 24), [1.0, 1.0, -1.0, 2 * np.pi - 1.0],
-                           np.linspace(0, 2 * np.pi, 64, endpoint=False)[[16, 48]]))
-    for xi in (FIG5, (0.5, 0.0, 0.5, 0.0), (0.0, 1.2, 0.7), (0.3,)):
-        _assert_matches_dense(matrix_from_xi(xi), grid)
-    _assert_matches_dense(build_from_superdiagonal(_entries((0.0, 0.8, 2.0), (0.3, 2.0, 4.0), (0, 1, 0))), grid)
 
 
 @pytest.mark.parametrize("grid", [64, 256, 2048])

@@ -210,3 +210,7 @@ def test_matrix_json_forms_exclusive():
         matrix_from_json_dict({"n": 3})
     with pytest.raises(InvalidInputError):
         matrix_from_json_dict({"n": 5, "superdiag": [[1.0, 0.0]]})
+    # the xi form gave an n = 3 matrix here
+    with pytest.raises(InvalidInputError, match='"n"=7 inconsistent with 2 xi values'):
+        matrix_from_json_dict({"n": 7, "xi": [1.0, 2.0]})
+    assert matrix_from_json_dict({"n": 3, "xi": [1.0, 2.0]}).n == 3

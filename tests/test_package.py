@@ -12,13 +12,29 @@ def test_every_exported_name_resolves():
     assert [name for name in reciprange.__all__ if not hasattr(reciprange, name)] == []
 
 
+def _definitions(tree):
+    """(node, name) of each function, class and method a module defines, and
+    of each name its top level assigns."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node, name.id
+
+
 def uncalled_names():
-    """The functions, classes and methods (dunders aside) that the package
-    defines and that neither ``reciprange.__all__`` lists nor any line of
-    the package, ``scripts/`` or ``perfbench/*.py`` names outside the
-    definition itself: code only the tests keep alive.  A method counts as
-    named only by attribute access (``.name``), so a generic method name
-    that also names a local variable does not keep it alive."""
+    """The functions, classes and methods, and the names assigned at module
+    level (dunders aside), that the package defines and that neither
+    ``reciprange.__all__`` lists nor any line of the package, ``scripts/`` or
+    ``perfbench/*.py`` names outside the definition or assignment itself:
+    code only the tests keep alive.  A method counts as named only by
+    attribute access (``.name``), so a generic method name that also names a
+    local variable does not keep it alive."""
     texts = {path: path.read_text() for path in
              [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]}
     unused = []
@@ -26,13 +42,10 @@ def uncalled_names():
         lines = texts[path].splitlines()
         tree = ast.parse(texts[path])
         methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
+        for node, name in _definitions(tree):
             if (name.startswith("__") and name.endswith("__")) or name in reciprange.__all__:
                 continue
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+            start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])]) - 1
             outside = lines[:start] + lines[node.end_lineno:]
             others = [t for p, t in texts.items() if p != path] + ["\n".join(outside)]
             word = re.compile(rf"\.{re.escape(name)}\b" if id(node) in methods else rf"\b{re.escape(name)}\b")

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIG1, FIG2, FIG3, FIG4, FIG5, PHI, SQRT3
@@ -222,6 +222,13 @@ def test_analytic_matches_numeric_on_snapped_xi():
                 assert d <= 1e-10, (rep.xi, k, grid, d)
 
 
+def _unbinding_box(bounds):
+    """A box half-width that no clip of these bounds on a grid of m >= 8
+    thetas reaches: a point of the clip lies within pi/m of the normal of
+    some line, so its modulus is at most max(bounds) / cos(pi/8) < 2 max(bounds)."""
+    return 1 + 2 * float(np.max(np.abs(bounds)))
+
+
 def _pencil_oracle(rep, k, grid):
     """Lambda_k by Li-Sze: the box clipped one half-plane at a time by the k-th
     largest pencil value."""
@@ -258,7 +265,7 @@ def _case_table_range(rep, k, grid):
         return e.center * cos + np.sqrt((e.major_half_axis * cos) ** 2 + (e.minor_half_axis * sin) ** 2)
 
     def clip(bounds):
-        return ranges._clip(rep.xi, thetas, bounds)
+        return ranges._clip(thetas, bounds)
 
     if rep.verdict == ALL_CONCENTRIC:
         return clip(support(rep.ellipses[k - 1])) if k <= len(rep.ellipses) else ConvexRegion(POINT, (0j,))
@@ -298,7 +305,8 @@ _rep = classify([1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("grid", [float("nan"), float("inf"), 8.9, 64.0, "64", np.full(16, np.nan),
-                                  np.append(np.zeros(15), np.inf), np.zeros((2, 16)), np.array(64), [], ["a"]])
+                                  np.append(np.zeros(15), np.inf), np.zeros((2, 16)), np.array(64), [], ["a"],
+                                  np.linspace(0.0, 2 * math.pi, 64, endpoint=False), [0.0, 1.0, 2.0, 3.0] * 4])
 @pytest.mark.parametrize("call", [
     lambda g: eigencurves((1.0, 1.0, 1.0), g),
     lambda g: envelope_points((1.0, 1.0, 1.0), g),
@@ -320,14 +328,15 @@ def test_numpy_integer_grid_sizes_pass():
 @pytest.mark.parametrize("xi", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, PHI, 0.0), (0.0, 0.0, 0.0),
                                 FIG1, FIG2, FIG3, FIG4, FIG5, (1.0,) * 5])
 def test_numeric_matches_clipping_oracle(xi, monkeypatch):
-    # the very half-planes _clip builds from the solve, clipped one by one,
-    # against rank_k_numeric, which skips the clip where the solve decides
+    # the very half-planes _clip builds from the solve, clipped one by one
+    # from a box that does not bind, against rank_k_numeric, which skips the
+    # clip where the solve decides
     seen = []
     kernel = ranges.halfplane_intersection
 
-    def spy(thetas, bounds, box_halfwidth):
-        seen.append(([HalfPlane(float(t), float(b)) for t, b in zip(thetas, bounds)], box_halfwidth))
-        return kernel(thetas, bounds, box_halfwidth)
+    def spy(thetas, bounds):
+        seen.append(([HalfPlane(float(t), float(b)) for t, b in zip(thetas, bounds)], _unbinding_box(bounds)))
+        return kernel(thetas, bounds)
 
     monkeypatch.setattr(ranges, "halfplane_intersection", spy)
     m = matrix_from_xi(list(xi))
@@ -338,6 +347,22 @@ def test_numeric_matches_clipping_oracle(xi, monkeypatch):
         want = oracle_halfplane_intersection(*seen.pop())
         assert got.kind == want.kind, (xi, k)
         assert oracle_hausdorff(got, want) <= 1e-9, (xi, k)
+
+
+def test_coarse_grid_range_is_its_half_planes_alone():
+    # Lambda_1 of n = 12, xi = 1e4 at grid 9: the 9 half-planes cut a 9-gon
+    # whose corners reach 206.66 from 0.  The box of half-width
+    # 2 + max|a| + max 1/|a| = 202.01 that the clip once added cut them off,
+    # into a 12-gon; the range is the intersection of the half-planes alone
+    xi = (1e4,) * 11
+    thetas, lam = eigencurves(xi, 9)
+    bounds = lam[:, 0] + ranges._slack(lam[:, 0])
+    got = rank_k_numeric(xi, 1, 9)
+    want = oracle_halfplane_intersection([HalfPlane(float(t), float(b)) for t, b in zip(thetas, bounds)],
+                                         _unbinding_box(bounds))
+    assert got.kind == want.kind == POLYGON and len(got.points) == len(want.points) == 9
+    assert max(map(abs, got.points)) > 206
+    assert oracle_hausdorff(got, want) <= 1e-9 * 206
 
 
 _paper_or_drawn = st.sampled_from([FIG1, FIG2, FIG3, FIG4, FIG5, (1.0, 0.0, 1.0), (1.0,) * 5]) | st.lists(
@@ -590,7 +615,7 @@ def _fresh(matrix, k, grid):
     """Lambda_k from its own eigen solve, as rank_k_numeric computes it."""
     xi = as_xi(matrix)
     thetas, lam = eigencurves(xi, grid)
-    return ranges._clip(xi, thetas, lam[:, k - 1])
+    return ranges._clip(thetas, lam[:, k - 1])
 
 
 def _assert_same_region(got, want):
@@ -610,8 +635,7 @@ def test_held_solve_never_changes_a_result(rng):
     # the same xi as a list, an XiParameters and a matrix in a row, and FIG4
     # (n = 6) between them, so calls alternate between hits and misses
     mats = [random_phase, list(FIG2), XiParameters(FIG2), matrix_from_xi(list(FIG2)), FIG4, (1.0, PHI, 0.0)]
-    array_grid = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
-    for grids in ([2048], [2049], [array_grid], [2048, array_grid, array_grid + 1e-3, 2049]):
+    for grids in ([2048], [2049], [2048, 512, 2049]):
         for k in range(1, 7):
             for m in mats:
                 for grid in grids:
@@ -629,7 +653,7 @@ def test_one_solve_for_every_k(monkeypatch):
 
     rank_k_numeric((2.0, 2.0), 1, 64)  # hold some other solve
     monkeypatch.setattr(ranges, "eigencurves", spy)
-    for grid in (2048, 2049, np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)):
+    for grid in (2048, 2049):
         for xi in (FIG3, (0.9, 1.3, 0.4, 2.0, 0.7, 0.2)):
             calls.clear()
             for k in range(1, len(xi) + 2):
@@ -638,22 +662,19 @@ def test_one_solve_for_every_k(monkeypatch):
             assert not calls[0].flags.writeable
 
 
-def test_held_solve_is_keyed_by_grid_size_or_theta_bytes(monkeypatch):
-    # a numpy integer size shares the solve of the same int; an explicit
-    # array of the very same thetas is solved again, row by row, not folded
+def test_held_solve_is_keyed_by_grid_size(monkeypatch):
+    # numpy integer sizes share the solve of the same int
     calls = []
 
     def spy(xi, grid):
         calls.append(grid)
         return eigencurves(xi, grid)
 
+    rank_k_numeric((2.0, 2.0), 1, 64)  # hold some other solve
     monkeypatch.setattr(ranges, "eigencurves", spy)
-    array_grid = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
-    assert np.array_equal(array_grid, eigencurves(FIG3, 2048)[0])
-    for k, grid in zip((1, 2, 1, 2, 3), (2048, np.int64(2048), array_grid, array_grid.copy(), np.int64(2048))):
+    for k, grid in zip((1, 2, 3), (2048, np.int64(2048), np.uint16(2048))):
         _assert_same_region(rank_k_numeric(FIG3, k, grid), _fresh(FIG3, k, grid))
-    assert len(calls) == 3 and calls[0] == calls[2] == 2048
-    assert np.array_equal(calls[1], array_grid)
+    assert calls == [2048]
 
 
 @pytest.mark.parametrize("bad", [
@@ -702,14 +723,7 @@ _xi_with_zeros = st.integers(3, 7).flatmap(
     lambda n: st.lists(st.just(0.0) | st.floats(0.0, 2.5), min_size=n - 1, max_size=n - 1)).map(tuple)
 
 
-# explicit grids: one whose normals miss half the circle, where the box
-# bounds the point fans' half-planes to a POLYGON, and a full circle
-_HALF_CIRCLE = np.linspace(0.0, math.pi, 8)
-_FULL_CIRCLE = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
-
-
-@given(_xi_with_zeros, st.sampled_from([127, 128, 2048, 2049, _HALF_CIRCLE, _FULL_CIRCLE]))
-@example(FIG2, _HALF_CIRCLE)
+@given(_xi_with_zeros, st.sampled_from([8, 127, 128, 2048, 2049]))
 def test_origin_fast_paths_change_no_decision(xi, grid):
     # at every k, 2k > n + 1 too, rank_k_numeric's point from the solve is
     # the clip's, and so is every clipped range; every loop the clips make is
@@ -758,5 +772,5 @@ def test_origin_point_decides_as_the_clip(bounds, decided, kind, monkeypatch, re
     monkeypatch.setattr(ranges, "eigencurves", lambda xi, grid: (thetas, lam))
     monkeypatch.setattr(ranges, "_clip", lambda *args: clips.append(args) or clip(*args))
     got = rank_k_numeric((1.0, 1.0, 1.0), 2, 16)
-    assert got.kind == clip((1.0, 1.0, 1.0), thetas, bounds).kind == kind
+    assert got.kind == clip(thetas, bounds).kind == kind
     assert (clips == []) == decided == (got.points == (0j,))
