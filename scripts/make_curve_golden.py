@@ -12,11 +12,13 @@ hold for the numpy build and machine type recorded with them.
 
 The digests pin the last digits of every sample, so any change in how a
 sample is computed moves them even where the curve agrees to a few ulps.
-They were last recorded when ``envelope_points`` began to solve one quarter
-of the grid and copy its mirror images (conjugated or branch-reversed) to
-the other three: a mirrored sample now prints the digits of the sample it
-mirrors instead of those of its own solve, 3e-15 off at most, except at
-the near-degenerate theta = 3 pi/2 row of FIG4 (2e-11) and FIG5 (5e-10).
+They were last recorded when ``curve_components`` began to take its
+components from the ``loop`` labels of ``envelope_points`` (continuation
+across theta = pi/2) instead of from step-size thresholds.  Every JSON
+digest stayed the same, as the samples did; every SVG digest changed, as
+the loops are now drawn in label order, each as the samples of one label in
+theta order without the rows at theta = pi/2 and 3 pi/2, and FIG4 and FIG5
+are three loops at grid 256, as at 2048, where they were two.
 
     PYTHONPATH=src python scripts/make_curve_golden.py [--out tests/data/curve_golden.json]
 """

@@ -25,6 +25,8 @@ from .matrices import ReciprocalMatrix, as_xi, check_xi_bound, symmetric_tridiag
 DEFAULT_GRID = 2048
 MIN_GRID = 8  # the fewest thetas a clip of Lambda_k takes: normals pi/4 apart at most
 DEGENERATE_GAP = 1e-9
+GLUE_RHO = 1e-8  # rho of the T whose eigenvectors glue the arcs at rho = 0, relative to max(1, max xi)
+POINT_EXTENT = 1e-6  # a curve component this close to its mean, relative to max(1, max |z|), is a point
 
 
 def closed_form_poly(xi) -> ZetaPoly:
@@ -135,8 +137,8 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
 
     ``xi`` is an XiParameters, a sequence of xi values or a ReciprocalMatrix.
     Returns a record array sorted by (theta, branch), with fields theta,
-    branch (1-based, 1 = largest eigenvalue), point, eigenvalue and
-    degenerate.  Each sample satisfies Re(e^{i theta} z) = lambda_j(theta):
+    branch (1-based, 1 = largest eigenvalue), point, eigenvalue, degenerate
+    and loop.  Each sample satisfies Re(e^{i theta} z) = lambda_j(theta):
     the point lies on its own tangent line.  For odd n the middle branch is
     pinned to the origin.  At (numerically) repeated eigenvalues the
     compression of Im(e^{i theta} A) onto the eigenspace yields the genuine
@@ -154,6 +156,12 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     the grid's 3 pi/2 is the image of its pi/2 under theta -> theta + pi when
     their cos differ in sign.  xi above MAX_XI, where S's xi (xi + 1)
     overflows, is refused.
+
+    ``loop`` labels the samples of one closed curve component, traced once
+    in theta order, by the branch of its cos theta > 0 arc; it is 0 on the
+    rows at theta = pi/2 and 3 pi/2 and on a second trace of a labelled
+    component.  Branches are glued across rho = 0 by continuation (see the
+    comment in the code), so the labels are the same on every grid.
     """
     xi = as_xi(xi)
     check_xi_bound(xi, "envelope_points takes")
@@ -206,10 +214,29 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     z[conj] = np.conj(z[conj])
     if mid is not None:
         z[:, mid - 1] = 0
+    # loops: for rho > 0 the eigenvalues are simple, so branch j is one
+    # analytic arc on cos theta > 0 and one on cos theta < 0.  At rho = 0 it
+    # goes on as branch sigma(j), whose eigenvector of T(rho0) is closest to
+    # F u_j, F = diag(+-1) flipping the sign after each xi that T(rho0) does
+    # not tell from 0 (as D does there when cos theta changes sign).  The
+    # pi-shift makes the cos < 0 arc of branch l the cos > 0 arc of n + 1 - l,
+    # so loop j is the cos > 0 arc of j, then the cos < 0 arc of sigma(j);
+    # p(j) = n + 1 - sigma(j) traces the same loop, and p(j) = j closes on its
+    # own.  The rows at rho = 0, found by index as float cos(pi/2) > 0, go to
+    # no loop (label 0): there a cluster is ordered by mu, not by continuation
+    rho0 = GLUE_RHO * max(1.0, float(np.max(x)))
+    u = np.linalg.eigh(symmetric_tridiagonal(np.sqrt(x + rho0)))[1][:, ::-1]
+    f = np.cumprod(np.concatenate(([1.0], np.where(x + rho0 == rho0, -1.0, 1.0))))
+    sigma = np.argmax(np.abs(u.T @ (f[:, None] * u)), axis=0)  # 0-based, as p
+    p = n - 1 - sigma
+    q = 4 * np.arange(thetas.size)
+    loop = np.zeros((thetas.size, n), dtype=int)
+    loop[(q < thetas.size) | (q > 3 * thetas.size)] = np.where(np.arange(n) <= p, np.arange(1, n + 1), 0)
+    loop[(q > thetas.size) & (q < 3 * thetas.size)] = np.where(sigma < p[sigma], sigma + 1, 0)
     samples = np.rec.fromarrays(
         [np.repeat(thetas, n), np.tile(np.arange(1, n + 1), thetas.size), z.ravel(), w[row].ravel(),
-         degenerate[row[:, None], col].ravel()],
-        names="theta,branch,point,eigenvalue,degenerate",
+         degenerate[row[:, None], col].ravel(), loop.ravel()],
+        names="theta,branch,point,eigenvalue,degenerate,loop",
     )
     return samples[np.lexsort((samples.branch, samples.theta))]
 
@@ -263,103 +290,25 @@ def detect_multiple_tangents(xi, tol=1e-9) -> list:
     return ordinates
 
 
-def curve_components(samples, gap_factor=10.0) -> list:
+def curve_components(samples) -> list:
     """Group envelope samples (the record array of envelope_points) into closed components.
 
-    Per-branch runs are split where consecutive points jump by more than
-    ``gap_factor`` times the median inter-sample spacing, then runs are chained
-    greedily across branches while endpoints stay within the same threshold.
-    Returns a list of dicts {"points": ndarray, "kind": "loop"|"point"}.
+    Each loop label of ``envelope_points`` is one component, its samples in
+    theta order.  A component within POINT_EXTENT (relative to the largest
+    |z|, or absolute below 1) of its mean is the point at that mean.
+    Returns a list of dicts {"points": ndarray, "kind": "loop"|"point"},
+    in label order.
     """
-    order = np.lexsort((samples.theta, samples.branch))
-    branch, points = samples.branch[order], samples.point[order]
-    origin = []
-    arcs = []
-    for pts in np.split(points, np.flatnonzero(np.diff(branch)) + 1):
-        if np.all(np.abs(pts) < 1e-12):
-            origin.append(np.array([0j]))
-            continue
-        deltas = np.abs(np.diff(pts))
-        wrap = np.abs(pts[0] - pts[-1])
-        med = np.median(np.concatenate([deltas, [wrap]]))
-        thr = gap_factor * max(med, 1e-12)
-        segs = np.split(pts, np.flatnonzero(deltas > thr) + 1)
-        if len(segs) > 1 and wrap <= thr:
-            segs[0] = np.concatenate([segs.pop(), segs[0]])
-        arcs.extend(segs)
-
-    # chain arcs whose endpoints nearly coincide
-    med_all = np.median(np.abs(np.diff(np.concatenate(arcs)))) if arcs else 0.0
-    thr = gap_factor * max(med_all, 1e-12)
-    chains = []
-    used = [False] * len(arcs)
-    for i in range(len(arcs)):
-        if used[i]:
-            continue
-        front, back = [], [arcs[i]]  # the chain is front reversed, then back
-        head, tail = arcs[i][0], arcs[i][-1]
-        used[i] = True
-        grew = True
-        while grew:
-            grew = False
-            for j in range(len(arcs)):
-                if used[j]:
-                    continue
-                a = arcs[j]
-                # on ties the first wins: append, append reversed, prepend, prepend reversed
-                d = (abs(tail - a[0]), abs(tail - a[-1]), abs(head - a[-1]), abs(head - a[0]))
-                k = min(range(4), key=d.__getitem__)
-                if d[k] <= thr:
-                    seg = a[::-1] if k % 2 else a
-                    if k < 2:
-                        back.append(seg)
-                        tail = seg[-1]
-                    else:
-                        front.append(seg)
-                        head = seg[0]
-                    used[j] = True
-                    grew = True
-        chains.append(np.concatenate(front[::-1] + back))
-
-    # the +- symmetry traces every centered component twice, and multiple
-    # tangents can shed tiny remnants lying on a larger chain: absorb any
-    # chain already covered by a kept one
-    chains.sort(key=len, reverse=True)
-    comps, kept = [], []
-    for ch in chains:
-        center = np.mean(ch)
-        if np.max(np.abs(ch - center)) <= thr:
-            ch = np.array([center])  # a degenerate component: a single point
-        probe = ch[:: max(1, len(ch) // 256)]
-        if not any(_covered(probe, *k, 2 * thr) for k in kept):
-            comps.append({"points": ch, "kind": "loop" if len(ch) > 1 else "point"})
-            by_re = np.argsort(ch.real)
-            kept.append((ch.real[by_re], ch[by_re]))
-    for o in origin:
-        comps.append({"points": o, "kind": "point"})
+    tol = POINT_EXTENT * max(1.0, float(np.max(np.abs(samples.point))))
+    comps = []
+    for label in np.unique(samples.loop[samples.loop > 0]):
+        pts = samples.point[samples.loop == label]
+        center = np.mean(pts)
+        if np.max(np.abs(pts - center)) <= tol:
+            comps.append({"points": np.array([center]), "kind": "point"})
+        else:
+            comps.append({"points": pts, "kind": "loop"})
     return comps
-
-
-def _covered(probe, sorted_re, sorted_pts, radius):
-    """Whether every probe point has a point of sorted_pts within ``radius``.
-
-    |p - q| <= radius needs |Re p - Re q| <= radius, so each probe is compared
-    only with the points whose real part lies in that window (sorted_pts is
-    sorted by real part), widened by a few ulps so that rounding of the window
-    ends drops no pair.
-    """
-    slack = radius + 4 * np.finfo(float).eps * (np.abs(probe.real) + radius)
-    lo = np.searchsorted(sorted_re, probe.real - slack, side="left")
-    hi = np.searchsorted(sorted_re, probe.real + slack, side="right")
-    counts = hi - lo
-    if not counts.all():
-        return False
-    # the window indices of all probes, laid end to end
-    idx = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-    near = np.abs(np.repeat(probe, counts) - sorted_pts[idx]) <= radius
-    hit = np.zeros(probe.size, dtype=bool)
-    hit[np.repeat(np.arange(probe.size), counts)[near]] = True
-    return bool(hit.all())
 
 
 def samples_to_json(samples) -> np.ndarray:

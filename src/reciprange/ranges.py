@@ -7,9 +7,8 @@ eigenvalues; ``rank_k_analytic`` takes them, for a positive classification,
 from ``pencil_values``, the closed-form eigenvalues its ellipse components
 imply.  Both clip the k-th largest bound on one theta grid through the one
 kernel ``halfplane_intersection``, so neither needs the criterion table.
-For 2k >= n + 1 the spectrum's symmetry about 0 mostly decides Lambda_k
-without the clip: by the verdict in ``rank_k_analytic``; in
-``rank_k_numeric`` the solve's own values show the point {0}.
+For 2k >= n + 1 the spectrum's symmetry about 0 decides Lambda_k from k
+alone, without a solve or the clip: {0} for 2k = n + 1, EMPTY beyond.
 """
 
 from __future__ import annotations
@@ -71,22 +70,24 @@ def rank_k_numeric(matrix, k, theta_grid=DEFAULT_GRID) -> ConvexRegion:
     floor(m/4) + 1 eigen solves (see ``eigencurves``), and the thetas and
     bounds go to ``halfplane_intersection`` as arrays.
 
-    The spectrum of Re(e^{i theta} A) is symmetric about 0, so for odd n
-    every lambda_{(n+1)/2} is 0 up to rounding.  The grid's normals go round
-    the circle in steps of at most pi/4, so bounds all within the clip's
-    slack of 0 give the POINT {0} (exactly ``0j``) without the clip: every
-    half-plane the clip would cut holds 0, and its line passes within twice
-    the slack of it.  Every other case is clipped, every EMPTY range
-    (2k > n + 1) included.
+    The spectrum of Re(e^{i theta} A) is symmetric about 0, so
+    lambda_{(n+1)/2} is 0 for odd n; and for 2k > n + 1 the half-planes at
+    theta and theta + pi share no point where lambda_k(theta) <
+    lambda_{n+1-k}(theta), as at theta = 0, where T(1) has a simple
+    spectrum.  So, as in ``rank_k_analytic``, 2k = n + 1 gives the POINT
+    {0} (exactly ``0j``) and 2k > n + 1 EMPTY, at any scale and grid,
+    without a solve, whose rounding (about eps sqrt(max xi)) would
+    otherwise decide them.
 
     Calls on the same xi and grid share one read-only solve, held by a
     one-entry memo, so Lambda_1, Lambda_2, ... of one matrix solve once."""
     xi = as_xi(matrix)
     thetas = _thetas(xi.n, k, theta_grid)
-    bounds = _lambdas(xi.xi, thetas.size)[:, k - 1]
-    if np.max(np.abs(bounds)) <= _slack(bounds):
+    if 2 * k == xi.n + 1:
         return ConvexRegion(POINT, (0j,))
-    return _clip(thetas, bounds)
+    if 2 * k > xi.n + 1:
+        return ConvexRegion.empty()
+    return _clip(thetas, _lambdas(xi.xi, thetas.size)[:, k - 1])
 
 
 def pencil_values(report: ClassificationReport, thetas) -> np.ndarray:

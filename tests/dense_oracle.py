@@ -87,3 +87,17 @@ def oracle_envelope_points(matrix, thetas) -> list:
             j = jj + 1
     samples.sort(key=lambda s: (s[0], s[1]))
     return samples
+
+
+def oracle_continuation(matrix, delta=1e-4):
+    """Where each branch of Re(e^{i theta} A) goes across theta = pi/2.
+
+    Returns (sigma, overlap): sigma[j - 1] is the branch (1-based, 1 = largest
+    eigenvalue) at pi/2 + delta whose eigenvector is closest to that of
+    branch j at pi/2 - delta, and overlap is the smallest of those largest
+    |v* w|; near 1 when the eigenvectors on the two sides match one to one.
+    """
+    before = np.linalg.eigh(real_part_at(matrix, np.pi / 2 - delta))[1][:, ::-1]
+    after = np.linalg.eigh(real_part_at(matrix, np.pi / 2 + delta))[1][:, ::-1]
+    overlap = np.abs(after.conj().T @ before)
+    return np.argmax(overlap, axis=0) + 1, float(np.min(np.max(overlap, axis=0)))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -18,6 +19,7 @@ from geometry_oracle import (
 )
 from reciprange import geometry, ranges
 from reciprange.cli import SEED_CORPUS
+from reciprange.cli import main as cli_main
 from reciprange.ellipses import ALL_CONCENTRIC, classify
 from reciprange.errors import InvalidInputError
 from reciprange.geometry import (
@@ -620,8 +622,8 @@ def _fresh(matrix, k, grid):
 
 def _assert_same_region(got, want):
     """got, from rank_k_numeric, is want, from _fresh, but for the POINT {0}
-    that rank_k_numeric reads off its solve, where the clip's point lies
-    within rounding of 0."""
+    that rank_k_numeric answers from k, where the clip's point lies within
+    rounding of 0."""
     if got.kind == want.kind == POINT and got.points == (0j,):
         assert abs(want.points[0]) <= 1e-8
         return
@@ -700,8 +702,8 @@ def test_failed_call_keeps_the_held_solve(bad, monkeypatch):
 
 
 def test_guards_precede_the_origin_fast_path():
-    # Lambda_3 of n = 5 is the POINT {0} from the solve, but not on a grid too
-    # small to clip nor for a k out of range
+    # Lambda_3 of n = 5 is the POINT {0} from k, but not on a grid too small
+    # to clip nor for a k out of range
     assert rank_k_numeric(FIG2, 3, 8) == ConvexRegion(POINT, (0j,))
     with pytest.raises(InvalidInputError, match="at least 8 points"):
         rank_k_numeric(FIG2, 3, 4)
@@ -725,8 +727,8 @@ _xi_with_zeros = st.integers(3, 7).flatmap(
 
 @given(_xi_with_zeros, st.sampled_from([8, 127, 128, 2048, 2049]))
 def test_origin_fast_paths_change_no_decision(xi, grid):
-    # at every k, 2k > n + 1 too, rank_k_numeric's point from the solve is
-    # the clip's, and so is every clipped range; every loop the clips make is
+    # at every k, 2k > n + 1 too, rank_k_numeric's answer from k is the
+    # clip's, and so is every clipped range; every loop the clips make is
     # classified the same with its inradius as without
     loops = []
     kernel = geometry._intersect_sorted
@@ -746,31 +748,24 @@ def test_origin_fast_paths_change_no_decision(xi, grid):
             assert fast == full and np.array_equal(fast.normals, full.normals)
 
 
-def _slack_units(fill, rows=None):
-    """Bounds on a grid of 16 in units of BOUND_SLACK: fill, and rows[j] at
-    row j."""
-    b = np.full(16, float(fill))
-    for j, v in (rows or {}).items():
-        b[j] = v
-    return b * ranges.BOUND_SLACK
+# the middle Lambda_k is {0} and every later one EMPTY at every scale: from
+# the solve, the middle column's rounding, about eps sqrt(max xi), passed the
+# clip's slack near xi = 1e7 and gave EMPTY, and at k = 4 of the second xi the
+# widened strips kept a point
+@pytest.mark.parametrize("xi, k, kind", [((1e8,) * 4, 3, POINT), ((1.0, 1e14, 1.0, 1e14, 1.0), 4, EMPTY)])
+def test_middle_and_later_ranges_at_large_xi(xi, k, kind, tmp_path):
+    want = ConvexRegion(POINT, (0j,)) if kind == POINT else ConvexRegion.empty()
+    assert rank_k_numeric(xi, k, 2048) == want
+    out = tmp_path / "range.json"
+    assert cli_main(["range", "--xi", ",".join(map(repr, xi)), "--k", str(k), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == want.to_json_dict()
 
 
-# rank_k_numeric's point from the solve on bounds near its threshold: where
-# it decides, the clip of the same bounds gives the same kind, and bounds
-# that only the clip decides, EMPTY ones too, go to the clip
-@pytest.mark.parametrize("bounds, decided, kind", [
-    (_slack_units(0.9, {1: -0.9, 4: -0.9, 9: -0.9}), True, POINT),
-    (_slack_units(0.0, {3: 1.1}), False, POINT),
-    (_slack_units(-1.5), False, EMPTY),
-])
-def test_origin_point_decides_as_the_clip(bounds, decided, kind, monkeypatch, request):
-    thetas = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
-    lam = np.repeat(bounds[:, None], 4, axis=1)
-    clip, clips = ranges._clip, []
-    ranges._lambdas.cache_clear()
-    request.addfinalizer(ranges._lambdas.cache_clear)  # hold no made-up solve after the test
-    monkeypatch.setattr(ranges, "eigencurves", lambda xi, grid: (thetas, lam))
-    monkeypatch.setattr(ranges, "_clip", lambda *args: clips.append(args) or clip(*args))
-    got = rank_k_numeric((1.0, 1.0, 1.0), 2, 16)
-    assert got.kind == clip(thetas, bounds).kind == kind
-    assert (clips == []) == decided == (got.points == (0j,))
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_middle_and_later_ranges_at_every_scale(n, rng):
+    for scale in 10.0 ** np.arange(13):
+        xi = tuple(scale * rng.uniform(0.5, 2.0, n - 1))
+        for grid in (8, 2048, 2049):
+            assert rank_k_numeric(xi, (n + 1) // 2, grid) == ConvexRegion(POINT, (0j,))
+            for k in range((n + 3) // 2, n + 1):
+                assert rank_k_numeric(xi, k, grid).kind == EMPTY
