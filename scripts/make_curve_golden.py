@@ -1,11 +1,10 @@
 """Record SHA-256 digests of ``reciprange curve`` JSON and SVG output.
 
 The corpus is the paper's sets FIG1-FIG5, (1, 1, 1), (1, 0, 1) and
-(1, 1, 1, 1, 1); one uniform draw on [0, 2.5) for each n = 2..7; and two
-``--matrix`` files (n = 5 and 6) with uniform xi and random entry phases,
-each at grids 256 and 2048.  Odd n whose Im A has a kernel of dimension
->= 3 are left out: there the middle branches at theta = pi/2, 3pi/2 come
-from arbitrary kernel vectors picked by rounding.  The file stores each
+(1, 1, 1, 1, 1); one uniform draw on [0, 2.5) for each n = 2..7; two
+``--matrix`` files (n = 5 and 6) with uniform xi and random entry phases;
+and two odd n whose Im A has a kernel of dimension >= 3, each at grids 256
+and 2048.  The file stores each
 case's arguments (and matrix file contents) with the two digests, and
 ``tests/test_curve_golden.py`` reruns every case and compares.  The digests
 hold for the numpy build and machine type recorded with them.
@@ -18,7 +17,9 @@ across theta = pi/2) instead of from step-size thresholds.  Every JSON
 digest stayed the same, as the samples did; every SVG digest changed, as
 the loops are now drawn in label order, each as the samples of one label in
 theta order without the rows at theta = pi/2 and 3 pi/2, and FIG4 and FIG5
-are three loops at grid 256, as at 2048, where they were two.
+are three loops at grid 256, as at 2048, where they were two.  The two
+kernel inputs were added later, when the middle branch of odd n began to
+cluster like any other; the other digests stayed the same.
 
     PYTHONPATH=src python scripts/make_curve_golden.py [--out tests/data/curve_golden.json]
 """
@@ -36,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from reciprange.cli import main as cli_main
-from reciprange.matrices import imag_part_spectrum
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = ROOT / "tests" / "data" / "curve_golden.json"
@@ -53,11 +53,12 @@ PAPER_SETS = {
     "noncon4": (1.0, 0.0, 1.0),
     "ones6": (1.0, 1.0, 1.0, 1.0, 1.0),
 }
-
-
-def pinned_kernel(xi):
-    """Odd n whose Im A has a kernel of dimension >= 3."""
-    return len(xi) % 2 == 0 and np.sum(np.abs(imag_part_spectrum(xi)) < 1e-9) >= 3
+# odd n whose Im A has a kernel of dimension >= 3; after the drawn inputs,
+# so the draws stay the same
+KERNEL_SETS = {
+    "kernel5": (0.0, 0.0, 0.7, 1.3),
+    "kernel7": (0.0, 1.0, 0.0, 0.0, 0.0, 1.0),
+}
 
 
 def golden_inputs():
@@ -72,7 +73,7 @@ def golden_inputs():
         entries = (np.sqrt(xi) + np.sqrt(xi + 1)) * np.exp(1j * phases)
         superdiag = [[a.real, a.imag] for a in entries.tolist()]
         cases.append((f"phases{n}", None, {"n": n, "superdiag": superdiag}))
-    return [c for c in cases if c[1] is None or not pinned_kernel(c[1])]
+    return cases + [(label, xi, None) for label, xi in KERNEL_SETS.items()]
 
 
 def curve_args(xi, matrix, grid, workdir: Path):

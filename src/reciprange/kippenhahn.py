@@ -95,8 +95,9 @@ def _tridiagonal(xi, thetas):
 
     Re(e^{i theta} A) has off-diagonals b_j with |b_j|^2 = xi_j + rho,
     rho = cos^2 theta, whatever the entry phases, so the diagonal unitary D
-    with d_{j+1} = d_j conj(b_j)/|b_j| (phase 1 where b_j = 0) turns it into
-    T(rho): zero diagonal, off-diagonals sqrt(xi_j + rho).  Any finite xi
+    with d_{j+1} = d_j conj(b_j)/|b_j| turns it into T(rho): zero diagonal,
+    off-diagonals sqrt(xi_j + rho).  No float theta has cos theta = 0
+    (|cos theta| >= 6.1e-17 on [0, 2 pi)), so no b_j vanishes.  Any finite xi
     gives finite values; the S that D makes of Im(e^{i theta} A) is built in
     ``envelope_points``, the one caller that needs it.
     """
@@ -139,11 +140,12 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     Returns a record array sorted by (theta, branch), with fields theta,
     branch (1-based, 1 = largest eigenvalue), point, eigenvalue, degenerate
     and loop.  Each sample satisfies Re(e^{i theta} z) = lambda_j(theta):
-    the point lies on its own tangent line.  For odd n the middle branch is
-    pinned to the origin.  At (numerically) repeated eigenvalues the
-    compression of Im(e^{i theta} A) onto the eigenspace yields the genuine
-    tangency points, ordered by the compression's eigenvalue mu ascending;
-    they are flagged degenerate and carry the cluster's mean eigenvalue.
+    the point lies on its own tangent line.  At (numerically) repeated
+    eigenvalues the compression of Im(e^{i theta} A) onto the eigenspace
+    yields the genuine tangency points, ordered by the compression's
+    eigenvalue mu ascending; they are flagged degenerate and carry the
+    cluster's mean eigenvalue.  For odd n the middle branch clusters like any
+    other, and its point is then set to the origin.
 
     The grid of size ``theta_grid`` is solved on theta in [0, pi/2] only
     ([0, pi] for odd m) and the other rows are mirrored from it (see
@@ -176,12 +178,11 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     t = _tridiagonal(xi, base)
     # D of _tridiagonal turns Im(e^{i theta} A) into the Hermitian S: zero
     # diagonal, off-diagonals (sin theta cos theta - i sqrt(xi_j (xi_j + 1)))
-    # / sqrt(xi_j + rho), or sin theta where sqrt(xi_j + rho) = 0; so v = D u
+    # / sqrt(xi_j + rho), whose divisor is at least |cos theta| > 0; so v = D u
     # has v* A v = e^{-i theta} (u* T u + i u* S u)
     x = np.asarray(xi.xi, dtype=float)
     cos, sin = np.cos(base)[:, None], np.sin(base)[:, None]
-    s = np.divide(sin * cos - 1j * np.sqrt(x * (x + 1)), t,
-                  out=np.repeat(sin.astype(complex), x.size, axis=1), where=t > 0)
+    s = (sin * cos - 1j * np.sqrt(x * (x + 1))) / t
     n = x.size + 1
     w, U = np.linalg.eigh(symmetric_tridiagonal(t))  # ascending
     w, U = w[:, ::-1], U[:, :, ::-1]
@@ -190,11 +191,6 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     z = phase * (w + 2j * np.einsum("tj,tjk->tk", s.real, U[:, :-1, :] * U[:, 1:, :]))
     scale = np.maximum(1.0, np.max(np.abs(w), axis=1, keepdims=True))
     close = np.abs(np.diff(w, axis=1)) <= DEGENERATE_GAP * scale
-    mid = (n + 1) // 2 if n % 2 == 1 else None
-    if mid is not None:
-        # the middle branch is pinned to the origin; never cluster across it
-        close[:, max(mid - 2, 0):mid] = False
-        w[:, mid - 1] = 0.0
     degenerate = np.zeros(w.shape, dtype=bool)
     flip = np.tile(np.arange(n), (base.size, 1))  # column order of a conjugated row
     for ti in np.flatnonzero(close.any(axis=1)):
@@ -212,8 +208,8 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
     col = np.where(rev[:, None], np.arange(n)[::-1], np.arange(n))
     z = z[row[:, None], np.where(conj[:, None], np.take_along_axis(flip[row], col, axis=1), col)]
     z[conj] = np.conj(z[conj])
-    if mid is not None:
-        z[:, mid - 1] = 0
+    if n % 2:
+        z[:, n // 2] = 0
     # loops: for rho > 0 the eigenvalues are simple, so branch j is one
     # analytic arc on cos theta > 0 and one on cos theta < 0.  At rho = 0 it
     # goes on as branch sigma(j), whose eigenvector of T(rho0) is closest to
@@ -244,8 +240,9 @@ def envelope_points(xi, theta_grid=DEFAULT_GRID) -> np.recarray:
 def detect_multiple_tangents(xi, tol=1e-9) -> list:
     """Ordinates y of the horizontal lines Im z = y tangent to the curve at two
     points, from the xi-parameters, by the closed-form criteria for n in
-    {4, 5, 6}.  For odd n the structurally repeated ordinate 0 reflects the
-    origin component and is not reported.
+    {4, 5, 6}.  The ordinate 0 is reported when T(0) splits into at least
+    2 + (n mod 2) blocks of odd size: Im A's kernel then holds two tangency
+    points besides the origin pin of odd n.
     """
     xi = as_xi(xi)
     n = xi.n
@@ -265,13 +262,15 @@ def detect_multiple_tangents(xi, tol=1e-9) -> list:
     if n == 4:
         if close(x[1], 0) and close(x[0], x[2]) and not close(x[0], 0):
             add(math.sqrt((x[0] + x[2]) / 2))
-        if (close(x[0], 0) and (x[1] > tol or x[2] > tol)) or (close(x[2], 0) and (x[0] > tol or x[1] > tol)):
+        if close(x[0], 0) or close(x[2], 0):
             add(0.0)
     elif n == 5:
         if close(x[0] + x[1], x[2] + x[3]) and not close(x[0] + x[1], 0) and (
             close(x[1], 0) or close(x[2], 0)
         ):
             add(math.sqrt((x[0] + x[1] + x[2] + x[3]) / 2))
+        if any(close(x[i], 0) and close(x[j], 0) for i, j in ((0, 1), (2, 3), (0, 3))):
+            add(0.0)
     elif n == 6:
         if close(x[0], 0) or close(x[2], 0) or close(x[4], 0):
             add(0.0)

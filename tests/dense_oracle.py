@@ -43,11 +43,12 @@ def oracle_eigencurves(matrix, thetas) -> np.ndarray:
 def oracle_envelope_points(matrix, thetas) -> list:
     """(theta, branch, point, eigenvalue, degenerate) tuples sorted by (theta, branch).
 
-    Simple eigenvalues give z = v* A v; the middle branch of odd n is pinned
-    to the origin; a cluster of eigenvalues closer than DEGENERATE_GAP
-    (relative) gives the points u* A u over the eigenvectors u of the
-    compression of Im(e^{i theta} A) onto its eigenspace, with the cluster's
-    mean eigenvalue.
+    Simple eigenvalues give z = v* A v; a cluster of eigenvalues closer than
+    DEGENERATE_GAP (relative) gives the points u* A u over the eigenvectors u
+    of the compression of Im(e^{i theta} A) onto its eigenspace, with the
+    cluster's mean eigenvalue.  Odd n has no rule of its own: the middle
+    branch, simple or in a cluster through 0, comes out at the origin
+    within rounding, which checks the package's exact pin there.
     """
     thetas = np.asarray(thetas, dtype=float)
     n = matrix.n
@@ -56,20 +57,11 @@ def oracle_envelope_points(matrix, thetas) -> list:
     w, V = np.linalg.eigh(H)
     w, V = w[:, ::-1], V[:, :, ::-1]
     z = np.einsum("tij,tij->tj", np.conj(V), np.einsum("ij,tjk->tik", A, V))
-    mid = (n + 1) // 2 if n % 2 == 1 else None
     samples = []
     for ti, theta in enumerate(thetas):
         gaps_ok = np.abs(np.diff(w[ti])) > DEGENERATE_GAP * max(1.0, np.max(np.abs(w[ti])))
-        if mid is not None:
-            for g in (mid - 2, mid - 1):
-                if 0 <= g < n - 1:
-                    gaps_ok[g] = True
         j = 0
         while j < n:
-            if j + 1 == mid:
-                samples.append((float(theta), j + 1, 0j, 0.0, False))
-                j += 1
-                continue
             jj = j
             while jj < n - 1 and not gaps_ok[jj]:
                 jj += 1

@@ -191,8 +191,9 @@ def block_split_tangent_ordinates(xi, tol=1e-9):
     Where an xi entry vanishes, Im A splits into two diagonal blocks, and an
     eigenvalue the blocks share is the ordinate of a horizontal line tangent to
     the curve at two points.  Each nonzero ordinate comes with its negative, as
-    ``detect_multiple_tangents`` reports them; for odd n the ordinate 0 reflects
-    the origin component and is left out.
+    ``detect_multiple_tangents`` reports them.  The blocks share 0 when Im A
+    has at least two odd blocks, so for odd n (an odd count of odd blocks)
+    only when its kernel has dimension >= 3.
     """
     x = list(as_xi(xi))
     n = len(x) + 1
@@ -206,6 +207,6 @@ def block_split_tangent_ordinates(xi, tol=1e-9):
         for ev in left:
             if np.any(np.abs(right - ev) <= zthr):
                 ev = 0.0 if abs(ev) <= zthr else float(ev)
-                if ev >= 0 and not (n % 2 == 1 and ev == 0.0):
+                if ev >= 0:
                     found[round(ev, 9)] = ev
     return sorted({o for ev in found.values() for o in (ev, -ev)})

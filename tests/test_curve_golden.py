@@ -1,6 +1,7 @@
 """``reciprange curve`` output against digests recorded by
 ``scripts/make_curve_golden.py``: the paper sets, uniform draws for
-n = 2..7 and two random-phase matrix files at grids 256 and 2048.  JSON and
+n = 2..7, two random-phase matrix files and two odd n whose Im A has a
+kernel of dimension >= 3, at grids 256 and 2048.  JSON and
 SVG must be byte-identical.  The digests depend on the LAPACK results of the
 numpy build they were recorded with, so the comparison runs only on that
 numpy version and machine type.

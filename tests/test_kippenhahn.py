@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -25,7 +25,6 @@ from reciprange.matrices import (
     MAX_XI,
     build_from_superdiagonal,
     exact_spectrum,
-    imag_part_spectrum,
     matrix_from_xi,
 )
 from reciprange.ranges import rank_k_numeric
@@ -166,13 +165,6 @@ def _entries(xi, phases, inverted):
             for m, p, inv in zip(mods, phases, inverted)]
 
 
-def _pinned_kernel(xi):
-    """Odd n whose Im A has a kernel of dimension >= 3.  At rho = 0 the
-    pinned middle branch then leaves branches mid +- 1 as arbitrary vectors
-    of that kernel, in the oracle as in the package, so the two cannot agree."""
-    return len(xi) % 2 == 0 and np.sum(np.abs(imag_part_spectrum(xi)) < 1e-9) >= 3
-
-
 def _close(got, want, tol=1e-12):
     want = np.asarray(want)
     return np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
@@ -195,16 +187,45 @@ def _assert_matches_dense(matrix, grid=64):
 xi_or_zero = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
 phase = st.floats(0, 2 * math.pi)
 
+# odd n whose Im A has a kernel of dimension >= 3 (T(0) has three odd
+# blocks or more): at theta = pi/2 and 3 pi/2 the cluster of eigenvalues
+# through 0 is projected onto its whole eigenspace, the middle branch with it
+KERNEL_XI = [(0.0, 0.0), (0.0, 0.0, 0.7, 1.3), (0.0, 0.7, 1.3, 0.0), (0.7, 1.3, 0.0, 0.0),
+             (0.0, 1.0, 0.0, 0.0, 0.0, 1.0)]
+
 
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
     st.lists(xi_or_zero, min_size=n - 1, max_size=n - 1),
     st.lists(phase, min_size=n - 1, max_size=n - 1),
     st.lists(st.booleans(), min_size=n - 1, max_size=n - 1),
 )))
+@example((KERNEL_XI[0], (0.3, 4.0), (False, True)))
+@example((KERNEL_XI[1], (0.3, 4.0, 1.1, 5.9), (False, True, True, False)))
+@example((KERNEL_XI[2], (2.2, 0.5, 3.7, 1.4), (True, False, False, True)))
+@example((KERNEL_XI[3], (5.1, 2.6, 0.9, 3.3), (False, False, True, True)))
+@example((KERNEL_XI[4], (0.7, 1.9, 4.4, 2.8, 6.0, 0.2), (True, False, True, False, False, True)))
 def test_curve_core_matches_dense_oracle(args):
     xi, phases, inverted = args
-    assume(not _pinned_kernel(xi))
     _assert_matches_dense(build_from_superdiagonal(_entries(xi, phases, inverted)))
+
+
+@pytest.mark.parametrize("grid", [64, 2048, 2049])
+@pytest.mark.parametrize("xi", KERNEL_XI)
+def test_kernel_clusters_match_dense_oracle(xi, grid, rng):
+    _assert_matches_dense(matrix_from_xi(xi), grid)
+    _assert_matches_dense(build_from_superdiagonal(
+        _entries(xi, rng.uniform(0, 2 * np.pi, len(xi)), rng.uniform(size=len(xi)) < 0.5)), grid)
+
+
+@pytest.mark.parametrize("xi", KERNEL_XI[1:4])
+def test_kernel5_has_two_tangency_points_on_the_real_axis(xi):
+    # at theta = pi/2 the line Im z = 0 touches the curve at -m and m, m > 0,
+    # besides the origin, so 0 is a double tangent ordinate
+    assert 0.0 in detect_multiple_tangents(xi)
+    z = envelope_points(xi, 64).point.reshape(64, 5)[16]
+    on_axis = np.sort(z[np.abs(z.imag) <= 1e-12].real)
+    assert on_axis.size == 3 and on_axis[1] == 0 and on_axis[2] > 0.1
+    assert abs(on_axis[0] + on_axis[2]) <= 1e-12
 
 
 @given(st.lists(phase, min_size=4, max_size=4), st.lists(st.booleans(), min_size=4, max_size=4))
@@ -217,11 +238,10 @@ def test_drop_case_matches_dense_oracle(phases, inverted):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_zero_xi_matches_dense_oracle(n, rng):
     _assert_matches_dense(matrix_from_xi([0.0] * (n - 1)))
-    if n % 2 == 0:  # for odd n see _pinned_kernel
-        for modulus in (1.0, 1 + 2**-52):
-            # 1 + 2^-52 gives xi = 5e-32, more than rho = 4e-33 at theta = pi/2
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
-            _assert_matches_dense(build_from_superdiagonal(modulus * phases))
+    for modulus in (1.0, 1 + 2**-52):
+        # 1 + 2^-52 gives xi = 5e-32, more than rho = 4e-33 at theta = pi/2
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
+        _assert_matches_dense(build_from_superdiagonal(modulus * phases))
 
 
 def _mirrored_clusters(point, eigenvalue, degenerate):
@@ -300,10 +320,9 @@ def test_conjugated_clusters_match_dense_oracle(n, grid, rng):
     thetas = np.linspace(0, 2 * np.pi, grid, endpoint=False)
     assert np.signbit(np.cos(thetas[grid // 4])) == np.signbit(np.cos(thetas[3 * grid // 4]))
     _assert_matches_dense(matrix_from_xi([0.0] * (n - 1)), grid)
-    if n % 2 == 0:
-        for xi in ([0.5, 0.0] * n)[: n - 1], [1.0] + [0.0] * (n - 2):
-            _assert_matches_dense(build_from_superdiagonal(
-                _entries(xi, rng.uniform(0, 2 * np.pi, n - 1), rng.integers(0, 2, n - 1))), grid)
+    for xi in ([0.5, 0.0] * n)[: n - 1], [1.0] + [0.0] * (n - 2):
+        _assert_matches_dense(build_from_superdiagonal(
+            _entries(xi, rng.uniform(0, 2 * np.pi, n - 1), rng.integers(0, 2, n - 1))), grid)
 
 
 def test_envelope_tangency_invariant(rng):
